@@ -73,6 +73,10 @@ def _view_record_stage(execution, views, stats, max_ops):
     sco = strong_causal_order(views, program)
 
     # goodness, and the replay-preservation assertions on every certifying set
+    kept = {
+        view.process: indirectly_enforced(views, program, view.process).pairs
+        for view in views.views
+    }
     seen = 0
     for candidate in oracle.enumerate_certifying(
         program, record, STRONG_CAUSAL, max_ops=max_ops
@@ -82,9 +86,8 @@ def _view_record_stage(execution, views, stats, max_ops):
         if not sco.pairs <= sco_replay.pairs:
             _fail("view-record", "a certifying replay lost a strong causal ordering")
         for view in views.views:
-            kept = indirectly_enforced(views, program, view.process)
             pos = candidate[view.process].positions
-            if any(pos[a] > pos[b] for a, b in kept.pairs):
+            if any(pos[a] > pos[b] for a, b in kept[view.process]):
                 _fail(
                     "view-record",
                     f"a certifying replay reversed an indirectly enforced pair "
@@ -247,7 +250,7 @@ def _observation_stage(execution, views, stats):
         i: transitive_closure(
             Relation(
                 program.universe_of(i),
-                program.po_restricted(program.universe_of(i)),
+                program.process_index(i).po_pairs,
             )
         )
         for i in program.processes

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 
+from causalrnr import kernels
 from causalrnr.errors import BudgetExceeded
 from causalrnr.model import (
     Execution,
@@ -23,9 +24,10 @@ from causalrnr.model import (
     ViewSet,
     Violation,
     WRITE,
-    check_universe,
-    validate_view,
+    order_rows,
+    read_violation,
     write_read_write_order,
+    write_read_write_rows,
 )
 from causalrnr.relations import Relation, has_cycle, union_closed
 from causalrnr.search import NodeBudget, iter_extensions, preds_from_pairs
@@ -47,39 +49,49 @@ def enumeration_cap(max_ops: int | None = None) -> int:
     return int(env) if env else DEFAULT_MAX_OPS
 
 
+def sco_rows(program: Program, orders) -> list[int]:
+    """SCO as rows over the program index, from (process, order rows)
+    pairs of views: row a holds each owner's writes that its view places
+    after the write a."""
+    rows = [0] * len(program.all_ops)
+    positions = program.write_positions
+    for process, order in orders:
+        own_writes = program.process_index(process).own_writes_mask
+        for k in positions:
+            rows[k] |= order[k] & own_writes
+    return rows
+
+
 def strong_causal_order(views: ViewSet, program: Program) -> Relation:
     """SCO: (w1, w2) for writes ordered w1 before w2 by the view of w2's
     own process.  Raw membership; no closure beyond it."""
-    writes = program.writes
-    pairs = set()
-    for view in views.views:
-        pos = view.positions
-        own_writes = [o for o in program.own(view.process) if program.is_write(o)]
-        for b in own_writes:
-            pb = pos[b]
-            for a in writes:
-                if a != b and pos[a] < pb:
-                    pairs.add((a, b))
-    return Relation(writes, frozenset(pairs))
+    orders = [(v.process, order_rows(v, program)) for v in views.views]
+    return Relation(program.writes, program.pairs_of(sco_rows(program, orders)))
 
 
-def _check_against(views: ViewSet, execution: Execution, base: Relation) -> Violation | None:
+def _check_against(
+    views: ViewSet, execution: Execution, orders: list[list[int]], base: list[int]
+) -> Violation | None:
+    """The first violation of `views` (with `orders` their order rows)
+    against the base order `base` closed with each view's program order.
+    Order violations name the least violated pair in sorted id order."""
     program = execution.program
     for view in views.views:
-        check_universe(view, program)
-    for view in views.views:
-        bad = validate_view(view, execution)
+        bad = read_violation(view, execution)
         if bad is not None:
             return bad
-    for view in views.views:
-        po_i = Relation(
-            program.universe_of(view.process),
-            program.po_restricted(program.universe_of(view.process)),
-        )
-        required = union_closed(base, po_i)
-        pos = view.positions
-        for a, b in required.sorted_pairs:
-            if pos[a] > pos[b]:
+    ids = program.all_ops
+    for view, order in zip(views.views, orders):
+        po = program.process_index(view.process).po_rows
+        # a total order respects a relation iff it respects its closure, so
+        # the closure is built only to name the first violated pair
+        if not any((b | p) & ~o for b, p, o in zip(base, po, order)):
+            continue
+        closed = kernels.closure_rows([b | p for b, p in zip(base, po)])
+        for k, (row, o) in enumerate(zip(closed, order)):
+            wrong = row & ~o & ~(1 << k)
+            if wrong:
+                a, b = ids[k], ids[(wrong & -wrong).bit_length() - 1]
                 return Violation(
                     kind="order",
                     process=view.process,
@@ -93,13 +105,17 @@ def _check_against(views: ViewSet, execution: Execution, base: Relation) -> Viol
 
 
 def check_causal(views: ViewSet, execution: Execution) -> Violation | None:
-    return _check_against(views, execution, write_read_write_order(execution))
+    program = execution.program
+    orders = [order_rows(v, program) for v in views.views]
+    wo = write_read_write_rows(program, execution.writes_to.items())
+    return _check_against(views, execution, orders, wo)
 
 
 def check_strong_causal(views: ViewSet, execution: Execution) -> Violation | None:
-    return _check_against(
-        views, execution, strong_causal_order(views, execution.program)
-    )
+    program = execution.program
+    orders = [order_rows(v, program) for v in views.views]
+    sco = sco_rows(program, zip(views.processes(), orders))
+    return _check_against(views, execution, orders, sco)
 
 
 def _read_validity_hook(program: Program, writes_to, process: int):
@@ -156,7 +172,7 @@ def find_explanation(
         base = wo.pairs if model == CAUSAL else sco_pairs
         required = union_closed(
             Relation(program.writes, base),
-            Relation(universe, program.po_restricted(universe)),
+            Relation(universe, program.process_index(i).po_pairs),
         )
         if has_cycle(required):
             return None
@@ -181,15 +197,9 @@ def find_explanation(
 def _own_write_orderings(program: Program, view: View) -> frozenset:
     """SCO edges contributed by one view: write pairs ending at its owner's
     writes, in view order."""
-    pos = view.positions
-    own_writes = [o for o in program.own(view.process) if program.is_write(o)]
-    pairs = set()
-    for b in own_writes:
-        pb = pos[b]
-        for a in program.writes:
-            if a != b and pos[a] < pb:
-                pairs.add((a, b))
-    return frozenset(pairs)
+    return program.pairs_of(
+        sco_rows(program, [(view.process, order_rows(view, program))])
+    )
 
 
 def _respected_by_all(fixed: list[View], pairs) -> bool:

@@ -8,6 +8,18 @@ read values convey.  A read absent from the map read the initial value.
 A view is one process's total order over its own operations plus every
 write of the execution; all consistency notions quantify over one view
 per process.
+
+A `Program` interns its operation ids once: `Program.index` gives each id
+a bit position, its rank in sorted id order, so ascending bits list ids in
+sorted order.  Per process it caches the own operations, the universe
+(own operations plus all writes) and its mask, the own-write mask and
+program order restricted to the universe, as pairs and as rows.  A row
+over the index is an int whose bit j is set when operation j is related
+to the row's operation; `order_rows` turns a view into such rows and
+`write_read_write_rows` does the same for WO.  The consistency checks and
+the oracle's descent work on these rows; id pairs remain at the
+boundaries (text I/O, DOT output, `Record`s, `Violation` messages and
+public return values such as `write_read_write_order`).
 """
 
 from __future__ import annotations
@@ -17,7 +29,7 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from causalrnr.errors import UniverseMismatch
-from causalrnr.relations import Pair, Relation
+from causalrnr.relations import Pair, Relation, pairs_of_rows
 
 READ = "r"
 WRITE = "w"
@@ -33,6 +45,17 @@ class Operation:
     def __post_init__(self):
         if self.kind not in (READ, WRITE):
             raise ValueError(f"unknown operation kind {self.kind!r}")
+
+
+@dataclass(frozen=True)
+class ProcessIndex:
+    """One process's part of a program's interned index."""
+
+    universe: tuple[str, ...]  # own operations plus all writes, sorted
+    universe_mask: int
+    own_writes_mask: int
+    po_pairs: frozenset[Pair]  # program order restricted to the universe
+    po_rows: tuple[int, ...]  # the same, as rows over the program index
 
 
 @dataclass(frozen=True)
@@ -71,12 +94,79 @@ class Program:
     def writes(self) -> tuple[str, ...]:
         return tuple(o for o in self.all_ops if self.ops[o].kind == WRITE)
 
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """Each operation id's bit position: its rank in sorted id order."""
+        return {o: k for k, o in enumerate(self.all_ops)}
+
+    @cached_property
+    def write_positions(self) -> tuple[int, ...]:
+        return tuple(self.index[o] for o in self.writes)
+
+    @cached_property
+    def writes_mask(self) -> int:
+        return sum(1 << k for k in self.write_positions)
+
+    @cached_property
+    def po_rows(self) -> tuple[int, ...]:
+        """Program order as rows over the index: row k holds the operations
+        that follow operation k in its process."""
+        rows = [0] * len(self.all_ops)
+        for ops in self.listing:
+            later = 0
+            for op in reversed(ops):
+                k = self.index[op.id]
+                rows[k] = later
+                later |= 1 << k
+        return tuple(rows)
+
+    @cached_property
+    def _process_indexes(self) -> dict[int, ProcessIndex]:
+        out = {}
+        for pid, ops in zip(self.processes, self.listing):
+            universe = tuple(sorted(set(self.own(pid)) | set(self.writes)))
+            mask = sum(1 << self.index[o] for o in universe)
+            po_rows = tuple(
+                row & mask if (mask >> k) & 1 else 0
+                for k, row in enumerate(self.po_rows)
+            )
+            out[pid] = ProcessIndex(
+                universe=universe,
+                universe_mask=mask,
+                own_writes_mask=sum(
+                    1 << self.index[op.id] for op in ops if op.kind == WRITE
+                ),
+                po_pairs=self.pairs_of(po_rows),
+                po_rows=po_rows,
+            )
+        return out
+
+    def process_index(self, process: int) -> ProcessIndex:
+        try:
+            return self._process_indexes[process]
+        except KeyError:
+            raise ValueError(f"unknown process {process}") from None
+
+    @cached_property
+    def _own(self) -> dict[int, tuple[str, ...]]:
+        return {
+            pid: tuple(op.id for op in ops)
+            for pid, ops in zip(self.processes, self.listing)
+        }
+
     def own(self, process: int) -> tuple[str, ...]:
         """Process `process`'s operations in program order."""
-        return tuple(op.id for op in self.listing[self.processes.index(process)])
+        try:
+            return self._own[process]
+        except KeyError:
+            raise ValueError(f"unknown process {process}") from None
 
     def universe_of(self, process: int) -> tuple[str, ...]:
-        return tuple(sorted(set(self.own(process)) | set(self.writes)))
+        return self.process_index(process).universe
+
+    def pairs_of(self, rows) -> frozenset[Pair]:
+        """The id pairs of rows over the index."""
+        return pairs_of_rows(self.all_ops, rows)
 
     def is_write(self, op_id: str) -> bool:
         return self.ops[op_id].kind == WRITE
@@ -90,13 +180,7 @@ class Program:
     @cached_property
     def po_pairs(self) -> frozenset[Pair]:
         """Program order: the disjoint union of the per-process chains, closed."""
-        pairs = set()
-        for ops in self.listing:
-            ids = [op.id for op in ops]
-            for i, a in enumerate(ids):
-                for b in ids[i + 1 :]:
-                    pairs.add((a, b))
-        return frozenset(pairs)
+        return self.pairs_of(self.po_rows)
 
     def po_relation(self) -> Relation:
         return Relation(self.all_ops, self.po_pairs)
@@ -197,13 +281,37 @@ class Violation:
         return self.message
 
 
+def _universe_mismatch(view: View) -> UniverseMismatch:
+    return UniverseMismatch(
+        f"view of process {view.process} must order exactly its own operations "
+        f"plus all writes; got {list(view.sequence)}"
+    )
+
+
+def order_rows(view: View, program: Program) -> list[int]:
+    """The view's total order as rows over the program index: row k holds
+    the operations the view places after operation k, and is 0 for
+    operations outside the view.  Raises `UniverseMismatch` unless the view
+    orders exactly its process's own operations plus all writes."""
+    expected = program.process_index(view.process)
+    index = program.index
+    rows = [0] * len(index)
+    after = 0
+    try:
+        for o in reversed(view.sequence):
+            k = index[o]
+            rows[k] = after
+            after |= 1 << k
+    except KeyError:
+        raise _universe_mismatch(view) from None
+    # equal masks and lengths leave no room for a repeated operation
+    if after != expected.universe_mask or len(view.sequence) != len(expected.universe):
+        raise _universe_mismatch(view)
+    return rows
+
+
 def check_universe(view: View, program: Program) -> None:
-    expected = program.universe_of(view.process)
-    if tuple(sorted(view.sequence)) != expected or len(view.sequence) != len(expected):
-        raise UniverseMismatch(
-            f"view of process {view.process} must order exactly its own operations "
-            f"plus all writes; got {list(view.sequence)}"
-        )
+    order_rows(view, program)
 
 
 def data_race_order(view: View, program: Program) -> Relation:
@@ -222,8 +330,13 @@ def data_race_order(view: View, program: Program) -> Relation:
 def validate_view(view: View, execution: Execution) -> Violation | None:
     """Read-validity: each read of the view's owner returns the last
     preceding same-variable write, or the initial value if unmapped."""
+    check_universe(view, execution.program)
+    return read_violation(view, execution)
+
+
+def read_violation(view: View, execution: Execution) -> Violation | None:
+    """`validate_view` for a view whose universe is already checked."""
     program = execution.program
-    check_universe(view, program)
     last_write: dict[str, str] = {}
     for o in view.sequence:
         op = program.ops[o]
@@ -265,16 +378,23 @@ def derive_writes_to(views: ViewSet, program: Program) -> Execution:
     return Execution(program, writes_to)
 
 
+def write_read_write_rows(program: Program, writes_to) -> list[int]:
+    """WO as rows over the program index, from (read, write) source pairs:
+    row w1 holds every other write that follows, in program order, a read
+    of w1."""
+    index = program.index
+    po = program.po_rows
+    writes = program.writes_mask
+    rows = [0] * len(index)
+    for read, w1 in writes_to:
+        k = index[w1]
+        rows[k] |= po[index[read]] & writes & ~(1 << k)
+    return rows
+
+
 def write_read_write_order(execution: Execution) -> Relation:
     """WO: (w1, w2) whenever some read of w1 precedes the write w2 in
     program order.  Raw pairs; callers close together with PO."""
     program = execution.program
-    pairs = set()
-    for read, w1 in execution.writes_to.items():
-        proc = program.proc_of(read)
-        own = program.own(proc)
-        after = own[own.index(read) + 1 :]
-        for o in after:
-            if program.is_write(o) and w1 != o:
-                pairs.add((w1, o))
-    return Relation(program.writes, frozenset(pairs))
+    rows = write_read_write_rows(program, execution.writes_to.items())
+    return Relation(program.writes, program.pairs_of(rows))

@@ -23,6 +23,7 @@ from causalrnr.consistency import (
     check_causal,
     check_strong_causal,
     enumeration_cap,
+    sco_rows,
 )
 from causalrnr.errors import (
     BudgetExceeded,
@@ -39,6 +40,8 @@ from causalrnr.model import (
     WRITE,
     data_race_order,
     derive_writes_to,
+    order_rows,
+    write_read_write_rows,
 )
 from causalrnr.race_record import RaceAnalysis
 from causalrnr.records import Record
@@ -69,8 +72,8 @@ def certifies(candidate: ViewSet, program: Program, record: Record, model: str) 
         raise ValueError(f"unsupported replay model {model!r}")
     for i in sorted(program.processes):
         view = candidate[i]
-        pos = view.positions
         for a, b in record.edges(i):
+            pos = view.positions
             if a not in pos or b not in pos:
                 raise ValueError(f"record edge ({a}, {b}) escapes process {i}'s view")
             if pos[a] > pos[b]:
@@ -80,41 +83,27 @@ def certifies(candidate: ViewSet, program: Program, record: Record, model: str) 
     return check(candidate, derived) is None
 
 
-def _contribution(program: Program, view: View, model: str) -> frozenset[Pair]:
-    """Orderings a fixed view forces on every other view of the replay."""
-    pairs: set[Pair] = set()
-    pos = view.positions
-    i = view.process
+def _contribution(program: Program, view: View, order: list[int], model: str) -> list[int]:
+    """Orderings a fixed view forces on every other view of the replay, as
+    rows over the program index; `order` is the view's order rows."""
     if model == STRONG_CAUSAL:
-        for b in program.own(i):
-            if not program.is_write(b):
-                continue
-            pb = pos[b]
-            for a in program.writes:
-                if a != b and pos[a] < pb:
-                    pairs.add((a, b))
-        return frozenset(pairs)
+        return sco_rows(program, [(view.process, order)])
     # causal: write-read-write edges produced by this view's own reads
-    own = program.own(i)
+    sources = []
     last_write: dict[str, str] = {}
     for o in view.sequence:
         op = program.ops[o]
         if op.kind == WRITE:
             last_write[op.variable] = o
-        elif op.process == i:
+        elif op.process == view.process:
             source = last_write.get(op.variable)
-            if source is None:
-                continue
-            after = own[own.index(o) + 1 :]
-            for w2 in after:
-                if program.is_write(w2) and w2 != source:
-                    pairs.add((source, w2))
-    return frozenset(pairs)
+            if source is not None:
+                sources.append((o, source))
+    return write_read_write_rows(program, sources)
 
 
-def _respects(view: View, pairs) -> bool:
-    pos = view.positions
-    return all(pos[a] < pos[b] for a, b in pairs)
+def _respects(order: list[int], contribution: list[int]) -> bool:
+    return not any(c & ~o for c, o in zip(contribution, order))
 
 
 def _descend(
@@ -122,9 +111,31 @@ def _descend(
     record: Record,
     model: str,
     procs: tuple[int, ...],
-    fixed: list[View],
+    prefix: list[View],
     budget: NodeBudget,
 ) -> Iterator[ViewSet]:
+    orders = [order_rows(view, program) for view in prefix]
+    forced = [0] * len(program.all_ops)
+    for view, order in zip(prefix, orders):
+        contribution = _contribution(program, view, order, model)
+        forced = [f | c for f, c in zip(forced, contribution)]
+    yield from _extend(
+        program, record, model, procs, list(prefix), orders, forced, budget
+    )
+
+
+def _extend(
+    program: Program,
+    record: Record,
+    model: str,
+    procs: tuple[int, ...],
+    fixed: list[View],
+    orders: list[list[int]],
+    forced: list[int],
+    budget: NodeBudget,
+) -> Iterator[ViewSet]:
+    """Certifying completions of the fixed views; `orders` are their order
+    rows and `forced` the union of their contributions."""
     if len(fixed) == len(procs):
         candidate = ViewSet.of(fixed)
         if certifies(candidate, program, record, model):
@@ -132,12 +143,9 @@ def _descend(
         return
     i = procs[len(fixed)]
     universe = program.universe_of(i)
-    forced: set[Pair] = set(program.po_restricted(universe))
-    forced |= record.edges(i)
-    for view in fixed:
-        forced |= _contribution(program, view, model)
+    pairs = program.process_index(i).po_pairs | record.edges(i) | program.pairs_of(forced)
     try:
-        closed = transitive_closure(Relation(universe, frozenset(forced)))
+        closed = transitive_closure(Relation(universe, pairs))
     except ValueError as exc:
         raise ValueError(f"record for process {i} is malformed: {exc}") from exc
     if has_cycle(closed):
@@ -145,9 +153,16 @@ def _descend(
     preds = preds_from_pairs(universe, closed.pairs)
     for seq in iter_extensions(universe, preds, None, budget):
         view = View(i, seq)
-        contribution = _contribution(program, view, model)
-        if all(_respects(v, contribution) for v in fixed):
-            yield from _descend(program, record, model, procs, fixed + [view], budget)
+        order = order_rows(view, program)
+        contribution = _contribution(program, view, order, model)
+        if all(_respects(o, contribution) for o in orders):
+            yield from _extend(
+                program, record, model, procs,
+                fixed + [view],
+                orders + [order],
+                [f | c for f, c in zip(forced, contribution)],
+                budget,
+            )
 
 
 def enumerate_certifying(
@@ -194,8 +209,8 @@ def _branch_views(
     procs = tuple(sorted(program.processes))
     i = procs[0]
     universe = program.universe_of(i)
-    forced = set(program.po_restricted(universe)) | record.edges(i)
-    closed = transitive_closure(Relation(universe, frozenset(forced)))
+    forced = program.process_index(i).po_pairs | record.edges(i)
+    closed = transitive_closure(Relation(universe, forced))
     if has_cycle(closed):
         return []
     preds = preds_from_pairs(universe, closed.pairs)
@@ -368,8 +383,7 @@ def extend_to_views(partials: Mapping[int, Relation], program: Program) -> ViewS
         orders[i] = transitive_closure(rel)
     committed = _extended_sco(orders, program)
     for i in procs:
-        universe = program.universe_of(i)
-        need = committed | program.po_restricted(universe)
+        need = committed | program.process_index(i).po_pairs
         missing = sorted(need - orders[i].pairs)
         if missing:
             a, b = missing[0]

@@ -96,8 +96,7 @@ class RaceAnalysis:
         return self._dro[process]
 
     def _base_pairs(self, process: int) -> frozenset[Pair]:
-        universe = self.program.universe_of(process)
-        return self.dro(process).pairs | self.program.po_restricted(universe)
+        return self.dro(process).pairs | self.program.process_index(process).po_pairs
 
     def strong_write_order(self) -> WriteOrderLevels:
         if self._swo is not None:
@@ -295,7 +294,7 @@ def naive_causal_race_record(views: ViewSet, execution: Execution) -> Record:
         closed = union_closed(
             data_race_order(views[i], program),
             wo,
-            Relation(universe, program.po_restricted(universe)),
+            Relation(universe, program.process_index(i).po_pairs),
         )
         reduced = transitive_reduction(closed)
         out[i] = frozenset(e for e in reduced.pairs if e not in drop)

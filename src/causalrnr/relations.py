@@ -2,9 +2,17 @@
 
 A `Relation` is a value: an explicit, lexicographically ordered universe
 plus a set of ordered pairs without self-loops.  The module provides the
-toolkit every other layer builds on: transitive closure, the unique
+toolkit the record constructions build on: transitive closure, the unique
 transitive reduction, closing and plain unions, cycle detection and
 restriction.
+
+The replay hot path (the consistency checks and the oracle's descent)
+does not build `Relation`s: it works on bitmask rows over the index each
+`model.Program` interns once, where bit k stands for the k-th operation id
+in sorted order.  `pairs_of_rows` turns such rows back into id pairs; id
+pairs are materialised only at the boundaries: text I/O, DOT output,
+`Record`s, `Violation` messages and public return values such as
+`consistency.strong_causal_order`.
 
 Two conventions apply throughout the package:
 
@@ -74,15 +82,7 @@ class Relation:
         return rows
 
     def _from_rows(self, rows: list[int]) -> "Relation":
-        universe = self.universe
-        pairs = set()
-        for i, row in enumerate(rows):
-            row &= ~(1 << i)  # cyclicity is carried by has_cycle, not self-loops
-            while row:
-                j = (row & -row).bit_length() - 1
-                pairs.add((universe[i], universe[j]))
-                row &= row - 1
-        return Relation(universe, frozenset(pairs))
+        return Relation(self.universe, pairs_of_rows(self.universe, rows))
 
     def __contains__(self, pair: Pair) -> bool:
         return pair in self.pairs
@@ -116,6 +116,20 @@ class Relation:
         idx = self._index
         rows = self.rows()
         return tuple(sorted(self.universe, key=lambda o: -bin(rows[idx[o]]).count("1")))
+
+
+def pairs_of_rows(ids: tuple[str, ...], rows) -> frozenset[Pair]:
+    """The id pairs of bitmask rows over `ids`: bit j of row i is the pair
+    (ids[i], ids[j]).  Self-loops are dropped; cyclicity is carried by
+    `has_cycle`, not by reflexive pairs."""
+    pairs = set()
+    for i, row in enumerate(rows):
+        row &= ~(1 << i)
+        while row:
+            low = row & -row
+            pairs.add((ids[i], ids[low.bit_length() - 1]))
+            row ^= low
+    return frozenset(pairs)
 
 
 def transitive_closure(r: Relation) -> Relation:
