@@ -62,8 +62,9 @@ def run_battery(execution: Execution, views: ViewSet, *, max_ops: int | None = N
 
     _view_record_stage(execution, views, stats, max_ops)
     _online_record_stage(execution, views, stats, max_ops)
-    _race_record_stage(execution, views, stats, max_ops)
-    _observation_stage(execution, views, stats)
+    analysis = RaceAnalysis(views, execution.program)
+    _race_record_stage(execution, views, analysis, stats, max_ops)
+    _observation_stage(execution, views, analysis, stats)
     return stats
 
 
@@ -154,9 +155,8 @@ def _online_record_stage(execution, views, stats, max_ops):
     stats.stages.append("online-record")
 
 
-def _race_record_stage(execution, views, stats, max_ops):
+def _race_record_stage(execution, views, analysis, stats, max_ops):
     program = execution.program
-    analysis = RaceAnalysis(views, program)
     record = analysis.record()
     verdict = oracle.is_good_race_record(
         views, program, record, STRONG_CAUSAL, max_ops=max_ops
@@ -178,7 +178,7 @@ def _race_record_stage(execution, views, stats, max_ops):
         )
         if verdict.good:
             _fail("race-record", f"record without {edge} (process {i}) is still good")
-        witness = oracle.necessity_witness_race_record(views, execution, i, edge)
+        witness = oracle.race_witness(analysis, record, i, edge)
         flipped = data_race_order(witness[i], program).pairs
         a, b = edge
         if (b, a) not in flipped:
@@ -187,9 +187,8 @@ def _race_record_stage(execution, views, stats, max_ops):
     stats.stages.append("race-record")
 
 
-def _observation_stage(execution, views, stats):
+def _observation_stage(execution, views, analysis, stats):
     program = execution.program
-    analysis = RaceAnalysis(views, program)
     swo = analysis.strong_write_order()
     sco = strong_causal_order(views, program)
 

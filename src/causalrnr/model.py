@@ -15,11 +15,13 @@ sorted order.  Per process it caches the own operations, the universe
 (own operations plus all writes) and its mask, the own-write mask and
 program order restricted to the universe, as pairs and as rows.  A row
 over the index is an int whose bit j is set when operation j is related
-to the row's operation; `order_rows` turns a view into such rows and
-`write_read_write_rows` does the same for WO.  The consistency checks and
-the oracle's descent work on these rows; id pairs remain at the
-boundaries (text I/O, DOT output, `Record`s, `Violation` messages and
-public return values such as `write_read_write_order`).
+to the row's operation.  `order_rows` turns a view into such rows;
+`data_race_rows` keeps their same-variable part (the DRO), using
+`Program.variable_masks`; `write_read_write_rows` builds WO as rows.  The
+consistency checks, the oracle's descent and completion and the race
+analysis work on these rows; id pairs remain at the boundaries (text
+I/O, DOT output, `Record`s, `Violation` messages and public return values
+such as `write_read_write_order`).
 """
 
 from __future__ import annotations
@@ -106,6 +108,15 @@ class Program:
     @cached_property
     def writes_mask(self) -> int:
         return sum(1 << k for k in self.write_positions)
+
+    @cached_property
+    def variable_masks(self) -> tuple[int, ...]:
+        """Row k: the operations on operation k's variable, k included."""
+        masks: dict[str, int] = {}
+        for o, k in self.index.items():
+            var = self.ops[o].variable
+            masks[var] = masks.get(var, 0) | 1 << k
+        return tuple(masks[self.ops[o].variable] for o in self.all_ops)
 
     @cached_property
     def po_rows(self) -> tuple[int, ...]:
@@ -325,6 +336,13 @@ def data_race_order(view: View, program: Program) -> Relation:
             for b in ids[i + 1 :]:
                 pairs.add((a, b))
     return Relation(tuple(view.sequence), frozenset(pairs))
+
+
+def data_race_rows(view: View, program: Program) -> list[int]:
+    """`data_race_order` as rows over the program index.  Raises
+    `UniverseMismatch` like `order_rows`."""
+    masks = program.variable_masks
+    return [row & masks[k] for k, row in enumerate(order_rows(view, program))]
 
 
 def validate_view(view: View, execution: Execution) -> Violation | None:

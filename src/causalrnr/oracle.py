@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
+from causalrnr import kernels
 from causalrnr.consistency import (
     CAUSAL,
     STRONG_CAUSAL,
@@ -39,6 +40,7 @@ from causalrnr.model import (
     ViewSet,
     WRITE,
     data_race_order,
+    data_race_rows,
     derive_writes_to,
     order_rows,
     write_read_write_rows,
@@ -328,33 +330,59 @@ def is_good_race_record(
 # ---------------------------------------------------------------------------
 
 
-def _extended_sco(orders: Mapping[int, Relation], program: Program) -> frozenset[Pair]:
-    """Strong causal order lifted to partial orders: pairs of writes each
-    order holds that end at its own process's writes."""
-    writes = set(program.writes)
-    pairs: set[Pair] = set()
-    for i, rel in orders.items():
-        for a, b in rel.pairs:
-            if a in writes and b in writes and program.proc_of(b) == i:
-                pairs.add((a, b))
-    return frozenset(pairs)
+def _rows_of(rel: Relation, program: Program) -> list[int]:
+    index = program.index
+    rows = [0] * len(index)
+    for a, b in rel.pairs:
+        rows[index[a]] |= 1 << index[b]
+    return rows
 
 
-def _own_sco(rel: Relation, program: Program, process: int) -> frozenset[Pair]:
-    writes = set(program.writes)
-    return frozenset(
-        (a, b)
-        for a, b in rel.pairs
-        if a in writes and b in writes and program.proc_of(b) == process
-    )
+def _cyclic(rows: list[int]) -> bool:
+    """Whether a closed relation's rows hold a cycle: a self bit."""
+    return any((row >> k) & 1 for k, row in enumerate(rows))
 
 
-def _related(rel: Relation, a: str, b: str) -> bool:
-    return (a, b) in rel.pairs or (b, a) in rel.pairs
+def _extended_sco(orders: Mapping[int, list[int]], program: Program) -> list[int]:
+    """Strong causal order lifted to partial orders, as rows: pairs of
+    writes each closed order holds that end at its own process's writes."""
+    out = [0] * len(program.all_ops)
+    for i, rows in orders.items():
+        own = program.process_index(i).own_writes_mask
+        for p in program.write_positions:
+            out[p] |= rows[p] & own
+    return out
 
 
-def _close_with(rel: Relation, pair: Pair) -> Relation:
-    return transitive_closure(Relation(rel.universe, rel.pairs | {pair}))
+def _adds_own_sco(before: list[int], after: list[int], program: Program, process: int) -> bool:
+    """Whether `after` holds a write pair ending at an own write of
+    `process` that `before` lacks."""
+    own = program.process_index(process).own_writes_mask
+    return any(after[p] & ~before[p] & own for p in program.write_positions)
+
+
+def _related(rows: list[int], a: int, b: int) -> bool:
+    return bool((rows[a] >> b | rows[b] >> a) & 1)
+
+
+def _close_with(rows: list[int], a: int, b: int) -> list[int]:
+    """The closure of a closed relation plus (a, b): every row that is a
+    or reaches a gains b and everything b reaches."""
+    gain = 1 << b | rows[b]
+    return [r | gain if k == a or (r >> a) & 1 else r for k, r in enumerate(rows)]
+
+
+def _sequence(rows: list[int], universe: tuple[str, ...], program: Program):
+    """The listing of a closed total order, or None if `rows` is not one."""
+    index = program.index
+    order = sorted(universe, key=lambda o: -rows[index[o]].bit_count())
+    after = 0
+    for o in reversed(order):
+        k = index[o]
+        if rows[k] != after:
+            return None
+        after |= 1 << k
+    return tuple(order)
 
 
 def extend_to_views(partials: Mapping[int, Relation], program: Program) -> ViewSet:
@@ -364,93 +392,101 @@ def extend_to_views(partials: Mapping[int, Relation], program: Program) -> ViewS
     respects program order and the strong causal order the partials
     already hold jointly.  Unordered cross-process write pairs are fixed
     so that no step introduces a new strong causal ordering; remaining
-    (write, read) gaps close write-first.
+    (write, read) gaps close write-first.  The orders are kept closed, as
+    rows over the program index.
     """
     procs = tuple(sorted(program.processes))
     if set(partials) != set(procs):
         raise PreconditionViolated("one partial order per process is required")
-    orders: dict[int, Relation] = {}
+    ids = program.all_ops
+    inputs: dict[int, list[int]] = {}
+    orders: dict[int, list[int]] = {}
     for i in procs:
-        universe = program.universe_of(i)
         rel = partials[i]
-        if rel.universe != universe:
+        if rel.universe != program.universe_of(i):
             raise PreconditionViolated(
                 f"partial order of process {i} is not over its own operations "
                 f"plus all writes"
             )
-        if has_cycle(rel):
+        inputs[i] = _rows_of(rel, program)
+        orders[i] = kernels.closure_rows(inputs[i])
+        if _cyclic(orders[i]):
             raise PreconditionViolated(f"partial order of process {i} has a cycle")
-        orders[i] = transitive_closure(rel)
     committed = _extended_sco(orders, program)
     for i in procs:
-        need = committed | program.process_index(i).po_pairs
-        missing = sorted(need - orders[i].pairs)
-        if missing:
-            a, b = missing[0]
+        po = program.process_index(i).po_rows
+        missing = [(c | p) & ~o for c, p, o in zip(committed, po, orders[i])]
+        first = next((k for k, row in enumerate(missing) if row), None)
+        if first is not None:
+            a, b = ids[first], ids[(missing[first] & -missing[first]).bit_length() - 1]
             raise PreconditionViolated(
                 f"partial order of process {i} does not respect the required "
                 f"ordering ({a}, {b})"
             )
 
-    cross = sorted(
+    owner = [program.proc_of(o) for o in ids]
+    positions = program.write_positions
+    cross = [
         (a, b)
-        for a in program.writes
-        for b in program.writes
-        if program.proc_of(a) != program.proc_of(b)
-        and (program.proc_of(a), a) < (program.proc_of(b), b)
-    )
+        for a in positions
+        for b in positions
+        if owner[a] != owner[b] and (owner[a], a) < (owner[b], b)
+    ]
     for a, b in cross:
         before = _extended_sco(orders, program)
-        pa, pb = program.proc_of(a), program.proc_of(b)
+        pa, pb = owner[a], owner[b]
         if not _related(orders[pa], a, b):
-            orders[pa] = _close_with(orders[pa], (a, b))
+            orders[pa] = _close_with(orders[pa], a, b)
         if not _related(orders[pb], a, b):
-            orders[pb] = _close_with(orders[pb], (b, a))
+            orders[pb] = _close_with(orders[pb], b, a)
         for k in procs:
             if k in (pa, pb) or _related(orders[k], a, b):
                 continue
-            keep = _close_with(orders[k], (a, b))
-            if _own_sco(keep, program, k) <= _own_sco(orders[k], program, k):
+            keep = _close_with(orders[k], a, b)
+            if not _adds_own_sco(orders[k], keep, program, k):
                 orders[k] = keep
             else:
-                flip = _close_with(orders[k], (b, a))
-                if not _own_sco(flip, program, k) <= _own_sco(orders[k], program, k):
+                flip = _close_with(orders[k], b, a)
+                if _adds_own_sco(orders[k], flip, program, k):
                     raise InternalInvariant(
-                        f"both orientations of ({a}, {b}) force a new strong "
-                        f"causal ordering at process {k}"
+                        f"both orientations of ({ids[a]}, {ids[b]}) force a new "
+                        f"strong causal ordering at process {k}"
                     )
                 orders[k] = flip
         for k in procs:
-            if has_cycle(orders[k]):
+            if _cyclic(orders[k]):
                 raise InternalInvariant(
-                    f"ordering ({a}, {b}) made process {k}'s order cyclic"
+                    f"ordering ({ids[a]}, {ids[b]}) made process {k}'s order cyclic"
                 )
         if _extended_sco(orders, program) != before:
             raise InternalInvariant(
-                f"ordering ({a}, {b}) changed the strong causal order"
+                f"ordering ({ids[a]}, {ids[b]}) changed the strong causal order"
             )
 
+    index = program.index
     for i in procs:
-        reads = [o for o in program.own(i) if program.ops[o].kind == READ]
+        reads = [index[o] for o in program.own(i) if program.ops[o].kind == READ]
         for r in reads:
-            for w in program.writes:
+            for w in positions:
                 if not _related(orders[i], w, r):
-                    orders[i] = _close_with(orders[i], (w, r))
+                    orders[i] = _close_with(orders[i], w, r)
 
     out = []
     for i in procs:
-        rel = orders[i]
-        if not rel.is_total_order():
+        seq = _sequence(orders[i], program.universe_of(i), program)
+        if seq is None:
             raise InternalInvariant(f"completion left process {i}'s order partial")
-        out.append(View(i, rel.as_sequence()))
+        out.append(View(i, seq))
     views = ViewSet.of(out)
     for i in procs:
-        pos = views[i].positions
-        for a, b in partials[i].pairs:
-            if pos[a] > pos[b]:
-                raise InternalInvariant(
-                    f"completion dropped the input ordering ({a}, {b}) of process {i}"
-                )
+        dropped = program.pairs_of(
+            [p & ~o for p, o in zip(inputs[i], order_rows(views[i], program))]
+        )
+        if dropped:
+            a, b = min(dropped)
+            raise InternalInvariant(
+                f"completion dropped the input ordering ({a}, {b}) of process {i}"
+            )
     derived = derive_writes_to(views, program)
     bad = check_strong_causal(views, derived)
     if bad is not None:
@@ -491,35 +527,37 @@ def necessity_witness_race_record(
 ) -> ViewSet:
     """A strongly causal replay certifying the race record without `edge`
     in which `process` resolves that race the other way."""
-    program = execution.program
     bad = check_strong_causal(views, execution)
     if bad is not None:
         raise NotStronglyCausal(str(bad))
-    analysis = RaceAnalysis(views, program)
-    record = analysis.record()
+    analysis = RaceAnalysis(views, execution.program)
+    return race_witness(analysis, analysis.record(), process, edge)
+
+
+def race_witness(
+    analysis: RaceAnalysis, record: Record, process: int, edge: Pair
+) -> ViewSet:
+    """`necessity_witness_race_record` for strongly causal views whose
+    race analysis and minimal race record the caller already holds."""
+    program = analysis.program
     if edge not in record.edges(process):
         raise PreconditionViolated(
             f"edge {edge} is not a required record edge of process {process}"
         )
     o1, o2 = edge
-    cascade = analysis.flip_cascade(process, o1, o2).union
+    a, b = program.index[o1], program.index[o2]
+    cascade = analysis.cascade_rows(process, o1, o2)
     partials: dict[int, Relation] = {}
     for j in sorted(program.processes):
-        universe = program.universe_of(j)
+        rows = [o | c for o, c in zip(analysis.obligation_rows(j), cascade)]
         if j == process:
             # the cascade may echo the dropped edge itself when its target
             # is an own write; re-adding it would cancel the flip
-            pairs = (
-                (analysis.obligation(j).pairs - {edge})
-                | {(o2, o1)}
-                | (cascade - {edge})
-            )
-        else:
-            pairs = analysis.obligation(j).pairs | cascade
-        partials[j] = transitive_closure(Relation(universe, frozenset(pairs)))
+            rows[a] &= ~(1 << b)
+            rows[b] |= 1 << a
+        partials[j] = Relation(program.universe_of(j), program.pairs_of(rows))
     witness = extend_to_views(partials, program)
-    flipped = data_race_order(witness[process], program).pairs
-    if flipped == analysis.dro(process).pairs:
+    if data_race_rows(witness[process], program) == analysis.dro_rows(process):
         raise InternalInvariant("witness reproduces the original data-race order")
     if not certifies(witness, program, record.drop(process, edge), STRONG_CAUSAL):
         raise InternalInvariant("witness does not certify the reduced record")

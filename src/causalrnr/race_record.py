@@ -20,32 +20,34 @@ order, DRO) matches the original.  The machinery:
 The minimal record keeps, per process, the reduction of its obligation
 graph minus program order, foreign strong write order and indirectly
 enforced races.
+
+`RaceAnalysis` works on bitmask rows over the index its `Program`
+interns (see `causalrnr.model`): the DRO, the strong write order
+fixpoint, the closed obligation graphs and the cascade levels are rows
+closed and cycle-checked by the `kernels`.  Id pairs and `Relation`s are
+built only for its public results: `obligation`, `strong_write_order`,
+`swo_from_others`, `flip_cascade`, `indirectly_enforced` and the
+`Record`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from causalrnr import kernels
 from causalrnr.consistency import check_strong_causal
-from causalrnr.errors import InternalInvariant, NotStronglyCausal
+from causalrnr.errors import CyclicInput, InternalInvariant, NotStronglyCausal
 from causalrnr.model import (
     Execution,
     Program,
     ViewSet,
     WRITE,
     data_race_order,
+    data_race_rows,
     write_read_write_order,
 )
 from causalrnr.records import Record
-from causalrnr.relations import (
-    Pair,
-    Relation,
-    disjoint_union,
-    has_cycle,
-    transitive_closure,
-    transitive_reduction,
-    union_closed,
-)
+from causalrnr.relations import Pair, Relation, transitive_reduction, union_closed
 
 
 @dataclass(frozen=True)
@@ -79,173 +81,219 @@ class RaceAnalysis:
 
     All public module functions are thin wrappers; building the analysis
     once amortises the fixpoints across record construction, the
-    redundancy test and the necessity witnesses.
+    redundancy test and the necessity witnesses.  Everything is computed
+    and cached as rows over the program index; `Relation`s and id pairs
+    are built only for the public results.
     """
 
     def __init__(self, views: ViewSet, program: Program):
         self.views = views
         self.program = program
-        self._dro: dict[int, Relation] = {}
-        self._obligation: dict[int, Relation] = {}
-        self._cascades: dict[tuple[int, Pair], FlipCascade] = {}
+        self._dro: dict[int, list[int]] = {}
+        self._obligation: dict[int, list[int]] = {}
+        self._targets: dict[int, list[int]] = {}
+        self._cascades: dict[tuple[int, str, str], tuple[list[int], ...]] = {}
+        self._indirect: dict[int, frozenset[Pair]] = {}
         self._swo: WriteOrderLevels | None = None
+        self._swo_rows: list[int] = []
 
-    def dro(self, process: int) -> Relation:
+    def dro_rows(self, process: int) -> list[int]:
         if process not in self._dro:
-            self._dro[process] = data_race_order(self.views[process], self.program)
+            self._dro[process] = data_race_rows(self.views[process], self.program)
         return self._dro[process]
 
-    def _base_pairs(self, process: int) -> frozenset[Pair]:
-        return self.dro(process).pairs | self.program.process_index(process).po_pairs
+    def dro(self, process: int) -> Relation:
+        return Relation(
+            self.program.universe_of(process),
+            self.program.pairs_of(self.dro_rows(process)),
+        )
+
+    def _base_rows(self, process: int) -> list[int]:
+        po = self.program.process_index(process).po_rows
+        return [d | p for d, p in zip(self.dro_rows(process), po)]
 
     def strong_write_order(self) -> WriteOrderLevels:
         if self._swo is not None:
             return self._swo
         program = self.program
-        writes = set(program.writes)
-        forced: set[Pair] = set()
-        level: dict[Pair, int] = {}
-        k = 0
+        positions = program.write_positions
+        base = {view.process: self._base_rows(view.process) for view in self.views.views}
+        forced = [0] * len(program.all_ops)
+        levels: list[list[int]] = []
         while True:
-            k += 1
-            new: set[Pair] = set()
-            for view in self.views.views:
-                i = view.process
-                universe = program.universe_of(i)
-                closed = transitive_closure(
-                    Relation(universe, self._base_pairs(i) | forced)
-                )
-                for a, b in closed.pairs:
-                    if (
-                        a in writes
-                        and b in writes
-                        and program.proc_of(b) == i
-                        and (a, b) not in forced
-                    ):
-                        new.add((a, b))
-            if not new:
+            new = [0] * len(forced)
+            for i, rows in base.items():
+                own = program.process_index(i).own_writes_mask
+                closed = kernels.closure_rows([r | f for r, f in zip(rows, forced)])
+                for p in positions:
+                    new[p] |= closed[p] & own & ~forced[p] & ~(1 << p)
+            if not any(new):
                 break
-            for e in sorted(new):
-                level[e] = k
-            forced |= new
-        rel = Relation(program.writes, frozenset(forced))
-        self._swo = WriteOrderLevels(rel, tuple(sorted(level.items())))
+            levels.append(new)
+            forced = [f | n for f, n in zip(forced, new)]
+        level = sorted(
+            (pair, k)
+            for k, rows in enumerate(levels, start=1)
+            for pair in program.pairs_of(rows)
+        )
+        self._swo_rows = forced
+        self._swo = WriteOrderLevels(
+            Relation(program.writes, program.pairs_of(forced)), tuple(level)
+        )
         return self._swo
 
-    def swo_from_others(self, process: int) -> frozenset[Pair]:
-        swo = self.strong_write_order().relation
-        return frozenset(
-            (a, b) for a, b in swo.pairs if self.program.proc_of(b) != process
-        )
+    def _foreign_swo_rows(self, process: int) -> list[int]:
+        self.strong_write_order()  # fills self._swo_rows
+        own = self.program.process_index(process).own_writes_mask
+        return [row & ~own for row in self._swo_rows]
 
-    def obligation(self, process: int) -> Relation:
+    def swo_from_others(self, process: int) -> frozenset[Pair]:
+        return self.program.pairs_of(self._foreign_swo_rows(process))
+
+    def obligation_rows(self, process: int) -> list[int]:
+        """The closed obligation graph as rows, self bits cleared: row k
+        is everything operation k must precede."""
         if process not in self._obligation:
-            universe = self.program.universe_of(process)
-            pairs = self._base_pairs(process) | self.swo_from_others(process)
-            self._obligation[process] = transitive_closure(Relation(universe, pairs))
+            rows = [
+                b | s
+                for b, s in zip(self._base_rows(process), self._foreign_swo_rows(process))
+            ]
+            closed = kernels.closure_rows(rows)
+            self._obligation[process] = [r & ~(1 << k) for k, r in enumerate(closed)]
         return self._obligation[process]
 
-    def _reach(self, process: int) -> dict[str, frozenset[str]]:
-        rel = self.obligation(process)
-        out: dict[str, set[str]] = {o: set() for o in rel.universe}
-        for a, b in rel.pairs:
-            out[a].add(b)
-        return {o: frozenset(s) for o, s in out.items()}
+    def obligation(self, process: int) -> Relation:
+        return Relation(
+            self.program.universe_of(process),
+            self.program.pairs_of(self.obligation_rows(process)),
+        )
+
+    def _target_rows(self, process: int) -> list[int]:
+        """Row k: the process's own writes that are k or that its
+        obligation graph places after k."""
+        if process not in self._targets:
+            own = self.program.process_index(process).own_writes_mask
+            self._targets[process] = [
+                own & (1 << k | row)
+                for k, row in enumerate(self.obligation_rows(process))
+            ]
+        return self._targets[process]
 
     def flip_cascade(self, process: int, first: str, second: str) -> FlipCascade:
-        key = (process, (first, second))
+        program = self.program
+        levels = tuple(
+            program.pairs_of(rows) for rows in self._cascade(process, first, second)
+        )
+        return FlipCascade(process, (first, second), levels)
+
+    def cascade_rows(self, process: int, first: str, second: str) -> list[int]:
+        """The flip cascade's union as rows over the program index."""
+        levels = self._cascade(process, first, second)
+        return levels[-1] if levels else [0] * len(self.program.all_ops)
+
+    def _cascade(self, i: int, first: str, second: str) -> tuple[list[int], ...]:
+        """The flip cascade's levels as rows over the program index."""
+        key = (i, first, second)
         if key not in self._cascades:
-            self._cascades[key] = self._build_cascade(process, first, second)
+            self._cascades[key] = self._build_cascade(i, first, second)
         return self._cascades[key]
 
-    def _build_cascade(self, i: int, first: str, second: str) -> FlipCascade:
+    def _build_cascade(self, i: int, first: str, second: str) -> tuple[list[int], ...]:
         program = self.program
-        source = (first, second)
         if program.ops[second].kind != WRITE:
             # a reversed (write, read) pair forces no write orderings
-            return FlipCascade(i, source, ())
-        writes = program.writes
-        reach_i = self._reach(i)
-        own = [w for w in writes if program.proc_of(w) == i]
-        level1 = {
-            (w3, w4)
-            for w4 in own
-            if first == w4 or w4 in reach_i[first]
-            for w3 in writes
-            if w3 != w4 and (w3 == second or second in reach_i[w3])
-        }
-        if not level1:
-            return FlipCascade(i, source, (frozenset(),))
-        levels = [frozenset(level1)]
-        current = set(level1)
+            return ()
+        index = program.index
+        positions = program.write_positions
+        obligation = self.obligation_rows(i)
+        s = index[second]
+        targets = self._target_rows(i)[index[first]]
+        current = [0] * len(obligation)
+        for w3 in positions:
+            if w3 == s or (obligation[w3] >> s) & 1:
+                current[w3] = targets & ~(1 << w3)
+        if not any(current):
+            return (current,)
+        levels = [current]
+        procs = sorted(program.processes)
         while True:
-            grown = set(current)
-            for j in sorted(program.processes):
-                universe = program.universe_of(j)
-                mixed = transitive_closure(
-                    Relation(universe, self.obligation(j).pairs | frozenset(current))
+            grown = list(current)
+            for j in procs:
+                mixed = kernels.closure_rows(
+                    [o | c for o, c in zip(self.obligation_rows(j), current)]
                 )
-                reach_j = self._reach(j)
-                own_j = [w for w in writes if program.proc_of(w) == j]
-                for w5, w6 in current:
-                    sources = [
-                        w3
-                        for w3 in writes
-                        if w3 == w5 or (w3, w5) in mixed.pairs
-                    ]
-                    targets = [
-                        w4
-                        for w4 in own_j
-                        if w6 == w4 or w4 in reach_j[w6]
-                    ]
-                    for w3 in sources:
-                        for w4 in targets:
-                            if w3 != w4:
-                                grown.add((w3, w4))
+                targets_j = self._target_rows(j)
+                for w5 in positions:
+                    ends = current[w5]
+                    reach = 0
+                    while ends:
+                        low = ends & -ends
+                        reach |= targets_j[low.bit_length() - 1]
+                        ends ^= low
+                    if not reach:
+                        continue
+                    for w3 in positions:
+                        if w3 == w5 or (mixed[w3] >> w5) & 1:
+                            grown[w3] |= reach & ~(1 << w3)
             if grown == current:
                 break
-            levels.append(frozenset(grown))
+            levels.append(grown)
             current = grown
-        return FlipCascade(i, source, tuple(levels))
+        return tuple(levels)
 
     def indirectly_enforced(self, process: int) -> frozenset[Pair]:
+        if process in self._indirect:
+            return self._indirect[process]
         i = process
         program = self.program
+        ids = program.all_ops
+        procs = sorted(program.processes)
+        dro = self.dro_rows(i)
         out = set()
-        for o1, o2 in sorted(self.dro(i).pairs):
-            if program.ops[o2].kind != WRITE:
-                continue
-            cascade = self.flip_cascade(i, o1, o2).union
-            if not cascade:
-                continue
-            for m in sorted(program.processes):
-                base = self.obligation(m).pairs
-                if m == i:
-                    base = base - {(o1, o2)}
-                mixed = disjoint_union(
-                    Relation(program.universe_of(m), base),
-                    Relation(program.writes, cascade),
-                )
-                if has_cycle(mixed):
-                    out.add((o1, o2))
-                    break
-        return frozenset(out)
+        for o1 in range(len(dro)):
+            later = dro[o1] & program.writes_mask
+            while later:
+                low = later & -later
+                later ^= low
+                o2 = low.bit_length() - 1
+                cascade = self.cascade_rows(i, ids[o1], ids[o2])
+                if not any(cascade):
+                    continue
+                for m in procs:
+                    obligation = self.obligation_rows(m)
+                    mixed = [o | c for o, c in zip(obligation, cascade)]
+                    if m == i:
+                        # the flipped pair itself leaves the owner's graph
+                        mixed[o1] = obligation[o1] & ~low | cascade[o1]
+                    if kernels.has_cycle_rows(mixed):
+                        out.add((ids[o1], ids[o2]))
+                        break
+        self._indirect[i] = frozenset(out)
+        return self._indirect[i]
 
     def record(self) -> Record:
         program = self.program
-        po = program.po_pairs
         out = {}
         for view in self.views.views:
             i = view.process
-            reduced = transitive_reduction(self.obligation(i))
-            drop = set(po) | self.swo_from_others(i) | self.indirectly_enforced(i)
-            kept = frozenset(e for e in reduced.pairs if e not in drop)
-            stray = kept - self.dro(i).pairs
+            obligation = self.obligation_rows(i)
+            if kernels.has_cycle_rows(obligation):
+                raise CyclicInput("transitive reduction requires an acyclic relation")
+            po = program.process_index(i).po_rows
+            kept_rows = [
+                r & ~p & ~s
+                for r, p, s in zip(
+                    kernels.reduction_rows(obligation), po, self._foreign_swo_rows(i)
+                )
+            ]
+            stray = program.pairs_of(
+                [k & ~d for k, d in zip(kept_rows, self.dro_rows(i))]
+            )
             if stray:
                 raise InternalInvariant(
                     f"record for process {i} holds non-race edges {sorted(stray)}"
                 )
-            out[i] = kept
+            out[i] = program.pairs_of(kept_rows) - self.indirectly_enforced(i)
         return Record.of(out)
 
 

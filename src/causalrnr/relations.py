@@ -6,8 +6,9 @@ toolkit the record constructions build on: transitive closure, the unique
 transitive reduction, closing and plain unions, cycle detection and
 restriction.
 
-The replay hot path (the consistency checks and the oracle's descent)
-does not build `Relation`s: it works on bitmask rows over the index each
+The hot paths (the consistency checks, the oracle's descent, the race
+analysis of `race_record` and the view completion `oracle.extend_to_views`)
+do not build `Relation`s: they work on bitmask rows over the index each
 `model.Program` interns once, where bit k stands for the k-th operation id
 in sorted order.  `pairs_of_rows` turns such rows back into id pairs; id
 pairs are materialised only at the boundaries: text I/O, DOT output,

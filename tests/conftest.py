@@ -33,3 +33,30 @@ def small_generated(count=40, max_total_ops=6):
 @pytest.fixture(scope="session")
 def generated_corpus():
     return small_generated()
+
+
+# (processes, ops_per_process, variables, write_ratio, accepted operation
+# counts, fixtures); the last three are the record benchmark's templates
+TEMPLATES = (
+    (3, 3, 1, 0.7, range(6, 10), 6),
+    (3, 4, 2, 0.6, range(8, 12), 6),
+    (4, 4, 2, 0.5, range(12, 15), 4),
+    (5, 3, 2, 0.5, range(12, 15), 4),
+    (6, 3, 3, 0.5, range(12, 15), 4),
+)
+
+
+def record_generated():
+    """Named strongly causal fixtures of 6-14 operations."""
+    out = []
+    for processes, per, variables, ratio, sizes, count in TEMPLATES:
+        seed, found = 0, 0
+        while found < count:
+            execution, views = gen_strong_causal(
+                GenParams(seed, processes, per, variables, ratio)
+            )
+            if len(execution.program.all_ops) in sizes:
+                out.append((f"p{processes}x{per}v{variables}-s{seed}", execution, views))
+                found += 1
+            seed += 1
+    return out
