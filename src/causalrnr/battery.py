@@ -114,7 +114,7 @@ def _view_record_stage(execution, views, stats, max_ops):
                 "view-record",
                 f"counterexample for dropped edge {edge} does not flip it",
             )
-        witness = oracle.necessity_witness_view_record(views, execution, i, edge)
+        witness = oracle.view_witness(views, execution, record, i, edge)
         if witness.sort_key() == views.sort_key():
             _fail("view-record", "necessity witness equals the original views")
         stats.view_edges_checked += 1

@@ -7,8 +7,12 @@ write's own process observed them in that order; SCO is a function of the
 given view set, so the checker evaluates it once and requires every view
 to respect it.
 
-`find_explanation` is the existential form: an exhaustive, pruned search
-for any view set that explains the execution under the model.
+`find_explanation` is the existential form: an exhaustive search for any
+view set that explains the execution under the model, pruned while
+placing by the same engine as the oracle (`search.iter_extensions`).  Two
+helpers turn constraints into placement-time predecessors and vetoes:
+`read_validity` (shared with `check_cache`) and `sco_vetoes` (shared with
+the oracle's strong-model descent).
 """
 
 from __future__ import annotations
@@ -23,14 +27,13 @@ from causalrnr.model import (
     View,
     ViewSet,
     Violation,
-    WRITE,
     order_rows,
     read_violation,
-    write_read_write_order,
+    sequence_rows,
     write_read_write_rows,
 )
-from causalrnr.relations import Relation, has_cycle, union_closed
-from causalrnr.search import NodeBudget, iter_extensions, preds_from_pairs
+from causalrnr.relations import Relation
+from causalrnr.search import NodeBudget, Veto, iter_extensions, predecessors
 
 CAUSAL = "causal"
 STRONG_CAUSAL = "strong_causal"
@@ -118,23 +121,53 @@ def check_strong_causal(views: ViewSet, execution: Execution) -> Violation | Non
     return _check_against(views, execution, orders, sco)
 
 
-def _read_validity_hook(program: Program, writes_to, process: int):
-    """Prune placements that give a read of `process` the wrong source."""
+def read_validity(
+    program: Program, writes_to, reads
+) -> tuple[list[int], list[tuple[Veto, ...]]]:
+    """Read validity of the reads at positions `reads` as placement
+    constraints over the program index: successor rows and vetoes under
+    which each read is placed with its source as the last placed write to
+    its variable, or with none placed if it read the initial value.
 
-    def hook(o: str, placed: list[str]) -> bool:
-        op = program.ops[o]
-        if op.kind == WRITE or op.process != process:
-            return True
-        expected = writes_to.get(o)
-        actual = None
-        for q in reversed(placed):
-            other = program.ops[q]
-            if other.kind == WRITE and other.variable == op.variable:
-                actual = q
-                break
-        return actual == expected
+    A read's source goes before it, and every other write to the variable
+    is vetoed while the source is placed and the read is not; a read of
+    the initial value goes before every write to its variable."""
+    ids = program.all_ops
+    index = program.index
+    masks = program.variable_masks
+    rows = [0] * len(ids)
+    vetoes: list[tuple[Veto, ...]] = [()] * len(ids)
+    for r in reads:
+        source = writes_to.get(ids[r])
+        same = [w for w in program.write_positions if masks[r] >> w & 1]
+        if source is None:
+            rows[r] |= sum(1 << w for w in same)
+            continue
+        s = index[source]
+        rows[s] |= 1 << r
+        veto = (1 << s, 1 << r)
+        for w in same:
+            if w != s:
+                vetoes[w] += (veto,)
+    return rows, vetoes
 
-    return hook
+
+def sco_vetoes(program: Program, process: int, orders) -> list[tuple[Veto, ...]]:
+    """Strong causal order as vetoes on the view of `process`, given the
+    order rows of fixed views: an own write b is vetoed while any write
+    that some fixed view orders after b is placed, since placing b then
+    would add an SCO edge that view contradicts."""
+    vetoes: list[tuple[Veto, ...]] = [()] * len(program.all_ops)
+    own = program.process_index(process).own_writes_mask
+    for b in program.write_positions:
+        if own >> b & 1:
+            later = 0
+            for order in orders:
+                later |= order[b]
+            later &= program.writes_mask
+            if later:
+                vetoes[b] = ((later, 0),)
+    return vetoes
 
 
 def find_explanation(
@@ -148,7 +181,10 @@ def find_explanation(
 
     Exhaustive on the configured budget: `None` means no explaining view
     set exists.  Deterministic: the lexicographically least witness is
-    returned.
+    returned.  Each process's view is placed under program order, read
+    validity and a base order: WO under the causal model; under the
+    strong model the SCO of the views already fixed, which also vetoes
+    the own writes that would contradict them.
     """
     if model not in (CAUSAL, STRONG_CAUSAL):
         raise ValueError(f"find_explanation supports causal/strong_causal, not {model}")
@@ -160,55 +196,47 @@ def find_explanation(
         )
     budget = NodeBudget(node_budget)
     procs = tuple(sorted(program.processes))
-    wo = write_read_write_order(execution) if model == CAUSAL else None
-
-    def descend(idx: int, fixed: list[View], sco_pairs: frozenset) -> ViewSet | None:
-        if idx == len(procs):
-            candidate = ViewSet.of(fixed)
-            check = check_causal if model == CAUSAL else check_strong_causal
-            return candidate if check(candidate, execution) is None else None
-        i = procs[idx]
-        universe = program.universe_of(i)
-        base = wo.pairs if model == CAUSAL else sco_pairs
-        required = union_closed(
-            Relation(program.writes, base),
-            Relation(universe, program.process_index(i).po_pairs),
+    ids = program.all_ops
+    index = program.index
+    validity = {
+        i: read_validity(
+            program,
+            execution.writes_to,
+            [index[o] for o in program.own(i) if not program.is_write(o)],
         )
-        if has_cycle(required):
+        for i in procs
+    }
+    check = check_causal if model == CAUSAL else check_strong_causal
+
+    def descend(fixed: list[View], orders: list[list[int]], base: list[int]) -> ViewSet | None:
+        if len(fixed) == len(procs):
+            candidate = ViewSet.of(fixed)
+            return candidate if check(candidate, execution) is None else None
+        i = procs[len(fixed)]
+        pi = program.process_index(i)
+        rows, vetoes = validity[i]
+        preds = predecessors([b | p | r for b, p, r in zip(base, pi.po_rows, rows)])
+        if preds is None:
             return None
-        preds = preds_from_pairs(universe, required.pairs)
-        hook = _read_validity_hook(program, execution.writes_to, i)
-        for seq in iter_extensions(universe, preds, hook, budget):
-            view = View(i, seq)
+        if model == STRONG_CAUSAL and orders:
+            vetoes = [r + s for r, s in zip(vetoes, sco_vetoes(program, i, orders))]
+        for seq in iter_extensions(pi.positions, preds, vetoes, budget):
+            view = View(i, tuple(ids[k] for k in seq))
             if model == STRONG_CAUSAL:
-                new_sco = _own_write_orderings(program, view)
-                if not _respected_by_all(fixed, new_sco):
-                    continue
-                found = descend(idx + 1, fixed + [view], sco_pairs | new_sco)
+                order = sequence_rows(seq, len(ids))
+                own = sco_rows(program, [(i, order)])
+                found = descend(
+                    fixed + [view], orders + [order], [b | o for b, o in zip(base, own)]
+                )
             else:
-                found = descend(idx + 1, fixed + [view], sco_pairs)
+                found = descend(fixed + [view], orders, base)
             if found is not None:
                 return found
         return None
 
-    return descend(0, [], frozenset())
-
-
-def _own_write_orderings(program: Program, view: View) -> frozenset:
-    """SCO edges contributed by one view: write pairs ending at its owner's
-    writes, in view order."""
-    return program.pairs_of(
-        sco_rows(program, [(view.process, order_rows(view, program))])
-    )
-
-
-def _respected_by_all(fixed: list[View], pairs) -> bool:
-    for view in fixed:
-        pos = view.positions
-        for a, b in pairs:
-            if pos[a] > pos[b]:
-                return False
-    return True
+    if model == CAUSAL:
+        return descend([], [], write_read_write_rows(program, execution.writes_to.items()))
+    return descend([], [], [0] * len(ids))
 
 
 def check_cache(
@@ -219,23 +247,19 @@ def check_cache(
     every read returns the last preceding write."""
     program = execution.program
     budget = NodeBudget(node_budget)
+    masks = program.variable_masks
     for x in program.variables:
-        ops_x = tuple(o for o in program.all_ops if program.var_of(o) == x)
-        preds = preds_from_pairs(ops_x, program.po_restricted(ops_x))
-
-        def hook(o: str, placed: list[str], _x=x) -> bool:
-            op = program.ops[o]
-            if op.kind == WRITE:
-                return True
-            expected = execution.writes_to.get(o)
-            actual = None
-            for q in reversed(placed):
-                if program.is_write(q):
-                    actual = q
-                    break
-            return actual == expected
-
-        witness = next(iter_extensions(ops_x, preds, hook, budget), None)
+        positions = tuple(
+            k for k, o in enumerate(program.all_ops) if program.var_of(o) == x
+        )
+        mask = masks[positions[0]]
+        reads = [k for k in positions if not program.writes_mask >> k & 1]
+        rows, vetoes = read_validity(program, execution.writes_to, reads)
+        po = [p & mask if mask >> k & 1 else 0 for k, p in enumerate(program.po_rows)]
+        preds = predecessors([p | r for p, r in zip(po, rows)])
+        witness = None
+        if preds is not None:
+            witness = next(iter_extensions(positions, preds, vetoes, budget), None)
         if witness is None:
             return Violation(
                 kind="cache",

@@ -12,16 +12,19 @@ per process.
 A `Program` interns its operation ids once: `Program.index` gives each id
 a bit position, its rank in sorted id order, so ascending bits list ids in
 sorted order.  Per process it caches the own operations, the universe
-(own operations plus all writes) and its mask, the own-write mask and
-program order restricted to the universe, as pairs and as rows.  A row
-over the index is an int whose bit j is set when operation j is related
-to the row's operation.  `order_rows` turns a view into such rows;
-`data_race_rows` keeps their same-variable part (the DRO), using
-`Program.variable_masks`; `write_read_write_rows` builds WO as rows.  The
-consistency checks, the oracle's descent and completion and the race
-analysis work on these rows; id pairs remain at the boundaries (text
-I/O, DOT output, `Record`s, `Violation` messages and public return values
-such as `write_read_write_order`).
+(own operations plus all writes) with its ascending positions and its
+mask, the own-write mask and program order restricted to the universe,
+as pairs and as rows.  A row over the index is an int whose bit j is set
+when operation j is related to the row's operation.  `order_rows` turns a
+view into such rows, checking its universe; `sequence_rows` does the same
+unchecked for a tuple of positions a search placed; `data_race_rows`
+keeps their same-variable part (the DRO), using `Program.variable_masks`;
+`write_read_write_rows` builds WO as rows.  The consistency checks, both
+searches (which place positions, see `search`), the oracle's completion
+and its race-fidelity difference test and the race analysis work on these
+rows; id pairs remain at the boundaries (text I/O, DOT output, `Record`s,
+`Violation` messages and public return values such as
+`write_read_write_order`).
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ class ProcessIndex:
     """One process's part of a program's interned index."""
 
     universe: tuple[str, ...]  # own operations plus all writes, sorted
+    positions: tuple[int, ...]  # the universe's bit positions, ascending
     universe_mask: int
     own_writes_mask: int
     po_pairs: frozenset[Pair]  # program order restricted to the universe
@@ -143,6 +147,7 @@ class Program:
             )
             out[pid] = ProcessIndex(
                 universe=universe,
+                positions=tuple(self.index[o] for o in universe),
                 universe_mask=mask,
                 own_writes_mask=sum(
                     1 << self.index[op.id] for op in ops if op.kind == WRITE
@@ -318,6 +323,18 @@ def order_rows(view: View, program: Program) -> list[int]:
     # equal masks and lengths leave no room for a repeated operation
     if after != expected.universe_mask or len(view.sequence) != len(expected.universe):
         raise _universe_mismatch(view)
+    return rows
+
+
+def sequence_rows(seq: tuple[int, ...], size: int) -> list[int]:
+    """The order rows, over an index of `size` positions, of the total
+    order that lists the positions `seq` left to right; unchecked, for
+    sequences a search placed over a known universe."""
+    rows = [0] * size
+    after = 0
+    for k in reversed(seq):
+        rows[k] = after
+        after |= 1 << k
     return rows
 
 

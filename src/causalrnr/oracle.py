@@ -2,10 +2,11 @@
 
 `enumerate_certifying` walks every set of replay views that extends a
 record under a consistency model, with sound pruning (program order,
-record edges, and orderings already forced by fixed views) and a final
-authoritative check per candidate.  The goodness verdicts reduce to this
-enumeration, so they are independent of the record constructions they
-judge.
+record edges and orderings already forced by fixed views as predecessor
+masks; under the strong model, SCO vetoes on own writes that would
+contradict a fixed view) and a final authoritative check per candidate.
+The goodness verdicts reduce to this enumeration, so they are
+independent of the record constructions they judge.
 
 `extend_to_views` and the two necessity witnesses are the constructive
 side: they build, from a record with one edge dropped, a certifying view
@@ -25,6 +26,7 @@ from causalrnr.consistency import (
     check_strong_causal,
     enumeration_cap,
     sco_rows,
+    sco_vetoes,
 )
 from causalrnr.errors import (
     BudgetExceeded,
@@ -39,21 +41,16 @@ from causalrnr.model import (
     View,
     ViewSet,
     WRITE,
-    data_race_order,
     data_race_rows,
     derive_writes_to,
     order_rows,
+    sequence_rows,
     write_read_write_rows,
 )
 from causalrnr.race_record import RaceAnalysis
 from causalrnr.records import Record
-from causalrnr.relations import (
-    Pair,
-    Relation,
-    has_cycle,
-    transitive_closure,
-)
-from causalrnr.search import NodeBudget, iter_extensions, preds_from_pairs
+from causalrnr.relations import Pair, Relation, transitive_closure
+from causalrnr.search import NodeBudget, iter_extensions, predecessors
 from causalrnr.view_record import minimal_view_record
 
 DEFAULT_NODE_BUDGET = 20_000_000
@@ -108,21 +105,39 @@ def _respects(order: list[int], contribution: list[int]) -> bool:
     return not any(c & ~o for c, o in zip(contribution, order))
 
 
+def _base_rows(program: Program, record: Record) -> dict[int, list[int]] | None:
+    """Per process, program order plus its record edges, validated and
+    closed once per query, as rows over the program index; None when some
+    process's record is cyclic, so that no replay extends it."""
+    base = {}
+    cyclic = False
+    for i in sorted(program.processes):
+        pairs = program.process_index(i).po_pairs | record.edges(i)
+        try:
+            closed = transitive_closure(Relation(program.universe_of(i), pairs))
+        except ValueError as exc:
+            raise ValueError(f"record for process {i} is malformed: {exc}") from exc
+        cyclic = cyclic or any((b, a) in closed.pairs for a, b in closed.pairs)
+        base[i] = _rows_of(closed, program)
+    return None if cyclic else base
+
+
 def _descend(
     program: Program,
     record: Record,
     model: str,
-    procs: tuple[int, ...],
+    base: dict[int, list[int]],
     prefix: list[View],
     budget: NodeBudget,
 ) -> Iterator[ViewSet]:
+    procs = tuple(sorted(program.processes))
     orders = [order_rows(view, program) for view in prefix]
     forced = [0] * len(program.all_ops)
     for view, order in zip(prefix, orders):
         contribution = _contribution(program, view, order, model)
         forced = [f | c for f, c in zip(forced, contribution)]
     yield from _extend(
-        program, record, model, procs, list(prefix), orders, forced, budget
+        program, record, model, procs, base, list(prefix), orders, forced, budget
     )
 
 
@@ -131,35 +146,38 @@ def _extend(
     record: Record,
     model: str,
     procs: tuple[int, ...],
+    base: dict[int, list[int]],
     fixed: list[View],
     orders: list[list[int]],
     forced: list[int],
     budget: NodeBudget,
 ) -> Iterator[ViewSet]:
-    """Certifying completions of the fixed views; `orders` are their order
-    rows and `forced` the union of their contributions."""
+    """Certifying completions of the fixed views; `base` holds each
+    process's closed program order and record edges, `orders` the fixed
+    views' order rows and `forced` the union of their contributions.
+    Under the strong model the SCO vetoes keep every new view consistent
+    with the fixed ones; under the causal model each new view's
+    contribution is checked against them."""
     if len(fixed) == len(procs):
         candidate = ViewSet.of(fixed)
         if certifies(candidate, program, record, model):
             yield candidate
         return
     i = procs[len(fixed)]
-    universe = program.universe_of(i)
-    pairs = program.process_index(i).po_pairs | record.edges(i) | program.pairs_of(forced)
-    try:
-        closed = transitive_closure(Relation(universe, pairs))
-    except ValueError as exc:
-        raise ValueError(f"record for process {i} is malformed: {exc}") from exc
-    if has_cycle(closed):
+    preds = predecessors([b | f for b, f in zip(base[i], forced)])
+    if preds is None:
         return
-    preds = preds_from_pairs(universe, closed.pairs)
-    for seq in iter_extensions(universe, preds, None, budget):
-        view = View(i, seq)
-        order = order_rows(view, program)
+    strong = model == STRONG_CAUSAL
+    vetoes = sco_vetoes(program, i, orders) if strong and orders else None
+    ids = program.all_ops
+    positions = program.process_index(i).positions
+    for seq in iter_extensions(positions, preds, vetoes, budget):
+        view = View(i, tuple(ids[k] for k in seq))
+        order = sequence_rows(seq, len(ids))
         contribution = _contribution(program, view, order, model)
-        if all(_respects(o, contribution) for o in orders):
+        if strong or all(_respects(o, contribution) for o in orders):
             yield from _extend(
-                program, record, model, procs,
+                program, record, model, procs, base,
                 fixed + [view],
                 orders + [order],
                 [f | c for f, c in zip(forced, contribution)],
@@ -182,22 +200,24 @@ def enumerate_certifying(
         raise BudgetExceeded(
             f"{len(program.all_ops)} operations exceed the enumeration cap of {cap}"
         )
+    base = _base_rows(program, record)
+    if base is None:
+        return
     budget = NodeBudget(node_budget)
-    procs = tuple(sorted(program.processes))
-    yield from _descend(program, record, model, procs, [], budget)
+    yield from _descend(program, record, model, base, [], budget)
 
 
 def _find_counterexample(
     program: Program,
     record: Record,
     model: str,
+    base: dict[int, list[int]],
     differs,
     prefix: list[View],
     budget: NodeBudget,
 ) -> tuple[ViewSet | None, int]:
-    procs = tuple(sorted(program.processes))
     seen = 0
-    for candidate in _descend(program, record, model, procs, prefix, budget):
+    for candidate in _descend(program, record, model, base, prefix, budget):
         seen += 1
         if differs(candidate):
             return candidate, seen
@@ -205,36 +225,37 @@ def _find_counterexample(
 
 
 def _branch_views(
-    program: Program, record: Record, model: str, budget: NodeBudget
+    program: Program, base: dict[int, list[int]], budget: NodeBudget
 ) -> list[View]:
     """Candidate views for the first process, used to split parallel work."""
-    procs = tuple(sorted(program.processes))
-    i = procs[0]
-    universe = program.universe_of(i)
-    forced = program.process_index(i).po_pairs | record.edges(i)
-    closed = transitive_closure(Relation(universe, forced))
-    if has_cycle(closed):
+    i = min(program.processes)
+    preds = predecessors(base[i])
+    if preds is None:
         return []
-    preds = preds_from_pairs(universe, closed.pairs)
-    return [View(i, seq) for seq in iter_extensions(universe, preds, None, budget)]
+    ids = program.all_ops
+    positions = program.process_index(i).positions
+    return [
+        View(i, tuple(ids[k] for k in seq))
+        for seq in iter_extensions(positions, preds, None, budget)
+    ]
 
 
 def _worker(args) -> tuple[ViewSet | None, int]:
-    program, record, model, kind, reference, prefix_seq, prefix_proc, node_budget = args
+    program, record, model, base, kind, reference, prefix_seq, prefix_proc, node_budget = args
     differs = _difference_test(program, kind, reference)
     budget = NodeBudget(node_budget)
     prefix = [View(prefix_proc, prefix_seq)]
-    return _find_counterexample(program, record, model, differs, prefix, budget)
+    return _find_counterexample(program, record, model, base, differs, prefix, budget)
 
 
 def _difference_test(program: Program, kind: str, reference):
     if kind == "views":
         return lambda candidate: candidate.sort_key() != reference
-    original_dro: Mapping[int, frozenset] = reference
+    original_dro: Mapping[int, list[int]] = reference
 
     def differs(candidate: ViewSet) -> bool:
         return any(
-            data_race_order(candidate[i], program).pairs != original_dro[i]
+            data_race_rows(candidate[i], program) != original_dro[i]
             for i in sorted(program.processes)
         )
 
@@ -257,27 +278,29 @@ def _goodness(
         raise BudgetExceeded(
             f"{len(program.all_ops)} operations exceed the enumeration cap of {cap}"
         )
+    base = _base_rows(program, record)
+    original = certifies(views, program, record, model)
     if kind == "views":
         reference = views.sort_key()
     else:
         reference = {
-            i: data_race_order(views[i], program).pairs
-            for i in sorted(program.processes)
+            i: data_race_rows(views[i], program) for i in sorted(program.processes)
         }
-    original = certifies(views, program, record, model)
-    procs = tuple(sorted(program.processes))
-    if jobs <= 1 or len(procs) == 0:
+    if base is None:
+        return Verdict(True, None, original, 0)
+    if jobs <= 1 or len(program.processes) == 0:
         differs = _difference_test(program, kind, reference)
         counterexample, seen = _find_counterexample(
-            program, record, model, differs, [], NodeBudget(node_budget)
+            program, record, model, base, differs, [], NodeBudget(node_budget)
         )
         return Verdict(counterexample is None, counterexample, original, seen)
 
     import concurrent.futures
 
-    branches = _branch_views(program, record, model, NodeBudget(node_budget))
+    branches = _branch_views(program, base, NodeBudget(node_budget))
     tasks = [
-        (program, record, model, kind, reference, v.sequence, v.process, node_budget)
+        (program, record, model, base, kind, reference, v.sequence, v.process,
+         node_budget)
         for v in branches
     ]
     seen = 0
@@ -500,8 +523,16 @@ def necessity_witness_view_record(
     """A strongly causal replay certifying the record without `edge` whose
     views differ from the originals: the edge's endpoints swapped in its
     owner's view."""
-    program = execution.program
     record = minimal_view_record(views, execution)
+    return view_witness(views, execution, record, process, edge)
+
+
+def view_witness(
+    views: ViewSet, execution: Execution, record: Record, process: int, edge: Pair
+) -> ViewSet:
+    """`necessity_witness_view_record` for strongly causal views whose
+    minimal view record the caller already holds."""
+    program = execution.program
     if edge not in record.edges(process):
         raise PreconditionViolated(
             f"edge {edge} is not a required record edge of process {process}"

@@ -6,14 +6,17 @@ toolkit the record constructions build on: transitive closure, the unique
 transitive reduction, closing and plain unions, cycle detection and
 restriction.
 
-The hot paths (the consistency checks, the oracle's descent, the race
-analysis of `race_record` and the view completion `oracle.extend_to_views`)
-do not build `Relation`s: they work on bitmask rows over the index each
-`model.Program` interns once, where bit k stands for the k-th operation id
-in sorted order.  `pairs_of_rows` turns such rows back into id pairs; id
-pairs are materialised only at the boundaries: text I/O, DOT output,
-`Record`s, `Violation` messages and public return values such as
-`consistency.strong_causal_order`.
+The hot paths (the consistency checks, the two searches -- the oracle's
+replay descent and `consistency.find_explanation` -- with their placement
+engine `search.iter_extensions`, the race analysis of `race_record` and
+the view completion `oracle.extend_to_views`) do not build `Relation`s:
+they work on bitmask rows over the index each `model.Program` interns
+once, where bit k stands for the k-th operation id in sorted order.  The
+oracle builds one `Relation` per process and query, to validate and close
+program order with the record's edges.  `pairs_of_rows` turns rows back
+into id pairs; id pairs are materialised only at the boundaries: text
+I/O, DOT output, `Record`s, `Violation` messages and public return values
+such as `consistency.strong_causal_order`.
 
 Two conventions apply throughout the package:
 

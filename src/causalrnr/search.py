@@ -1,17 +1,31 @@
-"""Backtracking enumeration of linear extensions.
+"""Backtracking enumeration of linear extensions over bit positions.
 
-Single-worker depth-first search; candidates are tried in lexicographic
-id order, so every enumeration in the package is deterministic and emits
-results in a reproducible order.
+The items to order are bit positions of a program's interned index (see
+`model.Program.index`), given in ascending order; since a position is its
+id's rank in sorted id order, ascending positions are ascending ids.  The
+constraints are masks over the same index:
+
+* `preds[k]`, the positions that must be placed before position k;
+* `vetoes[k]`, a tuple of `(need, unless)` mask pairs: position k may not
+  be placed while some position of `need` is placed and no position of
+  `unless` is.  Vetoes let a caller prune at placement time a prefix that
+  no completion could make acceptable.
+
+The search is a single-worker depth-first loop over a cursor stack; at
+each depth candidates are tried in ascending position order, so the
+extensions come out in lexicographic order and every enumeration in the
+package is deterministic and reproducible.  Each placement spends one
+unit of the `NodeBudget`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
+from causalrnr import kernels
 from causalrnr.errors import BudgetExceeded
 
-PlaceHook = Callable[[str, list[str]], bool]
+Veto = tuple[int, int]  # (need, unless)
 
 
 class NodeBudget:
@@ -30,45 +44,67 @@ class NodeBudget:
 
 
 def iter_extensions(
-    items: tuple[str, ...],
-    preds: dict[str, frozenset[str]],
-    place_hook: Optional[PlaceHook] = None,
+    positions: tuple[int, ...],
+    preds: Sequence[int],
+    vetoes: Optional[Sequence[tuple[Veto, ...]]] = None,
     budget: Optional[NodeBudget] = None,
-) -> Iterator[tuple[str, ...]]:
-    """Yield all orderings of `items` extending the precedence map.
-
-    `preds[o]` is the set of items that must be placed before `o`.
-    `place_hook(o, placed)` may veto a placement; vetoed branches are
-    pruned.  Items are tried in the order given.
-    """
-    n = len(items)
-    placed: list[str] = []
-    placed_set: set[str] = set()
-
-    def descend() -> Iterator[tuple[str, ...]]:
-        if len(placed) == n:
-            yield tuple(placed)
-            return
-        for o in items:
-            if o in placed_set or not preds[o] <= placed_set:
+) -> Iterator[tuple[int, ...]]:
+    """Yield all orderings of `positions` that place every position after
+    its `preds` mask and against none of its `vetoes`, in lexicographic
+    order.  `preds` and `vetoes` are indexed by position."""
+    n = len(positions)
+    if n == 0:
+        yield ()
+        return
+    candidates = [
+        (k, 1 << k, preds[k], vetoes[k] if vetoes is not None else ())
+        for k in positions
+    ]
+    spend = budget.spend if budget is not None else None
+    placed = 0
+    seq: list[int] = []
+    cursor = [0]  # per depth, the index of the next candidate to try
+    while cursor:
+        c = cursor[-1]
+        while c < n:
+            k, bit, need, vetoed = candidates[c]
+            c += 1
+            if placed & bit or need & ~placed:
                 continue
-            if place_hook is not None and not place_hook(o, placed):
+            if vetoed and any(
+                placed & v_need and not placed & unless for v_need, unless in vetoed
+            ):
                 continue
-            if budget is not None:
-                budget.spend()
-            placed.append(o)
-            placed_set.add(o)
-            yield from descend()
-            placed.pop()
-            placed_set.remove(o)
+            if spend is not None:
+                spend()
+            if len(seq) == n - 1:
+                seq.append(k)
+                yield tuple(seq)
+                seq.pop()
+                continue
+            cursor[-1] = c
+            placed |= bit
+            seq.append(k)
+            cursor.append(0)
+            break
+        else:
+            cursor.pop()
+            if seq:
+                placed ^= 1 << seq.pop()
 
-    yield from descend()
 
-
-def preds_from_pairs(items: tuple[str, ...], pairs) -> dict[str, frozenset[str]]:
-    preds: dict[str, set[str]] = {o: set() for o in items}
-    carrier = set(items)
-    for a, b in pairs:
-        if a in carrier and b in carrier:
-            preds[b].add(a)
-    return {o: frozenset(s) for o, s in preds.items()}
+def predecessors(rows: Sequence[int]) -> list[int] | None:
+    """Predecessor masks for `iter_extensions` from successor rows over
+    the index (bit j of row k: k goes before j), closed first; None when
+    the rows hold a cycle, which shows as a self bit of the closure."""
+    closed = kernels.closure_rows(list(rows))
+    preds = [0] * len(closed)
+    for j, row in enumerate(closed):
+        if row >> j & 1:
+            return None
+        bit = 1 << j
+        while row:
+            low = row & -row
+            preds[low.bit_length() - 1] |= bit
+            row ^= low
+    return preds

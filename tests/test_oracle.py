@@ -11,6 +11,8 @@ from causalrnr.consistency import (
 )
 from causalrnr.errors import BudgetExceeded, InternalInvariant, PreconditionViolated
 from causalrnr.model import (
+    READ,
+    WRITE,
     Execution,
     Operation,
     Program,
@@ -101,6 +103,59 @@ class TestEnumerate:
                     pos = candidate[i].positions
                     for a, b in indirectly_enforced(views, program, i).pairs:
                         assert pos[a] < pos[b]
+
+
+def _two_readers():
+    """Processes 1 and 2 each write then read x."""
+    program = Program.of({
+        1: [Operation(WRITE, 1, "x", "w1"), Operation(READ, 1, "x", "r1")],
+        2: [Operation(WRITE, 2, "x", "w2"), Operation(READ, 2, "x", "r2")],
+    })
+    views = ViewSet.of([View(1, ("w1", "r1", "w2")), View(2, ("w1", "w2", "r2"))])
+    return program, views
+
+
+class TestMalformedRecord:
+    QUERIES = {
+        "enumerate": lambda program, views, record: list(
+            oracle.enumerate_certifying(program, record, STRONG_CAUSAL)
+        ),
+        "view": lambda program, views, record: oracle.is_good_view_record(
+            views, program, record
+        ),
+        "race": lambda program, views, record: oracle.is_good_race_record(
+            views, program, record
+        ),
+    }
+
+    @pytest.mark.parametrize("query", sorted(QUERIES))
+    def test_edge_outside_the_universe(self, query):
+        program, views = _two_readers()
+        # r2 is not in process 1's universe
+        record = Record.of({1: {("r1", "r2")}, 2: set()})
+        with pytest.raises(ValueError, match="record for process 1 is malformed"):
+            self.QUERIES[query](program, views, record)
+
+    @pytest.mark.parametrize("query", sorted(QUERIES))
+    def test_raised_even_when_an_earlier_process_has_no_extension(self, query):
+        program, views = _two_readers()
+        # process 1's record reverses its program order, so it has no view
+        record = Record.of({1: {("r1", "w1")}, 2: {("r2", "r1")}})
+        with pytest.raises(ValueError, match="record for process 2 is malformed"):
+            self.QUERIES[query](program, views, record)
+
+    def test_raised_before_parallel_work(self):
+        program, views = _two_readers()
+        record = Record.of({1: set(), 2: {("w2", "w2")}})
+        with pytest.raises(ValueError, match="record for process 2 is malformed"):
+            oracle.is_good_view_record(views, program, record, jobs=2)
+
+    def test_cyclic_record_admits_no_replay(self):
+        program, views = _two_readers()
+        record = Record.of({1: set(), 2: {("r2", "w2")}})
+        assert list(oracle.enumerate_certifying(program, record, STRONG_CAUSAL)) == []
+        verdict = oracle.is_good_view_record(views, program, record)
+        assert verdict.good and verdict.enumerated == 0
 
 
 class TestGoodness:
@@ -241,6 +296,21 @@ class TestNecessityWitnessView:
         assert oracle.certifies(
             witness, parsed.program, record.drop(3, ("w1", "w2")), STRONG_CAUSAL
         )
+
+    def test_view_witness_reuses_the_given_record(self, corpus):
+        parsed = corpus["indirect-order"]
+        record = minimal_view_record(parsed.views, parsed.execution)
+        for i, edge in record.all_edges():
+            assert oracle.view_witness(
+                parsed.views, parsed.execution, record, i, edge
+            ) == oracle.necessity_witness_view_record(
+                parsed.views, parsed.execution, i, edge
+            )
+        i, edge = next(record.all_edges())
+        with pytest.raises(PreconditionViolated):
+            oracle.view_witness(
+                parsed.views, parsed.execution, record.drop(i, edge), i, edge
+            )
 
 
 class TestNecessityWitnessRace:
