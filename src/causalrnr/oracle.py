@@ -1,12 +1,16 @@
 """Brute-force ground truth for record goodness.
 
 `enumerate_certifying` walks every set of replay views that extends a
-record under a consistency model, with sound pruning (program order,
-record edges and orderings already forced by fixed views as predecessor
-masks; under the strong model, SCO vetoes on own writes that would
-contradict a fixed view) and a final authoritative check per candidate.
-The goodness verdicts reduce to this enumeration, so they are
-independent of the record constructions they judge.
+record under a consistency model, pruned while placing: program order,
+record edges and orderings already forced by fixed views are
+predecessor masks; under the strong model, SCO vetoes stop own writes
+that would contradict a fixed view, and under the causal model a view
+whose write-read-write edges a fixed view contradicts is dropped.  Every
+set the descent completes certifies by construction (`_extend` gives
+the argument), so no candidate is checked again; `certifies` remains
+the whole-set check for given views.  The goodness verdicts reduce to
+this enumeration, so they are independent of the record constructions
+they judge.
 
 `extend_to_views` and the two necessity witnesses are the constructive
 side: they build, from a record with one edge dropped, a certifying view
@@ -82,12 +86,10 @@ def certifies(candidate: ViewSet, program: Program, record: Record, model: str) 
     return check(candidate, derived) is None
 
 
-def _contribution(program: Program, view: View, order: list[int], model: str) -> list[int]:
-    """Orderings a fixed view forces on every other view of the replay, as
-    rows over the program index; `order` is the view's order rows."""
-    if model == STRONG_CAUSAL:
-        return sco_rows(program, [(view.process, order)])
-    # causal: write-read-write edges produced by this view's own reads
+def _wo_contribution(program: Program, view: View) -> list[int]:
+    """The write-read-write edges a fixed view forces on every other view
+    of a causal replay, from its own reads' sources, as rows over the
+    program index."""
     sources = []
     last_write: dict[str, str] = {}
     for o in view.sequence:
@@ -122,28 +124,34 @@ def _base_rows(program: Program, record: Record) -> dict[int, list[int]] | None:
     return None if cyclic else base
 
 
+Leaf = tuple[list[View], list[list[int]]]
+
+
 def _descend(
     program: Program,
-    record: Record,
     model: str,
     base: dict[int, list[int]],
     prefix: list[View],
     budget: NodeBudget,
-) -> Iterator[ViewSet]:
+) -> Iterator[Leaf]:
+    """The certifying completions of `prefix`, as `_extend` yields them."""
     procs = tuple(sorted(program.processes))
     orders = [order_rows(view, program) for view in prefix]
+    if len(prefix) == len(procs):
+        yield list(prefix), orders[:-1]
+        return
     forced = [0] * len(program.all_ops)
     for view, order in zip(prefix, orders):
-        contribution = _contribution(program, view, order, model)
+        if model == STRONG_CAUSAL:
+            contribution = sco_rows(program, [(view.process, order)])
+        else:
+            contribution = _wo_contribution(program, view)
         forced = [f | c for f, c in zip(forced, contribution)]
-    yield from _extend(
-        program, record, model, procs, base, list(prefix), orders, forced, budget
-    )
+    yield from _extend(program, model, procs, base, list(prefix), orders, forced, budget)
 
 
 def _extend(
     program: Program,
-    record: Record,
     model: str,
     procs: tuple[int, ...],
     base: dict[int, list[int]],
@@ -151,38 +159,65 @@ def _extend(
     orders: list[list[int]],
     forced: list[int],
     budget: NodeBudget,
-) -> Iterator[ViewSet]:
-    """Certifying completions of the fixed views; `base` holds each
-    process's closed program order and record edges, `orders` the fixed
-    views' order rows and `forced` the union of their contributions.
-    Under the strong model the SCO vetoes keep every new view consistent
-    with the fixed ones; under the causal model each new view's
-    contribution is checked against them."""
-    if len(fixed) == len(procs):
-        candidate = ViewSet.of(fixed)
-        if certifies(candidate, program, record, model):
-            yield candidate
-        return
+) -> Iterator[Leaf]:
+    """Every view set certifying a replay that extends the fixed views,
+    yielded as its views in process order with the order rows of all but
+    the last.  `base` holds each process's closed program order and
+    record edges, `orders` the fixed views' order rows and `forced` the
+    union of their contributions.
+
+    Each yielded set certifies by construction, so no leaf is checked
+    again (`certifies` tests exactly these conditions):
+
+    * record edges and program order: every view is placed under `base`,
+      which `_base_rows` validated and closed;
+    * read validity: the execution a replay explains is the one its views
+      derive (`derive_writes_to`), whose reads return by definition the
+      last preceding write in their owner's view;
+    * causal model: each new view is placed under `forced`, so it
+      respects the earlier views' WO contributions, and `_respects`
+      keeps it only if every earlier view respects its own contribution;
+    * strong model: each new view respects the earlier views' SCO
+      contributions through `forced`, and the SCO vetoes stop it from
+      adding an SCO edge that an earlier view contradicts;
+    * each view respects its own contribution: a WO edge runs from a
+      read's source, which the view places before the read, to a write
+      that follows the read in program order; an SCO edge is a pair of
+      writes in the order the view itself places them;
+    * closure: a total order respects a relation iff it respects the
+      relation's closure, so respecting every contribution and the
+      closed base is respecting the model's whole order.
+
+    Nothing is placed after the last view, so it needs no order rows,
+    and under the strong model no contribution either."""
     i = procs[len(fixed)]
     preds = predecessors([b | f for b, f in zip(base[i], forced)])
     if preds is None:
         return
     strong = model == STRONG_CAUSAL
+    last = len(fixed) == len(procs) - 1
     vetoes = sco_vetoes(program, i, orders) if strong and orders else None
     ids = program.all_ops
     positions = program.process_index(i).positions
     for seq in iter_extensions(positions, preds, vetoes, budget):
         view = View(i, tuple(ids[k] for k in seq))
+        if not strong:
+            contribution = _wo_contribution(program, view)
+            if not all(_respects(o, contribution) for o in orders):
+                continue
+        if last:
+            yield fixed + [view], orders
+            continue
         order = sequence_rows(seq, len(ids))
-        contribution = _contribution(program, view, order, model)
-        if strong or all(_respects(o, contribution) for o in orders):
-            yield from _extend(
-                program, record, model, procs, base,
-                fixed + [view],
-                orders + [order],
-                [f | c for f, c in zip(forced, contribution)],
-                budget,
-            )
+        if strong:
+            contribution = sco_rows(program, [(i, order)])
+        yield from _extend(
+            program, model, procs, base,
+            fixed + [view],
+            orders + [order],
+            [f | c for f, c in zip(forced, contribution)],
+            budget,
+        )
 
 
 def enumerate_certifying(
@@ -195,6 +230,8 @@ def enumerate_certifying(
 ) -> Iterator[ViewSet]:
     """Every view set certifying a replay of the record, in lexicographic
     order of the per-process sequences."""
+    if model not in (CAUSAL, STRONG_CAUSAL):
+        raise ValueError(f"unsupported replay model {model!r}")
     cap = enumeration_cap(max_ops)
     if len(program.all_ops) > cap:
         raise BudgetExceeded(
@@ -204,12 +241,12 @@ def enumerate_certifying(
     if base is None:
         return
     budget = NodeBudget(node_budget)
-    yield from _descend(program, record, model, base, [], budget)
+    for views, _ in _descend(program, model, base, [], budget):
+        yield ViewSet.of(views)
 
 
 def _find_counterexample(
     program: Program,
-    record: Record,
     model: str,
     base: dict[int, list[int]],
     differs,
@@ -217,10 +254,10 @@ def _find_counterexample(
     budget: NodeBudget,
 ) -> tuple[ViewSet | None, int]:
     seen = 0
-    for candidate in _descend(program, record, model, base, prefix, budget):
+    for views, orders in _descend(program, model, base, prefix, budget):
         seen += 1
-        if differs(candidate):
-            return candidate, seen
+        if differs(views, orders):
+            return ViewSet.of(views), seen
     return None, seen
 
 
@@ -241,22 +278,27 @@ def _branch_views(
 
 
 def _worker(args) -> tuple[ViewSet | None, int]:
-    program, record, model, base, kind, reference, prefix_seq, prefix_proc, node_budget = args
+    program, model, base, kind, reference, prefix_seq, prefix_proc, node_budget = args
     differs = _difference_test(program, kind, reference)
     budget = NodeBudget(node_budget)
     prefix = [View(prefix_proc, prefix_seq)]
-    return _find_counterexample(program, record, model, base, differs, prefix, budget)
+    return _find_counterexample(program, model, base, differs, prefix, budget)
 
 
 def _difference_test(program: Program, kind: str, reference):
+    """The test of whether a leaf of the descent differs from the original
+    views: in their sequences, or in some process's data-race order, read
+    off the descent's order rows (the last view's are built here)."""
     if kind == "views":
-        return lambda candidate: candidate.sort_key() != reference
+        return lambda views, orders: tuple(v.sequence for v in views) != reference
     original_dro: Mapping[int, list[int]] = reference
+    masks = program.variable_masks
 
-    def differs(candidate: ViewSet) -> bool:
+    def differs(views: list[View], orders: list[list[int]]) -> bool:
+        rows = orders + [order_rows(view, program) for view in views[len(orders):]]
         return any(
-            data_race_rows(candidate[i], program) != original_dro[i]
-            for i in sorted(program.processes)
+            [row & mask for row, mask in zip(order, masks)] != original_dro[view.process]
+            for view, order in zip(views, rows)
         )
 
     return differs
@@ -291,7 +333,7 @@ def _goodness(
     if jobs <= 1 or len(program.processes) == 0:
         differs = _difference_test(program, kind, reference)
         counterexample, seen = _find_counterexample(
-            program, record, model, base, differs, [], NodeBudget(node_budget)
+            program, model, base, differs, [], NodeBudget(node_budget)
         )
         return Verdict(counterexample is None, counterexample, original, seen)
 
@@ -299,8 +341,7 @@ def _goodness(
 
     branches = _branch_views(program, base, NodeBudget(node_budget))
     tasks = [
-        (program, record, model, base, kind, reference, v.sequence, v.process,
-         node_budget)
+        (program, model, base, kind, reference, v.sequence, v.process, node_budget)
         for v in branches
     ]
     seen = 0

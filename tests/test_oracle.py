@@ -83,6 +83,20 @@ class TestEnumerate:
                 )
             )
 
+    @pytest.mark.parametrize("cyclic", [False, True])
+    def test_unsupported_model_rejected_before_anything_is_yielded(self, cyclic):
+        program, _ = _two_readers()
+        record = Record.of({1: set(), 2: {("r2", "w2")} if cyclic else set()})
+        found = oracle.enumerate_certifying(program, record, "cache")
+        with pytest.raises(ValueError, match="unsupported replay model 'cache'"):
+            next(found)
+
+    def test_unsupported_model_checked_before_the_cap(self, corpus):
+        parsed = corpus["separation"]
+        record = Record.of({1: set(), 2: set()})
+        with pytest.raises(ValueError, match="unsupported replay model"):
+            list(oracle.enumerate_certifying(parsed.program, record, "cache", max_ops=4))
+
     def test_replay_preserves_order_and_covered_pairs(self, corpus, generated_corpus):
         # every certifying replay of the minimal record keeps the original
         # strong causal order and every indirectly enforced pair
@@ -212,6 +226,19 @@ class TestGoodness:
         )
         assert one.good == two.good
         assert one.counterexample.sort_key() == two.counterexample.sort_key()
+
+    @pytest.mark.parametrize("verdict", [oracle.is_good_view_record, oracle.is_good_race_record])
+    def test_parallel_jobs_agree_on_one_process(self, verdict):
+        # each worker's prefix is already a whole view set
+        program = Program.of({
+            1: [Operation(WRITE, 1, "x", "w1"), Operation(READ, 1, "x", "r1"),
+                Operation(WRITE, 1, "x", "w2")],
+        })
+        views = ViewSet.of([View(1, ("w1", "r1", "w2"))])
+        record = Record.of({1: set()})
+        one = verdict(views, program, record, CAUSAL)
+        two = verdict(views, program, record, CAUSAL, jobs=2)
+        assert one == two == oracle.Verdict(True, None, True, 1)
 
 
 class TestExtendToViews:
