@@ -215,14 +215,22 @@ def find_explanation(
         )
         for i in procs
     }
+    # program order and read validity, closed once per process; each node
+    # adds its base order onto them
+    local = {
+        i: kernels.closure_rows(
+            [p | r for p, r in zip(program.process_index(i).po_rows, validity[i][0])]
+        )
+        for i in procs
+    }
 
     def descend(fixed: list[View], orders: list[list[int]], base: list[int]) -> ViewSet | None:
         if len(fixed) == len(procs):
             return ViewSet.of(fixed)
         i = procs[len(fixed)]
         pi = program.process_index(i)
-        rows, vetoes = validity[i]
-        preds = predecessors([b | p | r for b, p, r in zip(base, pi.po_rows, rows)])
+        vetoes = validity[i][1]
+        preds = predecessors(base, onto=local[i])
         if preds is None:
             return None
         if model == STRONG_CAUSAL and orders:

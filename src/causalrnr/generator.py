@@ -17,7 +17,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from causalrnr.model import Execution, Operation, Program, View, ViewSet, READ, WRITE
+from causalrnr.model import (
+    Execution,
+    Operation,
+    Program,
+    READ,
+    View,
+    ViewSet,
+    WRITE,
+    derive_writes_to,
+)
 
 PRNG_NAME = "python-random-mt19937"
 
@@ -87,14 +96,7 @@ def simulate(params: GenParams) -> SimTrace:
     view: dict[int, list[str]] = {p: [] for p in procs}
     applied: dict[int, set[str]] = {p: set() for p in procs}
     observed_before: dict[str, frozenset[str]] = {}
-    writes_to: dict[str, str] = {}
     events: list[tuple] = []
-
-    def last_write(p: int, var: str) -> str | None:
-        for o in reversed(view[p]):
-            if program.is_write(o) and program.var_of(o) == var:
-                return o
-        return None
 
     while True:
         moves: list[tuple] = []
@@ -119,10 +121,6 @@ def simulate(params: GenParams) -> SimTrace:
                     q for q in view[p] if program.is_write(q)
                 )
                 applied[p].add(o)
-            else:
-                src = last_write(p, program.var_of(o))
-                if src is not None:
-                    writes_to[o] = src
             view[p].append(o)
         else:
             _, p, w = move
@@ -130,7 +128,9 @@ def simulate(params: GenParams) -> SimTrace:
             view[p].append(w)
 
     views = ViewSet.of([View(p, tuple(view[p])) for p in procs])
-    return SimTrace(Execution(program, writes_to), views, tuple(events))
+    # each read returns the last write its process had applied, which is
+    # the last preceding write in its view
+    return SimTrace(derive_writes_to(views, program), views, tuple(events))
 
 
 def gen_strong_causal(params: GenParams) -> tuple[Execution, ViewSet]:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from causalrnr.errors import UniverseMismatch
 from causalrnr.relations import Pair, Relation, pairs_of_rows
@@ -257,7 +257,7 @@ class ViewSet:
 
     @classmethod
     def of(cls, views: Iterable[View]) -> "ViewSet":
-        return cls(tuple(sorted(views, key=lambda v: v.process)))
+        return cls(tuple(views))
 
     def __post_init__(self):
         object.__setattr__(
@@ -369,27 +369,36 @@ def validate_view(view: View, execution: Execution) -> Violation | None:
     return read_violation(view, execution)
 
 
+def read_sources(view: View, program: Program) -> Iterator[tuple[str, str | None]]:
+    """Each read of the view's owner, in view order, with the write it
+    returns there: the last preceding same-variable write, or None for
+    the initial value."""
+    ops = program.ops
+    last_write: dict[str, str] = {}
+    for o in view.sequence:
+        op = ops[o]
+        if op.kind == WRITE:
+            last_write[op.variable] = o
+        elif op.process == view.process:
+            yield o, last_write.get(op.variable)
+
+
 def read_violation(view: View, execution: Execution) -> Violation | None:
     """`validate_view` for a view whose universe is already checked."""
     program = execution.program
-    last_write: dict[str, str] = {}
-    for o in view.sequence:
-        op = program.ops[o]
-        if op.kind == WRITE:
-            last_write[op.variable] = o
-            continue
+    for o, actual in read_sources(view, program):
         expected = execution.writes_to.get(o)
-        actual = last_write.get(op.variable)
         if expected != actual:
+            variable = program.var_of(o)
             want = expected if expected is not None else "the initial value"
             got = actual if actual is not None else "the initial value"
             return Violation(
                 kind="read-validity",
                 process=view.process,
-                variable=op.variable,
+                variable=variable,
                 edge=(actual or "", o) if actual else None,
                 message=(
-                    f"read {o} on {op.variable} must return {want} "
+                    f"read {o} on {variable} must return {want} "
                     f"but view of process {view.process} makes it return {got}"
                 ),
             )
@@ -399,17 +408,12 @@ def read_violation(view: View, execution: Execution) -> Violation | None:
 def derive_writes_to(views: ViewSet, program: Program) -> Execution:
     """The execution a view set explains: each read maps to the last
     same-variable write preceding it in its owner's view."""
-    writes_to: dict[str, str] = {}
-    for view in views.views:
-        last_write: dict[str, str] = {}
-        for o in view.sequence:
-            op = program.ops[o]
-            if op.kind == WRITE:
-                last_write[op.variable] = o
-            elif op.process == view.process:
-                w = last_write.get(op.variable)
-                if w is not None:
-                    writes_to[o] = w
+    writes_to = {
+        read: source
+        for view in views.views
+        for read, source in read_sources(view, program)
+        if source is not None
+    }
     return Execution(program, writes_to)
 
 

@@ -3,14 +3,15 @@
 `enumerate_certifying` walks every set of replay views that extends a
 record under a consistency model, pruned while placing: program order,
 record edges and orderings already forced by fixed views are
-predecessor masks; under the strong model, SCO vetoes stop own writes
-that would contradict a fixed view, and under the causal model a view
-whose write-read-write edges a fixed view contradicts is dropped.  Every
-set the descent completes certifies by construction (`_extend` gives
-the argument), so no candidate is checked again; `certifies` remains
-the whole-set check for given views.  The goodness verdicts reduce to
-this enumeration, so they are independent of the record constructions
-they judge.
+predecessor masks (each node adds the forced orderings onto the closed
+program order and record edges with `kernels.close_onto`); under the
+strong model, SCO vetoes stop own writes that would contradict a fixed
+view, and under the causal model a view whose write-read-write edges a
+fixed view contradicts is dropped.  Every set the descent completes
+certifies by construction (`_extend` gives the argument), so no
+candidate is checked again; `certifies` remains the whole-set check for
+given views.  The goodness verdicts reduce to this enumeration, so they
+are independent of the record constructions they judge.
 
 `extend_to_views` and the two necessity witnesses are the constructive
 side: they build, from a record with one edge dropped, a certifying view
@@ -44,10 +45,10 @@ from causalrnr.model import (
     READ,
     View,
     ViewSet,
-    WRITE,
     data_race_rows,
     derive_writes_to,
     order_rows,
+    read_sources,
     sequence_rows,
     write_read_write_rows,
 )
@@ -90,16 +91,7 @@ def _wo_contribution(program: Program, view: View) -> list[int]:
     """The write-read-write edges a fixed view forces on every other view
     of a causal replay, from its own reads' sources, as rows over the
     program index."""
-    sources = []
-    last_write: dict[str, str] = {}
-    for o in view.sequence:
-        op = program.ops[o]
-        if op.kind == WRITE:
-            last_write[op.variable] = o
-        elif op.process == view.process:
-            source = last_write.get(op.variable)
-            if source is not None:
-                sources.append((o, source))
+    sources = [(r, s) for r, s in read_sources(view, program) if s is not None]
     return write_read_write_rows(program, sources)
 
 
@@ -191,7 +183,7 @@ def _extend(
     Nothing is placed after the last view, so it needs no order rows,
     and under the strong model no contribution either."""
     i = procs[len(fixed)]
-    preds = predecessors([b | f for b, f in zip(base[i], forced)])
+    preds = predecessors(forced, onto=base[i])
     if preds is None:
         return
     strong = model == STRONG_CAUSAL
@@ -429,13 +421,6 @@ def _related(rows: list[int], a: int, b: int) -> bool:
     return bool((rows[a] >> b | rows[b] >> a) & 1)
 
 
-def _close_with(rows: list[int], a: int, b: int) -> list[int]:
-    """The closure of a closed relation plus (a, b): every row that is a
-    or reaches a gains b and everything b reaches."""
-    gain = 1 << b | rows[b]
-    return [r | gain if k == a or (r >> a) & 1 else r for k, r in enumerate(rows)]
-
-
 def _sequence(rows: list[int], universe: tuple[str, ...], program: Program):
     """The listing of a closed total order, or None if `rows` is not one."""
     index = program.index
@@ -500,17 +485,17 @@ def extend_to_views(partials: Mapping[int, Relation], program: Program) -> ViewS
         before = _extended_sco(orders, program)
         pa, pb = owner[a], owner[b]
         if not _related(orders[pa], a, b):
-            orders[pa] = _close_with(orders[pa], a, b)
+            orders[pa] = kernels.close_with(orders[pa], a, 1 << b)
         if not _related(orders[pb], a, b):
-            orders[pb] = _close_with(orders[pb], b, a)
+            orders[pb] = kernels.close_with(orders[pb], b, 1 << a)
         for k in procs:
             if k in (pa, pb) or _related(orders[k], a, b):
                 continue
-            keep = _close_with(orders[k], a, b)
+            keep = kernels.close_with(orders[k], a, 1 << b)
             if not _adds_own_sco(orders[k], keep, program, k):
                 orders[k] = keep
             else:
-                flip = _close_with(orders[k], b, a)
+                flip = kernels.close_with(orders[k], b, 1 << a)
                 if _adds_own_sco(orders[k], flip, program, k):
                     raise InternalInvariant(
                         f"both orientations of ({ids[a]}, {ids[b]}) force a new "
@@ -533,7 +518,7 @@ def extend_to_views(partials: Mapping[int, Relation], program: Program) -> ViewS
         for r in reads:
             for w in positions:
                 if not _related(orders[i], w, r):
-                    orders[i] = _close_with(orders[i], w, r)
+                    orders[i] = kernels.close_with(orders[i], w, 1 << r)
 
     out = []
     for i in procs:
@@ -598,19 +583,29 @@ def necessity_witness_race_record(
     views: ViewSet, execution: Execution, process: int, edge: Pair
 ) -> ViewSet:
     """A strongly causal replay certifying the race record without `edge`
-    in which `process` resolves that race the other way."""
+    in which `process` resolves that race the other way.
+
+    Only `edge`'s membership in the minimal race record is decided; the
+    witness is certified against the candidate record without `edge`,
+    which holds the minimal record without it, so the check is at least
+    as strict."""
     bad = check_strong_causal(views, execution)
     if bad is not None:
         raise NotStronglyCausal(str(bad))
     analysis = RaceAnalysis(views, execution.program)
-    return race_witness(analysis, analysis.record(), process, edge)
+    if not analysis.in_record(process, edge):
+        raise PreconditionViolated(
+            f"edge {edge} is not a required record edge of process {process}"
+        )
+    return race_witness(analysis, analysis.candidate_record(), process, edge)
 
 
 def race_witness(
     analysis: RaceAnalysis, record: Record, process: int, edge: Pair
 ) -> ViewSet:
     """`necessity_witness_race_record` for strongly causal views whose
-    race analysis and minimal race record the caller already holds."""
+    race analysis the caller already holds, certified against `record`
+    without `edge`: the minimal race record or a record that holds it."""
     program = analysis.program
     if edge not in record.edges(process):
         raise PreconditionViolated(

@@ -19,7 +19,10 @@ order, DRO) matches the original.  The machinery:
 
 The minimal record keeps, per process, the reduction of its obligation
 graph minus program order, foreign strong write order and indirectly
-enforced races.
+enforced races.  `RaceAnalysis.in_record` decides that membership for
+one edge, building only that edge's cascade, and `RaceAnalysis.record`
+applies the same test to every candidate edge, so membership has one
+definition; a necessity witness needs only its own edge's cascade.
 
 `RaceAnalysis` works on bitmask rows over the index its `Program`
 interns (see `causalrnr.model`): the DRO, the strong write order
@@ -27,7 +30,7 @@ fixpoint, the closed obligation graphs and the cascade levels are rows
 closed and cycle-checked by the `kernels`.  Id pairs and `Relation`s are
 built only for its public results: `obligation`, `strong_write_order`,
 `swo_from_others`, `flip_cascade`, `indirectly_enforced` and the
-`Record`.
+`Record`s.
 """
 
 from __future__ import annotations
@@ -93,6 +96,8 @@ class RaceAnalysis:
         self._obligation: dict[int, list[int]] = {}
         self._targets: dict[int, list[int]] = {}
         self._cascades: dict[tuple[int, str, str], tuple[list[int], ...]] = {}
+        self._candidates: dict[int, list[int]] = {}
+        self._collisions: dict[tuple[int, int, int], bool] = {}
         self._indirect: dict[int, frozenset[Pair]] = {}
         self._swo: WriteOrderLevels | None = None
         self._swo_rows: list[int] = []
@@ -241,13 +246,35 @@ class RaceAnalysis:
             current = grown
         return tuple(levels)
 
+    def _collides(self, i: int, o1: int, o2: int) -> bool:
+        """Whether reversing the race (o1, o2) of process i, given as
+        positions, makes its flip cascade collide with some process's
+        obligation graph (a cycle), so that no valid replay reverses it."""
+        key = (i, o1, o2)
+        if key in self._collisions:
+            return self._collisions[key]
+        ids = self.program.all_ops
+        cascade = self.cascade_rows(i, ids[o1], ids[o2])
+        found = False
+        if any(cascade):
+            for m in sorted(self.program.processes):
+                obligation = self.obligation_rows(m)
+                mixed = [o | c for o, c in zip(obligation, cascade)]
+                if m == i:
+                    # the flipped pair itself leaves the owner's graph
+                    mixed[o1] = obligation[o1] & ~(1 << o2) | cascade[o1]
+                if kernels.has_cycle_rows(mixed):
+                    found = True
+                    break
+        self._collisions[key] = found
+        return found
+
     def indirectly_enforced(self, process: int) -> frozenset[Pair]:
         if process in self._indirect:
             return self._indirect[process]
         i = process
         program = self.program
         ids = program.all_ops
-        procs = sorted(program.processes)
         dro = self.dro_rows(i)
         out = set()
         for o1 in range(len(dro)):
@@ -256,44 +283,71 @@ class RaceAnalysis:
                 low = later & -later
                 later ^= low
                 o2 = low.bit_length() - 1
-                cascade = self.cascade_rows(i, ids[o1], ids[o2])
-                if not any(cascade):
-                    continue
-                for m in procs:
-                    obligation = self.obligation_rows(m)
-                    mixed = [o | c for o, c in zip(obligation, cascade)]
-                    if m == i:
-                        # the flipped pair itself leaves the owner's graph
-                        mixed[o1] = obligation[o1] & ~low | cascade[o1]
-                    if kernels.has_cycle_rows(mixed):
-                        out.add((ids[o1], ids[o2]))
-                        break
+                if self._collides(i, o1, o2):
+                    out.add((ids[o1], ids[o2]))
         self._indirect[i] = frozenset(out)
         return self._indirect[i]
+
+    def _candidate_rows(self, process: int) -> list[int]:
+        """The reduction of the process's obligation graph minus program
+        order and foreign strong write order, as rows: its minimal race
+        record plus its indirectly enforced races."""
+        if process not in self._candidates:
+            program = self.program
+            obligation = self.obligation_rows(process)
+            if kernels.has_cycle_rows(obligation):
+                raise CyclicInput("transitive reduction requires an acyclic relation")
+            po = program.process_index(process).po_rows
+            kept = [
+                r & ~p & ~s
+                for r, p, s in zip(
+                    kernels.reduction_rows(obligation), po, self._foreign_swo_rows(process)
+                )
+            ]
+            stray = program.pairs_of(
+                [k & ~d for k, d in zip(kept, self.dro_rows(process))]
+            )
+            if stray:
+                raise InternalInvariant(
+                    f"record for process {process} holds non-race edges {sorted(stray)}"
+                )
+            self._candidates[process] = kept
+        return self._candidates[process]
+
+    def in_record(self, process: int, edge: Pair) -> bool:
+        """Whether `edge` is in the minimal race record of `process`: an
+        edge of the obligation graph's reduction that is neither program
+        order nor foreign strong write order, and whose flip cascade does
+        not collide.  Only that edge's cascade is built; `record` applies
+        the same test to every edge."""
+        index = self.program.index
+        a, b = (index.get(o) for o in edge)
+        if process not in self.views.by_process or a is None or b is None:
+            return False
+        return bool(self._candidate_rows(process)[a] >> b & 1) and not self._collides(
+            process, a, b
+        )
+
+    def candidate_record(self) -> Record:
+        """Per process, the reduction of its obligation graph minus program
+        order and foreign strong write order: a record that holds the
+        minimal race record, so a replay that extends it extends the
+        minimal one."""
+        program = self.program
+        return Record.of(
+            {
+                view.process: program.pairs_of(self._candidate_rows(view.process))
+                for view in self.views.views
+            }
+        )
 
     def record(self) -> Record:
         program = self.program
         out = {}
         for view in self.views.views:
             i = view.process
-            obligation = self.obligation_rows(i)
-            if kernels.has_cycle_rows(obligation):
-                raise CyclicInput("transitive reduction requires an acyclic relation")
-            po = program.process_index(i).po_rows
-            kept_rows = [
-                r & ~p & ~s
-                for r, p, s in zip(
-                    kernels.reduction_rows(obligation), po, self._foreign_swo_rows(i)
-                )
-            ]
-            stray = program.pairs_of(
-                [k & ~d for k, d in zip(kept_rows, self.dro_rows(i))]
-            )
-            if stray:
-                raise InternalInvariant(
-                    f"record for process {i} holds non-race edges {sorted(stray)}"
-                )
-            out[i] = program.pairs_of(kept_rows) - self.indirectly_enforced(i)
+            candidates = program.pairs_of(self._candidate_rows(i))
+            out[i] = frozenset(e for e in candidates if self.in_record(i, e))
         return Record.of(out)
 
 

@@ -16,6 +16,11 @@ each depth candidates are tried in ascending position order, so the
 extensions come out in lexicographic order and every enumeration in the
 package is deterministic and reproducible.  Each placement spends one
 unit of the `NodeBudget`.
+
+`predecessors` turns successor rows into the predecessor masks, closing
+them first.  Both searches close a process's fixed constraints once and
+add each node's orderings onto them (`kernels.close_onto`), instead of
+closing the whole index again at every node.
 """
 
 from __future__ import annotations
@@ -93,11 +98,17 @@ def iter_extensions(
                 placed ^= 1 << seq.pop()
 
 
-def predecessors(rows: Sequence[int]) -> list[int] | None:
+def predecessors(
+    rows: Sequence[int], onto: Optional[Sequence[int]] = None
+) -> list[int] | None:
     """Predecessor masks for `iter_extensions` from successor rows over
-    the index (bit j of row k: k goes before j), closed first; None when
-    the rows hold a cycle, which shows as a self bit of the closure."""
-    closed = kernels.closure_rows(list(rows))
+    the index (bit j of row k: k goes before j), closed first, or added
+    onto `onto`, rows already closed; None when the result holds a cycle,
+    which shows as a self bit of the closure."""
+    if onto is None:
+        closed = kernels.closure_rows(list(rows))
+    else:
+        closed = kernels.close_onto(onto, rows)
     preds = [0] * len(closed)
     for j, row in enumerate(closed):
         if row >> j & 1:

@@ -1,10 +1,8 @@
-"""Kernel backends agree with each other and with a naive DFS oracle."""
+"""The reachability kernels agree with a naive DFS oracle."""
 
 import random
 
-import pytest
-
-from causalrnr import _pykernels, kernels
+from causalrnr import kernels
 
 
 def dfs_closure(rows):
@@ -41,16 +39,22 @@ def test_pure_matches_dfs_oracle():
     for _ in range(200):
         n = rng.randint(0, 9)
         rows = random_rows(rng, n)
-        assert _pykernels.closure_rows(rows) == dfs_closure(rows)
+        assert kernels.closure_rows(rows) == dfs_closure(rows)
 
 
-def test_selected_backend_matches_pure():
+def test_closure_and_cycle_match_dfs_oracle():
     rng = random.Random(11)
+    cyclic = 0
     for _ in range(200):
         n = rng.randint(0, 12)
         rows = random_rows(rng, n)
-        assert kernels.closure_rows(rows) == _pykernels.closure_rows(rows)
-        assert kernels.has_cycle_rows(rows) == _pykernels.has_cycle_rows(rows)
+        reached = dfs_closure(rows)
+        assert kernels.closure_rows(rows) == reached
+        # a cycle is a source that reaches itself
+        expected = any((reached[i] >> i) & 1 for i in range(n))
+        assert kernels.has_cycle_rows(rows) == expected
+        cyclic += expected
+    assert 0 < cyclic < 200
 
 
 def test_reduction_round_trip():
@@ -69,18 +73,13 @@ def test_reduction_round_trip():
 
 
 def test_large_inputs_fall_back():
-    n = 70  # beyond the compiled kernel's word width
+    n = 70  # rows wider than one 64-bit word
     rows = [0] * n
     rows[0] = 1 << 69
     rows[69] = 1 << 3
     closed = kernels.closure_rows(rows)
     assert (closed[0] >> 3) & 1
     assert not kernels.has_cycle_rows(rows)
-
-
-@pytest.mark.skipif(kernels.BACKEND != "compiled", reason="extension not built")
-def test_compiled_rejects_oversized_rows():
-    from causalrnr import _fastkernels
-
-    with pytest.raises(ValueError):
-        _fastkernels.closure_rows([0] * 65)
+    rows[3] = 1 << 0
+    assert kernels.has_cycle_rows(rows)
+    assert kernels.closure_rows(rows) == dfs_closure(rows)

@@ -3,13 +3,17 @@
 `ReferenceRaceAnalysis` is the analysis as it was written over id-pair
 `Relation`s: every fixpoint, obligation graph and cascade re-closed
 through `transitive_closure`.  The package's `RaceAnalysis` must agree
-with it on every public result, for every process and every race pair.
+with it on every public result, for every process and every race pair,
+and its per-edge record membership must agree with the reference's
+whole record.  The necessity witness, which decides only its own edge's
+membership, must equal the witness built from the whole record.
 """
 
 import pytest
 
+from causalrnr import oracle
 from causalrnr.consistency import check_strong_causal
-from causalrnr.errors import InternalInvariant
+from causalrnr.errors import InternalInvariant, PreconditionViolated
 from causalrnr.model import WRITE, data_race_order
 from causalrnr.race_record import FlipCascade, RaceAnalysis, WriteOrderLevels
 from causalrnr.records import Record
@@ -195,7 +199,30 @@ def assert_same_analysis(views, program):
         for o1, o2 in sorted(slow.dro(i).pairs):
             assert fast.flip_cascade(i, o1, o2) == slow.flip_cascade(i, o1, o2)
         assert fast.indirectly_enforced(i) == slow.indirectly_enforced(i)
-    assert fast.record() == slow.record()
+    record = slow.record()
+    assert fast.record() == record
+    for i in program.processes:
+        for pair in sorted(slow.dro(i).pairs):
+            # a fresh analysis, so that the query builds only what it needs
+            member = RaceAnalysis(views, program).in_record(i, pair)
+            assert member == (pair in record.edges(i))
+
+
+def assert_witnesses_match(views, execution):
+    """For every race pair: the witness of a record edge equals the one
+    built from the whole minimal record; any other pair is rejected."""
+    program = execution.program
+    analysis = RaceAnalysis(views, program)
+    record = analysis.record()
+    for i in program.processes:
+        for pair in sorted(data_race_order(views[i], program).pairs):
+            if pair in record.edges(i):
+                expected = oracle.race_witness(analysis, record, i, pair)
+                found = oracle.necessity_witness_race_record(views, execution, i, pair)
+                assert found == expected
+            else:
+                with pytest.raises(PreconditionViolated):
+                    oracle.necessity_witness_race_record(views, execution, i, pair)
 
 
 def test_fixture_sizes_cover_the_record_workload():
@@ -208,6 +235,31 @@ def test_bundled_fixtures_match_reference(corpus):
     assert cases
     for _, execution, views in cases:
         assert_same_analysis(views, execution.program)
+        assert_witnesses_match(views, execution)
+
+
+def test_membership_rejects_program_order_and_unknown_pairs():
+    _, execution, views = GENERATED[0]
+    program = execution.program
+    analysis = RaceAnalysis(views, program)
+    a, b = sorted(program.po_pairs)[0]
+    process = program.proc_of(a)
+    assert not analysis.in_record(process, (a, b))
+    assert not analysis.in_record(process, (a, "missing"))
+    assert not analysis.in_record(max(program.processes) + 1, (a, b))
+
+
+def test_witness_fixtures_hold_both_outcomes():
+    records = [
+        RaceAnalysis(views, execution.program).record() for _, execution, views in GENERATED
+    ]
+    dro_pairs = sum(
+        len(data_race_order(views[i], execution.program).pairs)
+        for _, execution, views in GENERATED
+        for i in execution.program.processes
+    )
+    edges = sum(record.size() for record in records)
+    assert 0 < edges < dro_pairs
 
 
 @pytest.mark.parametrize(
@@ -217,3 +269,4 @@ def test_bundled_fixtures_match_reference(corpus):
 )
 def test_generated_fixtures_match_reference(execution, views):
     assert_same_analysis(views, execution.program)
+    assert_witnesses_match(views, execution)

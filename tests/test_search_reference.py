@@ -6,6 +6,10 @@ position after its predecessor mask and against none of its vetoes.  The
 engine must yield exactly these sequences, in the same order, and spend
 one budget unit per placement: per nonempty prefix all of whose steps
 pass the same test.
+
+The incremental closure both searches feed it, `kernels.close_onto`,
+must equal Warshall's closure of the union, and `predecessors` over it
+must return None exactly when that closure is cyclic.
 """
 
 import itertools
@@ -13,6 +17,7 @@ import random
 
 import pytest
 
+from causalrnr import kernels
 from causalrnr.errors import BudgetExceeded
 from causalrnr.search import NodeBudget, iter_extensions, predecessors
 
@@ -126,3 +131,46 @@ class TestPredecessors:
 
     def test_no_edges(self):
         assert predecessors([0, 0]) == [0, 0]
+
+
+def _random_closure_instance(rng):
+    """Closed rows of a random order with some elements left out (empty
+    rows, as outside a process's universe) and random extra edges among
+    the rest, some of which close a cycle; a rare back edge makes the
+    closed rows themselves cyclic."""
+    size = rng.randrange(0, 10)
+    members = [k for k in range(size) if rng.random() < 0.8]
+    rng.shuffle(members)
+    rows = [0] * size
+    for t, k in enumerate(members):
+        for j in members[t + 1:]:
+            if rng.random() < 0.2:
+                rows[k] |= 1 << j
+        if t and rng.random() < 0.05:
+            rows[k] |= 1 << members[0]
+    extra = [0] * size
+    for k in members:
+        for j in members:
+            if j != k and rng.random() < 0.1:
+                extra[k] |= 1 << j
+    return kernels.closure_rows(rows), extra
+
+
+CLOSURES = [_random_closure_instance(random.Random(seed)) for seed in range(300)]
+
+
+@pytest.mark.parametrize("k", range(len(CLOSURES)))
+def test_close_onto_matches_closure_of_the_union(k):
+    closed, extra = CLOSURES[k]
+    union = [c | e for c, e in zip(closed, extra)]
+    assert kernels.close_onto(closed, extra) == kernels.closure_rows(union)
+    assert predecessors(extra, onto=closed) == predecessors(union)
+
+
+def test_closure_instances_cover_both_outcomes():
+    outcomes = [predecessors(extra, onto=closed) for closed, extra in CLOSURES]
+    assert any(preds is None for preds in outcomes)
+    assert any(any(row >> j & 1 for j, row in enumerate(closed)) for closed, _ in CLOSURES)
+    assert any(
+        preds is not None and any(extra) for preds, (_, extra) in zip(outcomes, CLOSURES)
+    )
