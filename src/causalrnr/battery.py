@@ -169,7 +169,6 @@ def _race_record_stage(execution, views, analysis, stats, max_ops):
         _fail("race-record", f"race record admits a race-differing replay: {dros}")
     if not verdict.original_certifies:
         _fail("race-record", "original views do not certify their own record")
-    stats.certifying_seen += verdict.enumerated
 
     for i, edge in record.all_edges():
         reduced = record.drop(i, edge)

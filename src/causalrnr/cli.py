@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--consistency", choices=["causal", "strong-causal"],
                    default="strong-causal")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the enumeration (default 1)")
+                   help="worker processes for causal-model verdicts (default 1)")
     p.add_argument("--dot", default=None)
     _add_common(p)
     p.set_defaults(func=cmd_verify)

@@ -95,21 +95,22 @@ def simulate(params: GenParams) -> SimTrace:
     next_op = {p: 0 for p in procs}
     view: dict[int, list[str]] = {p: [] for p in procs}
     applied: dict[int, set[str]] = {p: set() for p in procs}
-    observed_before: dict[str, frozenset[str]] = {}
+    # each executed write with its process and the writes it observed
+    observed_before: dict[str, tuple[int, frozenset[str]]] = {}
     events: list[tuple] = []
 
     while True:
         moves: list[tuple] = []
         for p in procs:
             own = program.own(p)
-            for w in sorted(observed_before):
-                src = program.proc_of(w)
-                if src != p and w not in applied[p] and observed_before[w] <= applied[p]:
+            for w, (src, before) in observed_before.items():
+                if src != p and w not in applied[p] and before <= applied[p]:
                     moves.append(("deliver", p, w))
             if next_op[p] < len(own):
                 moves.append(("exec", p, own[next_op[p]]))
         if not moves:
             break
+        # the draw depends on this order alone, not on the scan's
         moves.sort()
         move = moves[rng.randrange(len(moves))]
         events.append(move)
@@ -117,8 +118,8 @@ def simulate(params: GenParams) -> SimTrace:
             _, p, o = move
             next_op[p] += 1
             if program.is_write(o):
-                observed_before[o] = frozenset(
-                    q for q in view[p] if program.is_write(q)
+                observed_before[o] = (
+                    p, frozenset(q for q in view[p] if program.is_write(q))
                 )
                 applied[p].add(o)
             view[p].append(o)

@@ -1,4 +1,4 @@
-"""Brute-force ground truth for record goodness.
+"""Record goodness: brute-force ground truth, and the strong model's fixpoint.
 
 `enumerate_certifying` walks every set of replay views that extends a
 record under a consistency model, pruned while placing: program order,
@@ -10,8 +10,26 @@ view, and under the causal model a view whose write-read-write edges a
 fixed view contradicts is dropped.  Every set the descent completes
 certifies by construction (`_extend` gives the argument), so no
 candidate is checked again; `certifies` remains the whole-set check for
-given views.  The goodness verdicts reduce to this enumeration, so they
-are independent of the record constructions they judge.
+given views.  The enumeration is the ground truth: it is independent of
+the record constructions, and of the fixpoint below.
+
+The goodness verdicts ask whether some certifying replay differs from
+the original views (`is_good_view_record`) or in some data-race order
+(`is_good_race_record`).  Under the causal model they walk the same
+descent until a differing set turns up (`--jobs` splits that walk).
+Under the strong model the replay constraints are monotone, so they are
+decided by a fixpoint instead (`_saturate`): every view extends its
+closed base, and respects the SCO its owners' orders put on their own
+writes.  A cyclic fixpoint admits no replay, and an acyclic one
+totalises into a certifying replay (`extend_to_views`).  A replay
+differs iff it reverses an adjacent pair of an original view (of one
+variable's operations in it, for data-race orders), so a record is not
+good iff the fixpoint already reverses such a pair or can reverse one
+without a cycle; the least counterexample is then placed position by
+position (`_strong_counterexample`).  `Verdict.enumerated` counts the
+certifying sets walked under the causal model and the fixpoints
+computed under the strong model, where the enumeration cap and the
+placement budget do not apply.
 
 `extend_to_views` and the two necessity witnesses are the constructive
 side: they build, from a record with one edge dropped, a certifying view
@@ -66,6 +84,7 @@ class Verdict:
     good: bool
     counterexample: ViewSet | None
     original_certifies: bool
+    # certifying sets walked (causal model) or fixpoints computed (strong)
     enumerated: int
 
 
@@ -102,7 +121,36 @@ def _respects(order: list[int], contribution: list[int]) -> bool:
 def _base_rows(program: Program, record: Record) -> dict[int, list[int]] | None:
     """Per process, program order plus its record edges, validated and
     closed once per query, as rows over the program index; None when some
-    process's record is cyclic, so that no replay extends it."""
+    process's record is cyclic, so that no replay extends it.  Every
+    process is validated, in process order, before a cycle is reported."""
+    index = program.index
+    base = {}
+    cyclic = False
+    for i in sorted(program.processes):
+        pi = program.process_index(i)
+        rows = list(pi.po_rows)
+        for a, b in sorted(record.edges(i)):
+            ka, kb = index.get(a, -1), index.get(b, -1)
+            mask = pi.universe_mask
+            if a == b:
+                problem = f"self-loop ({a}, {b}) is not representable"
+            elif min(ka, kb) < 0 or not mask >> ka & mask >> kb & 1:
+                problem = f"pair ({a}, {b}) escapes the universe"
+            else:
+                rows[ka] |= 1 << kb
+                continue
+            raise ValueError(f"record for process {i} is malformed: {problem}")
+        base[i] = kernels.closure_rows(rows)
+        cyclic = cyclic or _cyclic(base[i])
+    return None if cyclic else base
+
+
+def _relation_base_rows(program: Program, record: Record) -> dict[int, list[int]] | None:
+    """`_base_rows` built through the `Relation` toolkit instead of the
+    kernels, for `enumerate_certifying`: the enumeration the goodness
+    verdicts are tested against shares no base construction with them.
+    perfbench's tracer self-test also relies on this by-name call of
+    `transitive_closure` from an oracle query."""
     base = {}
     cyclic = False
     for i in sorted(program.processes):
@@ -162,7 +210,7 @@ def _extend(
     again (`certifies` tests exactly these conditions):
 
     * record edges and program order: every view is placed under `base`,
-      which `_base_rows` validated and closed;
+      which `_base_rows` or `_relation_base_rows` validated and closed;
     * read validity: the execution a replay explains is the one its views
       derive (`derive_writes_to`), whose reads return by definition the
       last preceding write in their owner's view;
@@ -229,7 +277,7 @@ def enumerate_certifying(
         raise BudgetExceeded(
             f"{len(program.all_ops)} operations exceed the enumeration cap of {cap}"
         )
-    base = _base_rows(program, record)
+    base = _relation_base_rows(program, record)
     if base is None:
         return
     budget = NodeBudget(node_budget)
@@ -296,6 +344,198 @@ def _difference_test(program: Program, kind: str, reference):
     return differs
 
 
+# ---------------------------------------------------------------------------
+# Strong model: the SCO fixpoint
+# ---------------------------------------------------------------------------
+
+
+def _saturate(
+    program: Program,
+    rows: Mapping[int, list[int]],
+    edges: Mapping[int, tuple[tuple[int, int], ...]],
+) -> dict[int, list[int]] | None:
+    """The least fixpoint of the strong model's replay constraints above
+    `rows` plus `edges`, or None when it holds a cycle.
+
+    `rows` holds each process's closed rows, a fixpoint already except
+    for the processes named in `edges`, whose new edges are (source,
+    targets mask) pairs.  A process whose rows changed lifts its
+    own-write rows through SCO (`sco_rows`) onto every other process,
+    which may change in turn, until nothing changes.  Every constraint is
+    monotone (each view extends its rows, and each respects the SCO its
+    owners' rows force), so an edge derived here holds in every replay
+    above `rows` and `edges`: a cycle means there is none.  An acyclic
+    result is a valid input to `extend_to_views`, which totalises it into
+    a certifying replay, so the two outcomes decide feasibility exactly.
+
+    Rows are acyclic on entry, so a cycle passes through a new edge and
+    shows as a self bit at that edge's source."""
+    positions = program.write_positions
+    out = dict(rows)
+    work = []
+    for i, new in edges.items():
+        closed = out[i]
+        for a, targets in new:
+            closed = kernels.close_with(closed, a, targets)
+            if closed[a] >> a & 1:
+                return None
+        out[i] = closed
+        work.append(i)
+    while work:
+        i = work.pop()
+        lifted = sco_rows(program, [(i, out[i])])
+        for j, closed in out.items():
+            if j == i:
+                continue
+            grown = closed
+            for a in positions:
+                gain = lifted[a] & ~grown[a]
+                if gain:
+                    grown = kernels.close_with(grown, a, gain)
+                    if grown[a] >> a & 1:
+                        return None
+            if grown is not closed:
+                out[j] = grown
+                if j not in work:
+                    work.append(j)
+    return out
+
+
+def _adjacent_pairs(
+    views: ViewSet, program: Program, kind: str
+) -> list[tuple[int, int, int]]:
+    """(process, a, b) for the position pairs a, b adjacent in an original
+    view (kind "views") or among one variable's operations in it (kind
+    "dro").  Two total orders over one set differ iff one reverses an
+    adjacent pair of the other, so a replay differs from the original
+    views, or in some data-race order, iff it reverses one of these."""
+    index = program.index
+    masks = program.variable_masks
+    out = []
+    for i in sorted(program.processes):
+        seq = [index[o] for o in views[i].sequence]
+        if kind == "views":
+            out += [(i, a, b) for a, b in zip(seq, seq[1:])]
+            continue
+        last: dict[int, int] = {}
+        for k in seq:
+            if masks[k] in last:
+                out.append((i, last[masks[k]], k))
+            last[masks[k]] = k
+    return out
+
+
+def _strong_counterexample(
+    program: Program, base: dict[int, list[int]], pairs: list[tuple[int, int, int]]
+) -> tuple[ViewSet | None, int]:
+    """The least view set certifying a strongly causal replay above the
+    closed base rows that reverses one of `pairs`, or None, with the
+    number of fixpoints (`_saturate` calls) computed.
+
+    A state is the fixpoint of the base plus the placed prefixes, each a
+    set of edges from every placed position to the positions after it.
+    A state admits a difference iff its rows already reverse a pair, or
+    some pair they leave unordered can be reversed without a cycle; the
+    fixpoint of that reversal is kept as a witness, and a placement that
+    the witness already orders keeps it valid, since the witness is then
+    a fixpoint above the new state too.  Processes are placed in order,
+    each position by position, trying the remaining positions without a
+    remaining predecessor in ascending order and keeping the first whose
+    state still admits a difference.  Since feasibility is exact, this is
+    the lexicographically least such set: the one `_find_counterexample`
+    returns first."""
+    queries = 0
+
+    def saturate(rows, edges):
+        nonlocal queries
+        queries += 1
+        return _saturate(program, rows, edges)
+
+    def reverses(rows) -> bool:
+        return any(rows[i][b] >> a & 1 for i, a, b in pairs)
+
+    # per (process, b), the a of every pair (a, b)
+    into: dict[tuple[int, int], int] = {}
+    for i, a, b in pairs:
+        into[i, b] = into.get((i, b), 0) | 1 << a
+
+    def flip(rows, first):
+        """A pair of `pairs` that `rows` leaves unordered and can reverse,
+        trying `first` before the others, with the reversal's fixpoint."""
+        order = pairs if first is None else [first] + [p for p in pairs if p != first]
+        for i, a, b in order:
+            if _related(rows[i], a, b):
+                continue
+            state = saturate(rows, {i: ((b, 1 << a),)})
+            if state is not None:
+                return (i, a, b), state
+        return None, None
+
+    rows = saturate(base, {i: () for i in base})
+    if rows is None:
+        return None, queries
+    differs = reverses(rows)
+    flipped = witness = None
+    if not differs:
+        flipped, witness = flip(rows, None)
+        if witness is None:
+            return None, queries
+
+    ids = program.all_ops
+    writes = program.writes_mask
+    views = []
+    for i in sorted(program.processes):
+        pi = program.process_index(i)
+        remaining = pi.universe_mask
+        seq = []
+        while remaining:
+            blocked = 0
+            rest = remaining
+            while rest:
+                low = rest & -rest
+                blocked |= rows[i][low.bit_length() - 1]
+                rest ^= low
+            candidates = remaining & ~blocked
+            while candidates:
+                low = candidates & -candidates
+                candidates ^= low
+                c = low.bit_length() - 1
+                after = remaining ^ low
+                gain = after & ~rows[i][c]
+                if writes & low and gain & pi.own_writes_mask:
+                    # new SCO edges from c to own writes of i
+                    state = saturate(rows, {i: ((c, gain),)})
+                    if state is None:
+                        continue
+                    reversal = not differs and reverses(state)
+                else:
+                    # no SCO edge changes, and the placed positions
+                    # precede c, so no cycle can form and only row c
+                    # of process i gains
+                    state = rows
+                    if gain:
+                        state = dict(rows)
+                        state[i] = kernels.close_with(rows[i], c, gain)
+                    reversal = bool(gain & into.get((i, c), 0))
+                if reversal:
+                    differs = True
+                elif not differs and after & ~witness[i][c]:
+                    found, kept = flip(state, flipped)
+                    if kept is None:
+                        continue
+                    flipped, witness = found, kept
+                rows = state
+                remaining = after
+                seq.append(c)
+                break
+            else:
+                raise InternalInvariant(
+                    f"no position of process {i} extends a feasible state"
+                )
+        views.append(View(i, tuple(ids[k] for k in seq)))
+    return ViewSet.of(views), queries
+
+
 def _goodness(
     views: ViewSet,
     program: Program,
@@ -307,21 +547,27 @@ def _goodness(
     node_budget: int | None,
     jobs: int,
 ) -> Verdict:
-    cap = enumeration_cap(max_ops)
-    if len(program.all_ops) > cap:
-        raise BudgetExceeded(
-            f"{len(program.all_ops)} operations exceed the enumeration cap of {cap}"
-        )
+    strong = model == STRONG_CAUSAL
+    if not strong:
+        cap = enumeration_cap(max_ops)
+        if len(program.all_ops) > cap:
+            raise BudgetExceeded(
+                f"{len(program.all_ops)} operations exceed the enumeration cap of {cap}"
+            )
     base = _base_rows(program, record)
     original = certifies(views, program, record, model)
+    if base is None:
+        return Verdict(True, None, original, 0)
+    if strong:
+        pairs = _adjacent_pairs(views, program, kind)
+        counterexample, queries = _strong_counterexample(program, base, pairs)
+        return Verdict(counterexample is None, counterexample, original, queries)
     if kind == "views":
         reference = views.sort_key()
     else:
         reference = {
             i: data_race_rows(views[i], program) for i in sorted(program.processes)
         }
-    if base is None:
-        return Verdict(True, None, original, 0)
     if jobs <= 1 or len(program.processes) == 0:
         differs = _difference_test(program, kind, reference)
         counterexample, seen = _find_counterexample(
@@ -399,17 +645,6 @@ def _cyclic(rows: list[int]) -> bool:
     return any((row >> k) & 1 for k, row in enumerate(rows))
 
 
-def _extended_sco(orders: Mapping[int, list[int]], program: Program) -> list[int]:
-    """Strong causal order lifted to partial orders, as rows: pairs of
-    writes each closed order holds that end at its own process's writes."""
-    out = [0] * len(program.all_ops)
-    for i, rows in orders.items():
-        own = program.process_index(i).own_writes_mask
-        for p in program.write_positions:
-            out[p] |= rows[p] & own
-    return out
-
-
 def _adds_own_sco(before: list[int], after: list[int], program: Program, process: int) -> bool:
     """Whether `after` holds a write pair ending at an own write of
     `process` that `before` lacks."""
@@ -461,7 +696,7 @@ def extend_to_views(partials: Mapping[int, Relation], program: Program) -> ViewS
         orders[i] = kernels.closure_rows(inputs[i])
         if _cyclic(orders[i]):
             raise PreconditionViolated(f"partial order of process {i} has a cycle")
-    committed = _extended_sco(orders, program)
+    committed = sco_rows(program, orders.items())
     for i in procs:
         po = program.process_index(i).po_rows
         missing = [(c | p) & ~o for c, p, o in zip(committed, po, orders[i])]
@@ -482,7 +717,7 @@ def extend_to_views(partials: Mapping[int, Relation], program: Program) -> ViewS
         if owner[a] != owner[b] and (owner[a], a) < (owner[b], b)
     ]
     for a, b in cross:
-        before = _extended_sco(orders, program)
+        before = sco_rows(program, orders.items())
         pa, pb = owner[a], owner[b]
         if not _related(orders[pa], a, b):
             orders[pa] = kernels.close_with(orders[pa], a, 1 << b)
@@ -507,7 +742,7 @@ def extend_to_views(partials: Mapping[int, Relation], program: Program) -> ViewS
                 raise InternalInvariant(
                     f"ordering ({ids[a]}, {ids[b]}) made process {k}'s order cyclic"
                 )
-        if _extended_sco(orders, program) != before:
+        if sco_rows(program, orders.items()) != before:
             raise InternalInvariant(
                 f"ordering ({ids[a]}, {ids[b]}) changed the strong causal order"
             )

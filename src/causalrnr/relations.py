@@ -13,10 +13,11 @@ the view completion `oracle.extend_to_views`) do not build `Relation`s:
 they work on bitmask rows over the index each `model.Program` interns
 once, where bit k stands for the k-th operation id in sorted order, and
 close, cycle-check and reduce them with the pure-Python `kernels`, as
-the functions here do over a relation's own rows.  The oracle builds one
-`Relation` per process and query, to validate and close program order
-with the record's edges.  `pairs_of_rows` turns rows back
-into id pairs; id pairs are materialised only at the boundaries: text
+the functions here do over a relation's own rows.  Only
+`oracle.enumerate_certifying` builds one `Relation` per process and
+query, to validate and close program order with the record's edges
+apart from the goodness verdicts.  `pairs_of_rows` turns rows back into
+id pairs; id pairs are materialised only at the boundaries: text
 I/O, DOT output, `Record`s, `Violation` messages and public return values
 such as `consistency.strong_causal_order`.
 

@@ -1,5 +1,10 @@
 """Generator: determinism, consistency by construction, delivery rules."""
 
+import hashlib
+
+import pytest
+
+from causalrnr.cli import main
 from causalrnr.consistency import check_strong_causal, strong_causal_order
 from causalrnr.generator import GenParams, gen_program, gen_strong_causal, simulate
 from causalrnr.model import validate_view
@@ -103,3 +108,27 @@ class TestDeliveryRules:
             pos = view.positions
             for a, b in sco.pairs:
                 assert pos[a] < pos[b]
+
+
+# sha256 of `causalrnr gen` output, pinned so that a change to the
+# simulation loop cannot silently change the generated executions
+GEN_OUTPUT_SHA256 = (
+    (("--seed", "11"),
+     "ae862251b9f7e43caf11c97df8008389f44160fac69db94de02ba538bdb6f1c2"),
+    (("--seed", "110", "--processes", "5", "--ops-per-process", "3",
+      "--write-ratio", "0.5"),
+     "409416ffb6adf9dbffc17bd91446f31f6d1a37fb9eb8e7709531c178bf254e2e"),
+    (("--seed", "7", "--processes", "4", "--ops-per-process", "4",
+      "--variables", "3", "--write-ratio", "0.7"),
+     "9fac6bc035bf7a3e658dbbfa51d583d753c760636a1b52962f804e1293ef5d11"),
+    (("--seed", "2024", "--processes", "6", "--ops-per-process", "5",
+      "--variables", "1"),
+     "32593947c7f25e365ce4e611a649c7f9087816069d5f52be7e16c9d6f86ba397"),
+)
+
+
+@pytest.mark.parametrize("argv,digest", GEN_OUTPUT_SHA256)
+def test_gen_output_is_pinned(capsys, argv, digest):
+    assert main(["gen", *argv]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
