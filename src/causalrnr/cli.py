@@ -135,10 +135,7 @@ def cmd_verify(args) -> int:
             args.dot,
         )
     judge = oracle.is_good_race_record if args.model2 else oracle.is_good_view_record
-    verdict = judge(
-        parsed.views, parsed.program, record, model,
-        max_ops=args.max_ops, jobs=args.jobs,
-    )
+    verdict = judge(parsed.views, parsed.program, record, model, max_ops=args.max_ops)
     print(f"model: {'race' if args.model2 else 'view'}")
     print(f"consistency: {args.consistency}")
     print(f"certifying-inspected: {verdict.enumerated}")
@@ -268,8 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     fidelity.add_argument("--model2", action="store_true", default=False)
     p.add_argument("--consistency", choices=["causal", "strong-causal"],
                    default="strong-causal")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for causal-model verdicts (default 1)")
     p.add_argument("--dot", default=None)
     _add_common(p)
     p.set_defaults(func=cmd_verify)

@@ -7,17 +7,21 @@ write's own process observed them in that order; SCO is a function of the
 given view set, so the checker evaluates it once and requires every view
 to respect it.
 
-`find_explanation` is the existential form: an exhaustive search for any
-view set that explains the execution under the model, pruned while
-placing by the same engine as the oracle (`search.iter_extensions`).  Two
-helpers turn constraints into placement-time predecessors and vetoes:
-`read_validity` (shared with `check_cache`) and `sco_vetoes` (shared with
-the oracle's strong-model descent).
+`iter_view_sets` is the package's one view-set descent: it places one
+view per process with `search.iter_extensions`, pruned while placing, and
+yields every view set over the closed base rows its caller gives that
+respects the model.  The oracle enumerates a record's certifying replays
+with it, each read returning what the views make it return;
+`find_explanation`, the existential form of the checkers, takes its
+first set with the execution's reads given.  Two helpers turn
+constraints into placement-time predecessors and vetoes: `read_validity`
+(shared with `check_cache`) and `sco_vetoes`.
 """
 
 from __future__ import annotations
 
 import os
+from typing import Iterator, Mapping, Sequence
 
 from causalrnr import kernels
 from causalrnr.errors import BudgetExceeded
@@ -28,6 +32,7 @@ from causalrnr.model import (
     ViewSet,
     Violation,
     order_rows,
+    read_sources,
     read_violation,
     sequence_rows,
     write_read_write_rows,
@@ -170,6 +175,116 @@ def sco_vetoes(program: Program, process: int, orders) -> list[tuple[Veto, ...]]
     return vetoes
 
 
+def _wo_contribution(program: Program, view: View) -> list[int]:
+    """The write-read-write edges a view forces on every other view of a
+    causal replay, from its own reads' sources, as rows over the program
+    index."""
+    sources = [(r, s) for r, s in read_sources(view, program) if s is not None]
+    return write_read_write_rows(program, sources)
+
+
+def _respects(order: list[int], contribution: list[int]) -> bool:
+    return not any(c & ~o for c, o in zip(contribution, order))
+
+
+Leaf = tuple[list[View], list[list[int]]]
+
+
+def iter_view_sets(
+    program: Program,
+    model: str,
+    base: Mapping[int, list[int]],
+    budget: NodeBudget,
+    *,
+    reads_given: bool,
+    vetoes: Mapping[int, Sequence[tuple[Veto, ...]]] | None = None,
+) -> Iterator[Leaf]:
+    """Every view set, one view per process, that extends each process's
+    closed `base` rows and respects the model's order, in lexicographic
+    order of the per-process sequences.  Each set is yielded as its views
+    in process order with the order rows of all but the last; under the
+    causal model with reads given, no view's order rows are needed and
+    the list is empty.
+
+    `reads_given` says whether the caller fixed the source of every read.
+    If so, the caller closed each process's read validity (`read_validity`)
+    into its base and passes read validity's vetoes in `vetoes`, and
+    under the causal model it closed WO into every base too.  If not, each
+    read returns what its owner's view makes it return, and the causal
+    model's WO is derived from each view as it is placed.
+
+    The views are placed process by process with `search.iter_extensions`,
+    each under its process's base plus the orderings that the views placed
+    before it force (`predecessors(forced, onto=base[i])`).  Each yielded
+    set is a replay by construction, so no caller checks it again
+    (`oracle.certifies` and the checkers test exactly these conditions):
+
+    * base: every view is placed under it, so it respects program order
+      and whatever the caller closed in (record edges, read validity, WO);
+    * read validity, reads given: each read is placed after its source,
+      and the vetoes stop every other write to its variable in between;
+    * read validity, reads not given: the execution a set explains is the
+      one its views derive (`derive_writes_to`), whose reads return by
+      definition the last preceding write in their owner's view;
+    * causal model, reads not given: each new view is placed under
+      `forced`, so it respects the earlier views' WO contributions, and
+      `_respects` keeps it only if every earlier view respects its own;
+    * strong model: each new view respects the earlier views' SCO
+      contributions through `forced`, and the SCO vetoes stop it from
+      adding an SCO edge that an earlier view contradicts;
+    * each view respects its own contribution: a WO edge runs from a
+      read's source, which the view places before the read, to a write
+      that follows the read in program order; an SCO edge is a pair of
+      writes in the order the view itself places them;
+    * closure: a total order respects a relation iff it respects the
+      relation's closure, so respecting every contribution and the
+      closed base is respecting the model's whole order.
+
+    Nothing is placed after the last view, so it needs no order rows,
+    and under the strong model no contribution either."""
+    procs = tuple(sorted(program.processes))
+    if not procs:
+        yield [], []
+        return
+    ids = program.all_ops
+    strong = model == STRONG_CAUSAL
+    # whether each view forces orderings on the views placed after it
+    contributes = strong or not reads_given
+
+    def extend(fixed: list[View], orders: list[list[int]], forced: list[int]) -> Iterator[Leaf]:
+        i = procs[len(fixed)]
+        preds = predecessors(forced, onto=base[i])
+        if preds is None:
+            return
+        placing = vetoes[i] if vetoes is not None else None
+        if strong and orders:
+            sco = sco_vetoes(program, i, orders)
+            placing = sco if placing is None else [v + s for v, s in zip(placing, sco)]
+        last = len(fixed) == len(procs) - 1
+        positions = program.process_index(i).positions
+        for seq in iter_extensions(positions, preds, placing, budget):
+            view = View(i, tuple(ids[k] for k in seq))
+            if contributes and not strong:
+                contribution = _wo_contribution(program, view)
+                if not all(_respects(o, contribution) for o in orders):
+                    continue
+            if last:
+                yield fixed + [view], orders
+            elif not contributes:
+                yield from extend(fixed + [view], orders, forced)
+            else:
+                order = sequence_rows(seq, len(ids))
+                if strong:
+                    contribution = sco_rows(program, [(i, order)])
+                yield from extend(
+                    fixed + [view],
+                    orders + [order],
+                    [f | c for f, c in zip(forced, contribution)],
+                )
+
+    yield from extend([], [], [0] * len(ids))
+
+
 def find_explanation(
     execution: Execution,
     model: str,
@@ -181,19 +296,11 @@ def find_explanation(
 
     Exhaustive on the configured budget: `None` means no explaining view
     set exists.  Deterministic: the lexicographically least witness is
-    returned.  Each process's view is placed under program order, read
-    validity and a base order: WO under the causal model; under the
-    strong model the SCO of the views already fixed, which also vetoes
-    the own writes that would contradict them.
-
-    A completed view set explains the execution by construction, so it
-    is not checked again: `read_validity` places each read after its
-    source and vetoes every other write to its variable in between; under
-    the causal model every view respects WO and its program order, whose
-    closure the predecessors hold; under the strong model every view
-    respects the earlier views' SCO through the base, the SCO vetoes keep
-    the earlier views respecting its own, and it respects its own SCO by
-    construction.
+    returned.  An explanation is a replay of the empty record whose reads
+    are the given ones, so this is the first set `iter_view_sets` yields
+    with the reads given: program order, read validity and, under the
+    causal model, WO are closed into each process's base once, and read
+    validity's vetoes are passed along.
     """
     if model not in (CAUSAL, STRONG_CAUSAL):
         raise ValueError(f"find_explanation supports causal/strong_causal, not {model}")
@@ -203,55 +310,22 @@ def find_explanation(
         raise BudgetExceeded(
             f"{len(program.all_ops)} operations exceed the cap of {cap}"
         )
-    budget = NodeBudget(node_budget)
-    procs = tuple(sorted(program.processes))
-    ids = program.all_ops
     index = program.index
-    validity = {
-        i: read_validity(
-            program,
-            execution.writes_to,
-            [index[o] for o in program.own(i) if not program.is_write(o)],
-        )
-        for i in procs
-    }
-    # program order and read validity, closed once per process; each node
-    # adds its base order onto them
-    local = {
-        i: kernels.closure_rows(
-            [p | r for p, r in zip(program.process_index(i).po_rows, validity[i][0])]
-        )
-        for i in procs
-    }
-
-    def descend(fixed: list[View], orders: list[list[int]], base: list[int]) -> ViewSet | None:
-        if len(fixed) == len(procs):
-            return ViewSet.of(fixed)
-        i = procs[len(fixed)]
-        pi = program.process_index(i)
-        vetoes = validity[i][1]
-        preds = predecessors(base, onto=local[i])
-        if preds is None:
-            return None
-        if model == STRONG_CAUSAL and orders:
-            vetoes = [r + s for r, s in zip(vetoes, sco_vetoes(program, i, orders))]
-        for seq in iter_extensions(pi.positions, preds, vetoes, budget):
-            view = View(i, tuple(ids[k] for k in seq))
-            if model == STRONG_CAUSAL:
-                order = sequence_rows(seq, len(ids))
-                own = sco_rows(program, [(i, order)])
-                found = descend(
-                    fixed + [view], orders + [order], [b | o for b, o in zip(base, own)]
-                )
-            else:
-                found = descend(fixed + [view], orders, base)
-            if found is not None:
-                return found
-        return None
-
     if model == CAUSAL:
-        return descend([], [], write_read_write_rows(program, execution.writes_to.items()))
-    return descend([], [], [0] * len(ids))
+        wo = write_read_write_rows(program, execution.writes_to.items())
+    else:
+        wo = [0] * len(program.all_ops)
+    base, vetoes = {}, {}
+    for i in sorted(program.processes):
+        reads = [index[o] for o in program.own(i) if not program.is_write(o)]
+        rows, vetoes[i] = read_validity(program, execution.writes_to, reads)
+        po = program.process_index(i).po_rows
+        base[i] = kernels.closure_rows([p | r | w for p, r, w in zip(po, rows, wo)])
+    leaves = iter_view_sets(
+        program, model, base, NodeBudget(node_budget), reads_given=True, vetoes=vetoes
+    )
+    found = next(leaves, None)
+    return None if found is None else ViewSet.of(found[0])
 
 
 def check_cache(

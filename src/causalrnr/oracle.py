@@ -1,22 +1,20 @@
 """Record goodness: brute-force ground truth, and the strong model's fixpoint.
 
 `enumerate_certifying` walks every set of replay views that extends a
-record under a consistency model, pruned while placing: program order,
-record edges and orderings already forced by fixed views are
-predecessor masks (each node adds the forced orderings onto the closed
-program order and record edges with `kernels.close_onto`); under the
-strong model, SCO vetoes stop own writes that would contradict a fixed
-view, and under the causal model a view whose write-read-write edges a
-fixed view contradicts is dropped.  Every set the descent completes
-certifies by construction (`_extend` gives the argument), so no
-candidate is checked again; `certifies` remains the whole-set check for
-given views.  The enumeration is the ground truth: it is independent of
-the record constructions, and of the fixpoint below.
+record under a consistency model, with the view-set descent it shares
+with `find_explanation` (`consistency.iter_view_sets`): program order
+and the record edges, closed once per process, are each view's base,
+and the reads return what the views make them return.  Every set the
+descent completes certifies by construction (`iter_view_sets` gives the
+argument), so no candidate is checked again; `certifies` remains the
+whole-set check for given views.  The enumeration is the ground truth:
+it is independent of the record constructions, and of the fixpoint
+below.
 
 The goodness verdicts ask whether some certifying replay differs from
 the original views (`is_good_view_record`) or in some data-race order
 (`is_good_race_record`).  Under the causal model they walk the same
-descent until a differing set turns up (`--jobs` splits that walk).
+descent until a differing set turns up.
 Under the strong model the replay constraints are monotone, so they are
 decided by a fixpoint instead (`_saturate`): every view extends its
 closed base, and respects the SCO its owners' orders put on their own
@@ -48,8 +46,8 @@ from causalrnr.consistency import (
     check_causal,
     check_strong_causal,
     enumeration_cap,
+    iter_view_sets,
     sco_rows,
-    sco_vetoes,
 )
 from causalrnr.errors import (
     BudgetExceeded,
@@ -66,14 +64,11 @@ from causalrnr.model import (
     data_race_rows,
     derive_writes_to,
     order_rows,
-    read_sources,
-    sequence_rows,
-    write_read_write_rows,
 )
 from causalrnr.race_record import RaceAnalysis
 from causalrnr.records import Record
 from causalrnr.relations import Pair, Relation, transitive_closure
-from causalrnr.search import NodeBudget, iter_extensions, predecessors
+from causalrnr.search import NodeBudget
 from causalrnr.view_record import minimal_view_record
 
 DEFAULT_NODE_BUDGET = 20_000_000
@@ -104,18 +99,6 @@ def certifies(candidate: ViewSet, program: Program, record: Record, model: str) 
     derived = derive_writes_to(candidate, program)
     check = check_causal if model == CAUSAL else check_strong_causal
     return check(candidate, derived) is None
-
-
-def _wo_contribution(program: Program, view: View) -> list[int]:
-    """The write-read-write edges a fixed view forces on every other view
-    of a causal replay, from its own reads' sources, as rows over the
-    program index."""
-    sources = [(r, s) for r, s in read_sources(view, program) if s is not None]
-    return write_read_write_rows(program, sources)
-
-
-def _respects(order: list[int], contribution: list[int]) -> bool:
-    return not any(c & ~o for c, o in zip(contribution, order))
 
 
 def _base_rows(program: Program, record: Record) -> dict[int, list[int]] | None:
@@ -164,102 +147,6 @@ def _relation_base_rows(program: Program, record: Record) -> dict[int, list[int]
     return None if cyclic else base
 
 
-Leaf = tuple[list[View], list[list[int]]]
-
-
-def _descend(
-    program: Program,
-    model: str,
-    base: dict[int, list[int]],
-    prefix: list[View],
-    budget: NodeBudget,
-) -> Iterator[Leaf]:
-    """The certifying completions of `prefix`, as `_extend` yields them."""
-    procs = tuple(sorted(program.processes))
-    orders = [order_rows(view, program) for view in prefix]
-    if len(prefix) == len(procs):
-        yield list(prefix), orders[:-1]
-        return
-    forced = [0] * len(program.all_ops)
-    for view, order in zip(prefix, orders):
-        if model == STRONG_CAUSAL:
-            contribution = sco_rows(program, [(view.process, order)])
-        else:
-            contribution = _wo_contribution(program, view)
-        forced = [f | c for f, c in zip(forced, contribution)]
-    yield from _extend(program, model, procs, base, list(prefix), orders, forced, budget)
-
-
-def _extend(
-    program: Program,
-    model: str,
-    procs: tuple[int, ...],
-    base: dict[int, list[int]],
-    fixed: list[View],
-    orders: list[list[int]],
-    forced: list[int],
-    budget: NodeBudget,
-) -> Iterator[Leaf]:
-    """Every view set certifying a replay that extends the fixed views,
-    yielded as its views in process order with the order rows of all but
-    the last.  `base` holds each process's closed program order and
-    record edges, `orders` the fixed views' order rows and `forced` the
-    union of their contributions.
-
-    Each yielded set certifies by construction, so no leaf is checked
-    again (`certifies` tests exactly these conditions):
-
-    * record edges and program order: every view is placed under `base`,
-      which `_base_rows` or `_relation_base_rows` validated and closed;
-    * read validity: the execution a replay explains is the one its views
-      derive (`derive_writes_to`), whose reads return by definition the
-      last preceding write in their owner's view;
-    * causal model: each new view is placed under `forced`, so it
-      respects the earlier views' WO contributions, and `_respects`
-      keeps it only if every earlier view respects its own contribution;
-    * strong model: each new view respects the earlier views' SCO
-      contributions through `forced`, and the SCO vetoes stop it from
-      adding an SCO edge that an earlier view contradicts;
-    * each view respects its own contribution: a WO edge runs from a
-      read's source, which the view places before the read, to a write
-      that follows the read in program order; an SCO edge is a pair of
-      writes in the order the view itself places them;
-    * closure: a total order respects a relation iff it respects the
-      relation's closure, so respecting every contribution and the
-      closed base is respecting the model's whole order.
-
-    Nothing is placed after the last view, so it needs no order rows,
-    and under the strong model no contribution either."""
-    i = procs[len(fixed)]
-    preds = predecessors(forced, onto=base[i])
-    if preds is None:
-        return
-    strong = model == STRONG_CAUSAL
-    last = len(fixed) == len(procs) - 1
-    vetoes = sco_vetoes(program, i, orders) if strong and orders else None
-    ids = program.all_ops
-    positions = program.process_index(i).positions
-    for seq in iter_extensions(positions, preds, vetoes, budget):
-        view = View(i, tuple(ids[k] for k in seq))
-        if not strong:
-            contribution = _wo_contribution(program, view)
-            if not all(_respects(o, contribution) for o in orders):
-                continue
-        if last:
-            yield fixed + [view], orders
-            continue
-        order = sequence_rows(seq, len(ids))
-        if strong:
-            contribution = sco_rows(program, [(i, order)])
-        yield from _extend(
-            program, model, procs, base,
-            fixed + [view],
-            orders + [order],
-            [f | c for f, c in zip(forced, contribution)],
-            budget,
-        )
-
-
 def enumerate_certifying(
     program: Program,
     record: Record,
@@ -281,64 +168,25 @@ def enumerate_certifying(
     if base is None:
         return
     budget = NodeBudget(node_budget)
-    for views, _ in _descend(program, model, base, [], budget):
+    for views, _ in iter_view_sets(program, model, base, budget, reads_given=False):
         yield ViewSet.of(views)
 
 
-def _find_counterexample(
-    program: Program,
-    model: str,
-    base: dict[int, list[int]],
-    differs,
-    prefix: list[View],
-    budget: NodeBudget,
-) -> tuple[ViewSet | None, int]:
-    seen = 0
-    for views, orders in _descend(program, model, base, prefix, budget):
-        seen += 1
-        if differs(views, orders):
-            return ViewSet.of(views), seen
-    return None, seen
-
-
-def _branch_views(
-    program: Program, base: dict[int, list[int]], budget: NodeBudget
-) -> list[View]:
-    """Candidate views for the first process, used to split parallel work."""
-    i = min(program.processes)
-    preds = predecessors(base[i])
-    if preds is None:
-        return []
-    ids = program.all_ops
-    positions = program.process_index(i).positions
-    return [
-        View(i, tuple(ids[k] for k in seq))
-        for seq in iter_extensions(positions, preds, None, budget)
-    ]
-
-
-def _worker(args) -> tuple[ViewSet | None, int]:
-    program, model, base, kind, reference, prefix_seq, prefix_proc, node_budget = args
-    differs = _difference_test(program, kind, reference)
-    budget = NodeBudget(node_budget)
-    prefix = [View(prefix_proc, prefix_seq)]
-    return _find_counterexample(program, model, base, differs, prefix, budget)
-
-
-def _difference_test(program: Program, kind: str, reference):
+def _difference_test(views: ViewSet, program: Program, kind: str):
     """The test of whether a leaf of the descent differs from the original
-    views: in their sequences, or in some process's data-race order, read
-    off the descent's order rows (the last view's are built here)."""
+    `views`: in their sequences, or in some process's data-race order,
+    read off the descent's order rows (the last view's are built here)."""
     if kind == "views":
-        return lambda views, orders: tuple(v.sequence for v in views) != reference
-    original_dro: Mapping[int, list[int]] = reference
+        reference = views.sort_key()
+        return lambda leaf, orders: tuple(v.sequence for v in leaf) != reference
+    original = {i: data_race_rows(views[i], program) for i in sorted(program.processes)}
     masks = program.variable_masks
 
-    def differs(views: list[View], orders: list[list[int]]) -> bool:
-        rows = orders + [order_rows(view, program) for view in views[len(orders):]]
+    def differs(leaf: list[View], orders: list[list[int]]) -> bool:
+        rows = orders + [order_rows(view, program) for view in leaf[len(orders):]]
         return any(
-            [row & mask for row, mask in zip(order, masks)] != original_dro[view.process]
-            for view, order in zip(views, rows)
+            [row & mask for row, mask in zip(order, masks)] != original[view.process]
+            for view, order in zip(leaf, rows)
         )
 
     return differs
@@ -545,7 +393,6 @@ def _goodness(
     *,
     max_ops: int | None,
     node_budget: int | None,
-    jobs: int,
 ) -> Verdict:
     strong = model == STRONG_CAUSAL
     if not strong:
@@ -562,34 +409,14 @@ def _goodness(
         pairs = _adjacent_pairs(views, program, kind)
         counterexample, queries = _strong_counterexample(program, base, pairs)
         return Verdict(counterexample is None, counterexample, original, queries)
-    if kind == "views":
-        reference = views.sort_key()
-    else:
-        reference = {
-            i: data_race_rows(views[i], program) for i in sorted(program.processes)
-        }
-    if jobs <= 1 or len(program.processes) == 0:
-        differs = _difference_test(program, kind, reference)
-        counterexample, seen = _find_counterexample(
-            program, model, base, differs, [], NodeBudget(node_budget)
-        )
-        return Verdict(counterexample is None, counterexample, original, seen)
-
-    import concurrent.futures
-
-    branches = _branch_views(program, base, NodeBudget(node_budget))
-    tasks = [
-        (program, model, base, kind, reference, v.sequence, v.process, node_budget)
-        for v in branches
-    ]
+    differs = _difference_test(views, program, kind)
+    budget = NodeBudget(node_budget)
     seen = 0
-    counterexample = None
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        for found, count in pool.map(_worker, tasks):
-            seen += count
-            if found is not None and counterexample is None:
-                counterexample = found
-    return Verdict(counterexample is None, counterexample, original, seen)
+    for leaf, orders in iter_view_sets(program, model, base, budget, reads_given=False):
+        seen += 1
+        if differs(leaf, orders):
+            return Verdict(False, ViewSet.of(leaf), original, seen)
+    return Verdict(True, None, original, seen)
 
 
 def is_good_view_record(
@@ -600,12 +427,11 @@ def is_good_view_record(
     *,
     max_ops: int | None = None,
     node_budget: int | None = DEFAULT_NODE_BUDGET,
-    jobs: int = 1,
 ) -> Verdict:
     """Good iff every certifying replay view set equals the original views."""
     return _goodness(
         views, program, record, model, "views",
-        max_ops=max_ops, node_budget=node_budget, jobs=jobs,
+        max_ops=max_ops, node_budget=node_budget,
     )
 
 
@@ -617,13 +443,12 @@ def is_good_race_record(
     *,
     max_ops: int | None = None,
     node_budget: int | None = DEFAULT_NODE_BUDGET,
-    jobs: int = 1,
 ) -> Verdict:
     """Good iff every certifying replay view set reproduces each process's
     data-race order."""
     return _goodness(
         views, program, record, model, "dro",
-        max_ops=max_ops, node_budget=node_budget, jobs=jobs,
+        max_ops=max_ops, node_budget=node_budget,
     )
 
 

@@ -6,10 +6,11 @@ toolkit the record constructions build on: transitive closure, the unique
 transitive reduction, closing and plain unions, cycle detection and
 restriction.
 
-The hot paths (the consistency checks, the two searches -- the oracle's
-replay descent and `consistency.find_explanation` -- with their placement
-engine `search.iter_extensions`, the race analysis of `race_record` and
-the view completion `oracle.extend_to_views`) do not build `Relation`s:
+The hot paths (the consistency checks, the view-set descent
+`consistency.iter_view_sets` that the oracle and `find_explanation`
+share, with its placement engine `search.iter_extensions`, the race
+analysis of `race_record` and the view completion
+`oracle.extend_to_views`) do not build `Relation`s:
 they work on bitmask rows over the index each `model.Program` interns
 once, where bit k stands for the k-th operation id in sorted order, and
 close, cycle-check and reduce them with the pure-Python `kernels`, as

@@ -18,9 +18,11 @@ package is deterministic and reproducible.  Each placement spends one
 unit of the `NodeBudget`.
 
 `predecessors` turns successor rows into the predecessor masks, closing
-them first.  Both searches close a process's fixed constraints once and
-add each node's orderings onto them (`kernels.close_onto`), instead of
-closing the whole index again at every node.
+them first, or adding them onto rows already closed.  The view-set
+descent (`consistency.iter_view_sets`) closes each process's fixed
+constraints once and adds each node's orderings onto them
+(`kernels.close_onto`), instead of closing the whole index again at
+every node.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@ import pytest
 
 from causalrnr import fixtures
 from causalrnr.generator import GenParams, gen_strong_causal
+from causalrnr.model import Execution
 
 
 @pytest.fixture(scope="session")
@@ -28,6 +29,29 @@ def small_generated(count=40, max_total_ops=6):
             out.append((execution, views))
         seed += 1
     return out
+
+
+def resourced(execution, rng):
+    """A copy with one read's source re-drawn among the other writes of
+    its variable and the initial value, or None if there is no read."""
+    program = execution.program
+    choices = []
+    for read in program.all_ops:
+        if not program.is_write(read):
+            current = execution.writes_to.get(read)
+            options = [None] + [
+                w for w in program.writes if program.var_of(w) == program.var_of(read)
+            ]
+            choices += [(read, o) for o in options if o != current]
+    if not choices:
+        return None
+    read, source = rng.choice(choices)
+    writes_to = dict(execution.writes_to)
+    if source is None:
+        del writes_to[read]
+    else:
+        writes_to[read] = source
+    return Execution(program, writes_to)
 
 
 @pytest.fixture(scope="session")

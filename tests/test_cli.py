@@ -128,12 +128,21 @@ class TestRecordAndVerify:
         code, _, err = run(capsys, "record", fixture_file("separation"))
         assert code == 2 and "error:" in err
 
-    def test_verify_with_jobs(self, capsys, fixture_file, tmp_path):
+    def test_verify_default_model(self, capsys, fixture_file, tmp_path):
         source = fixture_file("indirect-order")
         record = tmp_path / "record.txt"
         record.write_text("record 1:\nrecord 2: w2->w1\nrecord 3:\n", encoding="utf-8")
-        code, out, _ = run(capsys, "verify", source, str(record), "--jobs", "2")
+        code, out, _ = run(capsys, "verify", source, str(record))
         assert code == 1 and "verdict: not-good" in out
+
+    def test_jobs_is_a_usage_error(self, capsys, fixture_file, tmp_path):
+        source = fixture_file("indirect-order")
+        record = tmp_path / "record.txt"
+        record.write_text("record 1:\nrecord 2: w2->w1\nrecord 3:\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exit_info:
+            run(capsys, "verify", source, str(record), "--jobs", "2")
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
     def test_env_var_caps_enumeration(self, capsys, fixture_file, monkeypatch):
         monkeypatch.setenv("CAUSAL_RNR_MAX_OPS", "4")

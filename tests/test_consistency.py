@@ -1,6 +1,10 @@
 """Consistency checkers, strong causal order, existential search, cache."""
 
+import random
+
 import pytest
+
+from causalrnr import oracle
 
 from causalrnr.consistency import (
     CAUSAL,
@@ -20,7 +24,9 @@ from causalrnr.model import (
     ViewSet,
     derive_writes_to,
 )
+from causalrnr.records import Record
 from causalrnr.relations import has_cycle
+from conftest import resourced, small_generated
 
 
 class TestStrongCausalOrder:
@@ -128,6 +134,41 @@ class TestFindExplanation:
         a = find_explanation(parsed.execution, CAUSAL)
         b = find_explanation(parsed.execution, CAUSAL)
         assert a.sort_key() == b.sort_key()
+
+
+def _explanation_corpus():
+    """Generated executions, each followed by a copy with one read
+    re-sourced, which may have no explanation."""
+    out = []
+    for seed, (execution, _) in enumerate(small_generated()):
+        out.append(execution)
+        copy = resourced(execution, random.Random(seed))
+        if copy is not None:
+            out.append(copy)
+    return out
+
+
+@pytest.mark.parametrize("model", [STRONG_CAUSAL, CAUSAL])
+def test_explanation_is_first_certifying_replay_with_its_reads(model):
+    """An explanation is a certifying replay of the empty record whose
+    reads are the given ones, so `find_explanation` and the oracle's
+    enumeration, two callers of one descent, agree on the least one."""
+    outcomes = set()
+    for execution in _explanation_corpus():
+        program = execution.program
+        empty = Record.of({p: () for p in program.processes})
+        expected = next(
+            (
+                views
+                for views in oracle.enumerate_certifying(program, empty, model)
+                if derive_writes_to(views, program).writes_to == execution.writes_to
+            ),
+            None,
+        )
+        found = find_explanation(execution, model)
+        assert found == expected, execution
+        outcomes.add(found is None)
+    assert outcomes == {True, False}
 
 
 class TestCheckCache:

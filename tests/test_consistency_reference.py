@@ -26,7 +26,6 @@ from causalrnr.consistency import (
 from causalrnr.errors import BudgetExceeded
 from causalrnr.generator import GenParams, gen_strong_causal
 from causalrnr.model import (
-    Execution,
     View,
     ViewSet,
     Violation,
@@ -36,6 +35,7 @@ from causalrnr.model import (
 )
 from causalrnr.relations import Relation, has_cycle, union_closed
 from causalrnr.search import NodeBudget
+from conftest import resourced
 
 
 def _iter_extensions(items, preds, place_hook, budget):
@@ -164,29 +164,6 @@ def reference_check_cache(execution, budget):
     return None
 
 
-def _resourced(execution, rng):
-    """A copy with one read's source re-drawn among the other writes of
-    its variable and the initial value, or None if there is no read."""
-    program = execution.program
-    choices = []
-    for read in program.all_ops:
-        if not program.is_write(read):
-            current = execution.writes_to.get(read)
-            options = [None] + [
-                w for w in program.writes if program.var_of(w) == program.var_of(read)
-            ]
-            choices += [(read, o) for o in options if o != current]
-    if not choices:
-        return None
-    read, source = rng.choice(choices)
-    writes_to = dict(execution.writes_to)
-    if source is None:
-        del writes_to[read]
-    else:
-        writes_to[read] = source
-    return Execution(program, writes_to)
-
-
 GRIDS = (
     dict(processes=3, ops_per_process=2, variables=1, write_ratio=0.6),
     dict(processes=2, ops_per_process=4, variables=2, write_ratio=0.5),
@@ -205,7 +182,7 @@ def _executions(count=60, max_ops=8):
         if len(execution.program.all_ops) > max_ops:
             continue
         out.append((f"s{seed - 1}", execution))
-        copy = _resourced(execution, random.Random(seed))
+        copy = resourced(execution, random.Random(seed))
         if copy is not None:
             out.append((f"s{seed - 1}-resourced", copy))
     return out

@@ -140,6 +140,12 @@ class TestMalformedRecord:
         "race": lambda program, views, record: oracle.is_good_race_record(
             views, program, record
         ),
+        "view-causal": lambda program, views, record: oracle.is_good_view_record(
+            views, program, record, CAUSAL
+        ),
+        "race-causal": lambda program, views, record: oracle.is_good_race_record(
+            views, program, record, CAUSAL
+        ),
     }
 
     @pytest.mark.parametrize("query", sorted(QUERIES))
@@ -158,11 +164,12 @@ class TestMalformedRecord:
         with pytest.raises(ValueError, match="record for process 2 is malformed"):
             self.QUERIES[query](program, views, record)
 
-    def test_raised_before_parallel_work(self):
+    @pytest.mark.parametrize("query", sorted(QUERIES))
+    def test_self_loop(self, query):
         program, views = _two_readers()
         record = Record.of({1: set(), 2: {("w2", "w2")}})
         with pytest.raises(ValueError, match="record for process 2 is malformed"):
-            oracle.is_good_view_record(views, program, record, jobs=2)
+            self.QUERIES[query](program, views, record)
 
     def test_cyclic_record_admits_no_replay(self):
         program, views = _two_readers()
@@ -217,28 +224,16 @@ class TestGoodness:
         verdict = oracle.is_good_race_record(parsed.views, parsed.program, record)
         assert verdict.good
 
-    def test_parallel_jobs_agree(self, corpus):
-        parsed = corpus["naive-view-record"]
-        record = naive_causal_view_record(parsed.views, parsed.execution)
-        one = oracle.is_good_view_record(parsed.views, parsed.program, record, CAUSAL)
-        two = oracle.is_good_view_record(
-            parsed.views, parsed.program, record, CAUSAL, jobs=2
-        )
-        assert one.good == two.good
-        assert one.counterexample.sort_key() == two.counterexample.sort_key()
-
     @pytest.mark.parametrize("verdict", [oracle.is_good_view_record, oracle.is_good_race_record])
-    def test_parallel_jobs_agree_on_one_process(self, verdict):
-        # each worker's prefix is already a whole view set
+    def test_causal_verdict_on_one_process(self, verdict):
+        # the first view placed is already a whole view set
         program = Program.of({
             1: [Operation(WRITE, 1, "x", "w1"), Operation(READ, 1, "x", "r1"),
                 Operation(WRITE, 1, "x", "w2")],
         })
         views = ViewSet.of([View(1, ("w1", "r1", "w2"))])
         record = Record.of({1: set()})
-        one = verdict(views, program, record, CAUSAL)
-        two = verdict(views, program, record, CAUSAL, jobs=2)
-        assert one == two == oracle.Verdict(True, None, True, 1)
+        assert verdict(views, program, record, CAUSAL) == oracle.Verdict(True, None, True, 1)
 
 
 class TestExtendToViews:
