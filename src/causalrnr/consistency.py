@@ -16,6 +16,15 @@ with it, each read returning what the views make it return;
 first set with the execution's reads given.  Two helpers turn
 constraints into placement-time predecessors and vetoes: `read_validity`
 (shared with `check_cache`) and `sco_vetoes`.
+
+`saturate` is the package's one fixpoint of monotone replay constraints.
+It closes each process's rows under the strong causal order the owners'
+rows force on their own writes (the oracle's strong-model verdicts) and,
+with the reads given, under read validity's forced rules (`close_reads`,
+also run per variable by `check_cache`).  `find_explanation` saturates
+its bases before the descent: a cyclic fixpoint settles an execution as
+unexplainable with no placement, and an acyclic one orders most of an
+explanation before anything is placed.
 """
 
 from __future__ import annotations
@@ -39,6 +48,8 @@ from causalrnr.model import (
 )
 from causalrnr.relations import Relation
 from causalrnr.search import NodeBudget, Veto, iter_extensions, predecessors
+
+Rule = tuple[int, int, int]  # (read, source, competing writes mask)
 
 CAUSAL = "causal"
 STRONG_CAUSAL = "strong_causal"
@@ -128,33 +139,148 @@ def check_strong_causal(views: ViewSet, execution: Execution) -> Violation | Non
 
 def read_validity(
     program: Program, writes_to, reads
-) -> tuple[list[int], list[tuple[Veto, ...]]]:
+) -> tuple[list[int], list[tuple[Veto, ...]], tuple[Rule, ...]]:
     """Read validity of the reads at positions `reads` as placement
     constraints over the program index: successor rows and vetoes under
     which each read is placed with its source as the last placed write to
-    its variable, or with none placed if it read the initial value.
+    its variable, or with none placed if it read the initial value, and
+    the rules `close_reads` derives orderings from.
 
     A read's source goes before it, and every other write to the variable
     is vetoed while the source is placed and the read is not; a read of
-    the initial value goes before every write to its variable."""
+    the initial value goes before every write to its variable.  A read
+    with a source and a competing write to its variable has the rule
+    (read, source, competing writes)."""
     ids = program.all_ops
     index = program.index
     masks = program.variable_masks
+    writes = program.writes_mask
     rows = [0] * len(ids)
     vetoes: list[tuple[Veto, ...]] = [()] * len(ids)
+    rules = []
     for r in reads:
+        same = masks[r] & writes
         source = writes_to.get(ids[r])
-        same = [w for w in program.write_positions if masks[r] >> w & 1]
         if source is None:
-            rows[r] |= sum(1 << w for w in same)
+            rows[r] |= same
             continue
         s = index[source]
         rows[s] |= 1 << r
+        competing = same & ~(1 << s)
+        if competing:
+            rules.append((r, s, competing))
         veto = (1 << s, 1 << r)
-        for w in same:
-            if w != s:
-                vetoes[w] += (veto,)
-    return rows, vetoes
+        while competing:
+            low = competing & -competing
+            vetoes[low.bit_length() - 1] += (veto,)
+            competing ^= low
+    return rows, vetoes, tuple(rules)
+
+
+def close_reads(rows: list[int], rules: Sequence[Rule]) -> list[int] | None:
+    """Closed rows closed further under read validity's forced rules, or
+    None when they hold a cycle.  For a rule (r, s, competing), a read r
+    that returns the write s and each competing write w:
+
+    * w before r forces w before s, since s is the last write to the
+      variable before r;
+    * s before w forces r before w, since w cannot fall between them.
+
+    Rows are acyclic on entry, so a cycle passes through a new edge and
+    shows as a self bit at its source."""
+    changed = True
+    while changed:
+        changed = False
+        for r, s, competing in rules:
+            gain = rows[s] & competing & ~rows[r]
+            if gain:
+                rows = kernels.close_with(rows, r, gain)
+                if rows[r] >> r & 1:
+                    return None
+                changed = True
+            bit = 1 << r
+            rest = competing & ~rows[r]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                w = low.bit_length() - 1
+                if rows[w] & bit and not rows[w] >> s & 1:
+                    rows = kernels.close_with(rows, w, 1 << s)
+                    if rows[w] >> w & 1:
+                        return None
+                    changed = True
+    return rows
+
+
+def saturate(
+    program: Program,
+    rows: Mapping[int, list[int]],
+    edges: Mapping[int, tuple[tuple[int, int], ...]],
+    *,
+    rules: Mapping[int, Sequence[Rule]] | None = None,
+    lift: bool = True,
+) -> dict[int, list[int]] | None:
+    """The least fixpoint of the replay constraints above each process's
+    `rows` plus `edges`, or None when it holds a cycle.
+
+    `rows` holds each process's closed rows, a fixpoint already except
+    for the processes named in `edges`, whose new edges are (source,
+    targets mask) pairs.  A process whose rows changed closes them under
+    its read validity `rules` (`close_reads`), if any, and with `lift`
+    (the strong model) lifts its own-write rows through SCO (`sco_rows`)
+    onto every other process, which may change in turn, until nothing
+    changes.  Every constraint is monotone (each view extends its rows,
+    respects the SCO its owners' rows force and makes each read return
+    its given source), so an edge derived here holds in every replay
+    above `rows` and `edges`: a cycle means there is none.  Without
+    rules, an acyclic result is a valid input to `extend_to_views`, which
+    totalises it into a certifying replay, so the two outcomes decide the
+    strong model's feasibility exactly; read validity's rules are not
+    complete, so with them an acyclic result only narrows the search.
+
+    Rows are acyclic on entry, so a cycle passes through a new edge and
+    shows as a self bit at that edge's source."""
+    positions = program.write_positions
+    out = dict(rows)
+    work = []
+    for i, new in edges.items():
+        closed = out[i]
+        for a, targets in new:
+            closed = kernels.close_with(closed, a, targets)
+            if closed[a] >> a & 1:
+                return None
+        out[i] = closed
+        work.append(i)
+    while work:
+        i = work.pop()
+        if rules is not None and rules[i]:
+            closed = close_reads(out[i], rules[i])
+            if closed is None:
+                return None
+            out[i] = closed
+        if not lift:
+            continue
+        lifted = sco_rows(program, [(i, out[i])])
+        for j, closed in out.items():
+            if j == i:
+                continue
+            grown = closed
+            for a in positions:
+                gain = lifted[a] & ~grown[a]
+                if gain:
+                    grown = kernels.close_with(grown, a, gain)
+                    if grown[a] >> a & 1:
+                        return None
+            if grown is not closed:
+                out[j] = grown
+                if j not in work:
+                    work.append(j)
+    return out
+
+
+def cyclic(rows: list[int]) -> bool:
+    """Whether a closed relation's rows hold a cycle: a self bit."""
+    return any((row >> k) & 1 for k, row in enumerate(rows))
 
 
 def sco_vetoes(program: Program, process: int, orders) -> list[tuple[Veto, ...]]:
@@ -285,6 +411,35 @@ def iter_view_sets(
     yield from extend([], [], [0] * len(ids))
 
 
+def explanation_base(
+    execution: Execution, model: str
+) -> tuple[dict[int, list[int]] | None, dict[int, list[tuple[Veto, ...]]]]:
+    """`find_explanation`'s constraints: each process's base rows, and
+    read validity's vetoes.  The base is program order, read validity
+    and, under the causal model, WO, closed per process and saturated
+    (`saturate`) under read validity's rules and, under the strong model,
+    SCO; None when it holds a cycle, so that nothing explains the
+    execution."""
+    program = execution.program
+    index = program.index
+    if model == CAUSAL:
+        wo = write_read_write_rows(program, execution.writes_to.items())
+    else:
+        wo = [0] * len(program.all_ops)
+    base, vetoes, rules = {}, {}, {}
+    for i in sorted(program.processes):
+        reads = [index[o] for o in program.own(i) if not program.is_write(o)]
+        rows, vetoes[i], rules[i] = read_validity(program, execution.writes_to, reads)
+        po = program.process_index(i).po_rows
+        base[i] = kernels.closure_rows([p | r | w for p, r, w in zip(po, rows, wo)])
+        if cyclic(base[i]):
+            return None, vetoes
+    fixpoint = saturate(
+        program, base, {i: () for i in base}, rules=rules, lift=model == STRONG_CAUSAL
+    )
+    return fixpoint, vetoes
+
+
 def find_explanation(
     execution: Execution,
     model: str,
@@ -298,9 +453,11 @@ def find_explanation(
     set exists.  Deterministic: the lexicographically least witness is
     returned.  An explanation is a replay of the empty record whose reads
     are the given ones, so this is the first set `iter_view_sets` yields
-    with the reads given: program order, read validity and, under the
-    causal model, WO are closed into each process's base once, and read
-    validity's vetoes are passed along.
+    with the reads given, over the saturated bases of `explanation_base`
+    and with read validity's vetoes.  Every edge the saturation derives
+    holds in every explanation, so the explanations, and the first of
+    them, are those of the unsaturated bases; a cyclic fixpoint settles
+    the query with no placement.
     """
     if model not in (CAUSAL, STRONG_CAUSAL):
         raise ValueError(f"find_explanation supports causal/strong_causal, not {model}")
@@ -310,17 +467,9 @@ def find_explanation(
         raise BudgetExceeded(
             f"{len(program.all_ops)} operations exceed the cap of {cap}"
         )
-    index = program.index
-    if model == CAUSAL:
-        wo = write_read_write_rows(program, execution.writes_to.items())
-    else:
-        wo = [0] * len(program.all_ops)
-    base, vetoes = {}, {}
-    for i in sorted(program.processes):
-        reads = [index[o] for o in program.own(i) if not program.is_write(o)]
-        rows, vetoes[i] = read_validity(program, execution.writes_to, reads)
-        po = program.process_index(i).po_rows
-        base[i] = kernels.closure_rows([p | r | w for p, r, w in zip(po, rows, wo)])
+    base, vetoes = explanation_base(execution, model)
+    if base is None:
+        return None
     leaves = iter_view_sets(
         program, model, base, NodeBudget(node_budget), reads_given=True, vetoes=vetoes
     )
@@ -333,7 +482,10 @@ def check_cache(
 ) -> Violation | None:
     """Per-variable sequential consistency: for every variable there must
     be a total order of its operations respecting program order in which
-    every read returns the last preceding write."""
+    every read returns the last preceding write.  Each variable's program
+    order and read validity are closed under read validity's rules
+    (`close_reads`) before the search; a cycle is a violation with no
+    placement."""
     program = execution.program
     budget = NodeBudget(node_budget)
     masks = program.variable_masks
@@ -343,11 +495,13 @@ def check_cache(
         )
         mask = masks[positions[0]]
         reads = [k for k in positions if not program.writes_mask >> k & 1]
-        rows, vetoes = read_validity(program, execution.writes_to, reads)
+        rows, vetoes, rules = read_validity(program, execution.writes_to, reads)
         po = [p & mask if mask >> k & 1 else 0 for k, p in enumerate(program.po_rows)]
-        preds = predecessors([p | r for p, r in zip(po, rows)])
+        closed = kernels.closure_rows([p | r for p, r in zip(po, rows)])
+        saturated = None if cyclic(closed) else close_reads(closed, rules)
         witness = None
-        if preds is not None:
+        if saturated is not None:
+            preds = predecessors((), onto=saturated)
             witness = next(iter_extensions(positions, preds, vetoes, budget), None)
         if witness is None:
             return Violation(

@@ -13,21 +13,24 @@ below.
 
 The goodness verdicts ask whether some certifying replay differs from
 the original views (`is_good_view_record`) or in some data-race order
-(`is_good_race_record`).  Under the causal model they walk the same
-descent until a differing set turns up.
-Under the strong model the replay constraints are monotone, so they are
-decided by a fixpoint instead (`_saturate`): every view extends its
-closed base, and respects the SCO its owners' orders put on their own
-writes.  A cyclic fixpoint admits no replay, and an acyclic one
-totalises into a certifying replay (`extend_to_views`).  A replay
-differs iff it reverses an adjacent pair of an original view (of one
-variable's operations in it, for data-race orders), so a record is not
-good iff the fixpoint already reverses such a pair or can reverse one
-without a cycle; the least counterexample is then placed position by
-position (`_strong_counterexample`).  `Verdict.enumerated` counts the
-certifying sets walked under the causal model and the fixpoints
-computed under the strong model, where the enumeration cap and the
-placement budget do not apply.
+(`is_good_race_record`), and whether the original views certify the
+record (`Verdict.original_certifies`, read off their order rows).  Under
+the causal model they walk the same descent until a differing set turns
+up.  Under the strong model the replay constraints are monotone, so they
+are decided by a fixpoint instead (`consistency.saturate`, the package's
+one fixpoint helper, which `find_explanation` runs with read validity's
+rules added and the oracle runs without): every view extends its closed
+base, and respects the SCO its owners' orders put on their own writes.
+A cyclic fixpoint admits no replay, and an acyclic one totalises into a
+certifying replay (`extend_to_views`).  A replay differs iff it reverses
+an adjacent pair of an original view (of one variable's operations in
+it, for data-race orders), so a record is not good iff the fixpoint
+already reverses such a pair or can reverse one without a cycle; the
+least counterexample is then placed position by position
+(`_strong_counterexample`).  `Verdict.enumerated` counts the certifying
+sets walked under the causal model and the fixpoints computed under the
+strong model, where the enumeration cap and the placement budget do not
+apply.
 
 `extend_to_views` and the two necessity witnesses are the constructive
 side: they build, from a record with one edge dropped, a certifying view
@@ -45,8 +48,10 @@ from causalrnr.consistency import (
     STRONG_CAUSAL,
     check_causal,
     check_strong_causal,
+    cyclic,
     enumeration_cap,
     iter_view_sets,
+    saturate,
     sco_rows,
 )
 from causalrnr.errors import (
@@ -54,6 +59,7 @@ from causalrnr.errors import (
     InternalInvariant,
     NotStronglyCausal,
     PreconditionViolated,
+    UniverseMismatch,
 )
 from causalrnr.model import (
     Execution,
@@ -64,6 +70,8 @@ from causalrnr.model import (
     data_race_rows,
     derive_writes_to,
     order_rows,
+    read_sources,
+    write_read_write_rows,
 )
 from causalrnr.race_record import RaceAnalysis
 from causalrnr.records import Record
@@ -101,6 +109,43 @@ def certifies(candidate: ViewSet, program: Program, record: Record, model: str) 
     return check(candidate, derived) is None
 
 
+def _original_certifies(
+    views: ViewSet,
+    program: Program,
+    record: Record,
+    base: dict[int, list[int]] | None,
+    model: str,
+) -> bool:
+    """`certifies` for the original views of a verdict whose base rows
+    (`_base_rows`) are built, read off each view's order rows: the views
+    certify iff each holds its process's closed base rows and the model's
+    order, SCO or the WO of the reads the views derive.  A cyclic record
+    never certifies.  An unsupported model, or a view set without one
+    view of the right universe per process, goes to `certifies`, so that
+    it fails as it does there."""
+    procs = tuple(sorted(program.processes))
+    orders = None
+    if model in (CAUSAL, STRONG_CAUSAL) and views.processes() == procs:
+        try:
+            orders = [(i, order_rows(views[i], program)) for i in procs]
+        except UniverseMismatch:
+            pass
+    if orders is None:
+        return certifies(views, program, record, model)
+    if base is None:
+        return False
+    if model == STRONG_CAUSAL:
+        order = sco_rows(program, orders)
+    else:
+        sources = [
+            (r, s) for v in views.views for r, s in read_sources(v, program) if s is not None
+        ]
+        order = write_read_write_rows(program, sources)
+    return not any(
+        (b | m) & ~o for i, rows in orders for b, m, o in zip(base[i], order, rows)
+    )
+
+
 def _base_rows(program: Program, record: Record) -> dict[int, list[int]] | None:
     """Per process, program order plus its record edges, validated and
     closed once per query, as rows over the program index; None when some
@@ -108,7 +153,7 @@ def _base_rows(program: Program, record: Record) -> dict[int, list[int]] | None:
     process is validated, in process order, before a cycle is reported."""
     index = program.index
     base = {}
-    cyclic = False
+    looped = False
     for i in sorted(program.processes):
         pi = program.process_index(i)
         rows = list(pi.po_rows)
@@ -124,8 +169,8 @@ def _base_rows(program: Program, record: Record) -> dict[int, list[int]] | None:
                 continue
             raise ValueError(f"record for process {i} is malformed: {problem}")
         base[i] = kernels.closure_rows(rows)
-        cyclic = cyclic or _cyclic(base[i])
-    return None if cyclic else base
+        looped = looped or cyclic(base[i])
+    return None if looped else base
 
 
 def _relation_base_rows(program: Program, record: Record) -> dict[int, list[int]] | None:
@@ -135,16 +180,16 @@ def _relation_base_rows(program: Program, record: Record) -> dict[int, list[int]
     perfbench's tracer self-test also relies on this by-name call of
     `transitive_closure` from an oracle query."""
     base = {}
-    cyclic = False
+    looped = False
     for i in sorted(program.processes):
         pairs = program.process_index(i).po_pairs | record.edges(i)
         try:
             closed = transitive_closure(Relation(program.universe_of(i), pairs))
         except ValueError as exc:
             raise ValueError(f"record for process {i} is malformed: {exc}") from exc
-        cyclic = cyclic or any((b, a) in closed.pairs for a, b in closed.pairs)
+        looped = looped or any((b, a) in closed.pairs for a, b in closed.pairs)
         base[i] = _rows_of(closed, program)
-    return None if cyclic else base
+    return None if looped else base
 
 
 def enumerate_certifying(
@@ -197,58 +242,6 @@ def _difference_test(views: ViewSet, program: Program, kind: str):
 # ---------------------------------------------------------------------------
 
 
-def _saturate(
-    program: Program,
-    rows: Mapping[int, list[int]],
-    edges: Mapping[int, tuple[tuple[int, int], ...]],
-) -> dict[int, list[int]] | None:
-    """The least fixpoint of the strong model's replay constraints above
-    `rows` plus `edges`, or None when it holds a cycle.
-
-    `rows` holds each process's closed rows, a fixpoint already except
-    for the processes named in `edges`, whose new edges are (source,
-    targets mask) pairs.  A process whose rows changed lifts its
-    own-write rows through SCO (`sco_rows`) onto every other process,
-    which may change in turn, until nothing changes.  Every constraint is
-    monotone (each view extends its rows, and each respects the SCO its
-    owners' rows force), so an edge derived here holds in every replay
-    above `rows` and `edges`: a cycle means there is none.  An acyclic
-    result is a valid input to `extend_to_views`, which totalises it into
-    a certifying replay, so the two outcomes decide feasibility exactly.
-
-    Rows are acyclic on entry, so a cycle passes through a new edge and
-    shows as a self bit at that edge's source."""
-    positions = program.write_positions
-    out = dict(rows)
-    work = []
-    for i, new in edges.items():
-        closed = out[i]
-        for a, targets in new:
-            closed = kernels.close_with(closed, a, targets)
-            if closed[a] >> a & 1:
-                return None
-        out[i] = closed
-        work.append(i)
-    while work:
-        i = work.pop()
-        lifted = sco_rows(program, [(i, out[i])])
-        for j, closed in out.items():
-            if j == i:
-                continue
-            grown = closed
-            for a in positions:
-                gain = lifted[a] & ~grown[a]
-                if gain:
-                    grown = kernels.close_with(grown, a, gain)
-                    if grown[a] >> a & 1:
-                        return None
-            if grown is not closed:
-                out[j] = grown
-                if j not in work:
-                    work.append(j)
-    return out
-
-
 def _adjacent_pairs(
     views: ViewSet, program: Program, kind: str
 ) -> list[tuple[int, int, int]]:
@@ -278,7 +271,7 @@ def _strong_counterexample(
 ) -> tuple[ViewSet | None, int]:
     """The least view set certifying a strongly causal replay above the
     closed base rows that reverses one of `pairs`, or None, with the
-    number of fixpoints (`_saturate` calls) computed.
+    number of fixpoints (`saturate` calls) computed.
 
     A state is the fixpoint of the base plus the placed prefixes, each a
     set of edges from every placed position to the positions after it.
@@ -294,10 +287,10 @@ def _strong_counterexample(
     returns first."""
     queries = 0
 
-    def saturate(rows, edges):
+    def fixpoint(rows, edges):
         nonlocal queries
         queries += 1
-        return _saturate(program, rows, edges)
+        return saturate(program, rows, edges)
 
     def reverses(rows) -> bool:
         return any(rows[i][b] >> a & 1 for i, a, b in pairs)
@@ -314,12 +307,12 @@ def _strong_counterexample(
         for i, a, b in order:
             if _related(rows[i], a, b):
                 continue
-            state = saturate(rows, {i: ((b, 1 << a),)})
+            state = fixpoint(rows, {i: ((b, 1 << a),)})
             if state is not None:
                 return (i, a, b), state
         return None, None
 
-    rows = saturate(base, {i: () for i in base})
+    rows = fixpoint(base, {i: () for i in base})
     if rows is None:
         return None, queries
     differs = reverses(rows)
@@ -352,7 +345,7 @@ def _strong_counterexample(
                 gain = after & ~rows[i][c]
                 if writes & low and gain & pi.own_writes_mask:
                     # new SCO edges from c to own writes of i
-                    state = saturate(rows, {i: ((c, gain),)})
+                    state = fixpoint(rows, {i: ((c, gain),)})
                     if state is None:
                         continue
                     reversal = not differs and reverses(state)
@@ -402,7 +395,7 @@ def _goodness(
                 f"{len(program.all_ops)} operations exceed the enumeration cap of {cap}"
             )
     base = _base_rows(program, record)
-    original = certifies(views, program, record, model)
+    original = _original_certifies(views, program, record, base, model)
     if base is None:
         return Verdict(True, None, original, 0)
     if strong:
@@ -465,11 +458,6 @@ def _rows_of(rel: Relation, program: Program) -> list[int]:
     return rows
 
 
-def _cyclic(rows: list[int]) -> bool:
-    """Whether a closed relation's rows hold a cycle: a self bit."""
-    return any((row >> k) & 1 for k, row in enumerate(rows))
-
-
 def _adds_own_sco(before: list[int], after: list[int], program: Program, process: int) -> bool:
     """Whether `after` holds a write pair ending at an own write of
     `process` that `before` lacks."""
@@ -519,7 +507,7 @@ def extend_to_views(partials: Mapping[int, Relation], program: Program) -> ViewS
             )
         inputs[i] = _rows_of(rel, program)
         orders[i] = kernels.closure_rows(inputs[i])
-        if _cyclic(orders[i]):
+        if cyclic(orders[i]):
             raise PreconditionViolated(f"partial order of process {i} has a cycle")
     committed = sco_rows(program, orders.items())
     for i in procs:
@@ -563,7 +551,7 @@ def extend_to_views(partials: Mapping[int, Relation], program: Program) -> ViewS
                     )
                 orders[k] = flip
         for k in procs:
-            if _cyclic(orders[k]):
+            if cyclic(orders[k]):
                 raise InternalInvariant(
                     f"ordering ({ids[a]}, {ids[b]}) made process {k}'s order cyclic"
                 )

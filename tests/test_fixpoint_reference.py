@@ -1,12 +1,13 @@
 """The strong model's fixpoint decider against the brute-force oracle.
 
 Under the strong model, `is_good_view_record` and `is_good_race_record`
-decide by `oracle._saturate` instead of walking replays.  The reference
-here is `enumerate_certifying`: a record is good iff no set it yields
-differs from the original views (kind "views") or in some data-race
-order (kind "dro"), and the counterexample must be the first such set.
-`_saturate` itself must decide exactly whether any replay exists, and an
-acyclic fixpoint must totalise into a replay that certifies the record.
+decide by `consistency.saturate` instead of walking replays.  The
+reference here is `enumerate_certifying`: a record is good iff no set it
+yields differs from the original views (kind "views") or in some
+data-race order (kind "dro"), and the counterexample must be the first
+such set.  `saturate` itself, without read validity's rules, must decide
+exactly whether any replay exists, and an acyclic fixpoint must
+totalise into a replay that certifies the record.
 """
 
 import random
@@ -14,7 +15,7 @@ import random
 import pytest
 
 from causalrnr import oracle
-from causalrnr.consistency import STRONG_CAUSAL
+from causalrnr.consistency import STRONG_CAUSAL, saturate
 from causalrnr.generator import GenParams, gen_program, gen_strong_causal
 from causalrnr.model import data_race_rows
 from causalrnr.race_record import minimal_race_record
@@ -127,7 +128,7 @@ def test_saturate_decides_whether_any_replay_exists():
             base = oracle._base_rows(program, record)
             fixpoint = None
             if base is not None:
-                fixpoint = oracle._saturate(program, base, {i: () for i in base})
+                fixpoint = saturate(program, base, {i: () for i in base})
             assert (fixpoint is not None) == exists, record
             outcomes.add((base is None, exists))
             if fixpoint is not None:

@@ -1,5 +1,7 @@
 """Replay enumeration, goodness verdicts, completions and witnesses."""
 
+import random
+
 import pytest
 
 from causalrnr import oracle
@@ -234,6 +236,53 @@ class TestGoodness:
         views = ViewSet.of([View(1, ("w1", "r1", "w2"))])
         record = Record.of({1: set()})
         assert verdict(views, program, record, CAUSAL) == oracle.Verdict(True, None, True, 1)
+
+
+def _swapped(views, rng):
+    """The views with one random adjacent pair of one view swapped."""
+    view = rng.choice(views.views)
+    seq = list(view.sequence)
+    if len(seq) < 2:
+        return views
+    k = rng.randrange(len(seq) - 1)
+    seq[k], seq[k + 1] = seq[k + 1], seq[k]
+    return views.replace(View(view.process, tuple(seq)))
+
+
+def _certification_queries(corpus, generated_corpus):
+    """(views, program, record) triples: original and swapped views, under
+    their minimal view record, the empty record, a record reversing an
+    adjacent pair of one view, and a cyclic record."""
+    rng = random.Random(5)
+    fixtures = [(p.execution, p.views) for p in corpus.values() if p.views is not None]
+    for execution, views in fixtures + generated_corpus[:20]:
+        program = execution.program
+        no_edges = {p: set() for p in program.processes}
+        for candidate in (views, _swapped(views, rng), _swapped(views, rng)):
+            records = [Record.of(no_edges)]
+            if check_strong_causal(views, execution) is None:
+                records.append(minimal_view_record(views, execution))
+            view = rng.choice(views.views)
+            if len(view.sequence) > 1:
+                a, b = view.sequence[:2]
+                for edges in ({(b, a)}, {(a, b), (b, a)}):
+                    records.append(Record.of(no_edges | {view.process: edges}))
+            for record in records:
+                yield candidate, program, record
+
+
+@pytest.mark.parametrize("model", [STRONG_CAUSAL, CAUSAL])
+def test_verdicts_report_whether_the_original_views_certify(model, corpus, generated_corpus):
+    outcomes = set()
+    for views, program, record in _certification_queries(corpus, generated_corpus):
+        expected = oracle.certifies(views, program, record, model)
+        for judge in (oracle.is_good_view_record, oracle.is_good_race_record):
+            assert judge(views, program, record, model).original_certifies == expected
+        strong = oracle.certifies(views, program, record, STRONG_CAUSAL)
+        outcomes.add((expected, strong))
+    # certified and not; under the causal model, views that are not strongly causal
+    assert {(True, True), (False, False)} <= outcomes
+    assert (model == CAUSAL) == ((True, False) in outcomes)
 
 
 class TestExtendToViews:
