@@ -314,6 +314,9 @@ def _respects(order: list[int], contribution: list[int]) -> bool:
 
 
 Leaf = tuple[list[View], list[list[int]]]
+# a placed view with its order rows and the orderings it forces on the
+# views placed after it, each None where the descent does not need it
+Entry = tuple[View, list[int] | None, list[int] | None]
 
 
 def iter_view_sets(
@@ -367,31 +370,76 @@ def iter_view_sets(
       closed base is respecting the model's whole order.
 
     Nothing is placed after the last view, so it needs no order rows,
-    and under the strong model no contribution either."""
+    and under the strong model no contribution either.
+
+    Each process's extensions are searched once per distinct key: the
+    process, the forced rows and the SCO vetoes of the earlier views.
+    Within one call a process's base and read validity's vetoes are
+    fixed, so the key determines the extensions; a later node with the
+    same key replays the stored list, in the order it was found, without
+    a placement, so the sets, their order and the first of them are the
+    unmemoised search's.  A list is stored only once its search has run
+    to the end: an early exit of the caller or a `BudgetExceeded` stores
+    nothing.  A key repeats only in another branch of a shallower
+    process, which starts after the list is complete.  The causal
+    model's `_respects` reads the earlier views' orders, which the key
+    leaves out, so it runs at every node.  Each distinct sequence of a
+    process builds its view, order rows and contribution once, and the
+    stored lists share them."""
     procs = tuple(sorted(program.processes))
     if not procs:
         yield [], []
         return
     ids = program.all_ops
+    size = len(ids)
     strong = model == STRONG_CAUSAL
     # whether each view forces orderings on the views placed after it
     contributes = strong or not reads_given
+    memo: dict[tuple, list[Entry]] = {}
+    interned: dict[tuple[int, tuple[int, ...]], Entry] = {}
 
-    def extend(fixed: list[View], orders: list[list[int]], forced: list[int]) -> Iterator[Leaf]:
-        i = procs[len(fixed)]
+    def intern(i: int, seq: tuple[int, ...], last: bool) -> Entry:
+        view = View(i, tuple(ids[k] for k in seq))
+        if not contributes or (strong and last):
+            item = view, None, None
+        else:
+            order = None if last else sequence_rows(seq, size)
+            if strong:
+                item = view, order, sco_rows(program, [(i, order)])
+            else:
+                item = view, order, _wo_contribution(program, view)
+        interned[i, seq] = item
+        return item
+
+    def search(
+        i: int, forced: tuple[int, ...], sco: tuple[tuple[Veto, ...], ...] | None
+    ) -> Iterator[tuple[int, ...]]:
         preds = predecessors(forced, onto=base[i])
         if preds is None:
-            return
+            return iter(())
         placing = vetoes[i] if vetoes is not None else None
-        if strong and orders:
-            sco = sco_vetoes(program, i, orders)
+        if sco is not None:
             placing = sco if placing is None else [v + s for v, s in zip(placing, sco)]
-        last = len(fixed) == len(procs) - 1
         positions = program.process_index(i).positions
-        for seq in iter_extensions(positions, preds, placing, budget):
-            view = View(i, tuple(ids[k] for k in seq))
+        return iter_extensions(positions, preds, placing, budget)
+
+    def extend(fixed: list[View], orders: list[list[int]], forced: tuple[int, ...]) -> Iterator[Leaf]:
+        i = procs[len(fixed)]
+        last = len(fixed) == len(procs) - 1
+        sco = tuple(sco_vetoes(program, i, orders)) if strong and orders else None
+        key = (i, forced, sco)
+        listed = memo.get(key)
+        missed = listed is None
+        if missed:
+            found: list[Entry] = []
+            listed = search(i, forced, sco)
+        # a miss iterates the search's sequences, a hit the stored entries
+        for item in listed:
+            if missed:
+                item = interned.get((i, item)) or intern(i, item, last)
+                found.append(item)
+            view, order, contribution = item
             if contributes and not strong:
-                contribution = _wo_contribution(program, view)
                 if not all(_respects(o, contribution) for o in orders):
                     continue
             if last:
@@ -399,16 +447,15 @@ def iter_view_sets(
             elif not contributes:
                 yield from extend(fixed + [view], orders, forced)
             else:
-                order = sequence_rows(seq, len(ids))
-                if strong:
-                    contribution = sco_rows(program, [(i, order)])
                 yield from extend(
                     fixed + [view],
                     orders + [order],
-                    [f | c for f, c in zip(forced, contribution)],
+                    tuple([f | c for f, c in zip(forced, contribution)]),
                 )
+        if missed:
+            memo[key] = found
 
-    yield from extend([], [], [0] * len(ids))
+    yield from extend([], [], (0,) * size)
 
 
 def explanation_base(

@@ -260,12 +260,13 @@ class ViewSet:
         return cls(tuple(views))
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "views", tuple(sorted(self.views, key=lambda v: v.process))
-        )
-        pids = [v.process for v in self.views]
-        if len(set(pids)) != len(pids):
-            raise ValueError("duplicate view for a process")
+        views = tuple(self.views)
+        # strictly increasing process ids are sorted and distinct already
+        if any(a.process >= b.process for a, b in zip(views, views[1:])):
+            views = tuple(sorted(views, key=lambda v: v.process))
+            if any(a.process == b.process for a, b in zip(views, views[1:])):
+                raise ValueError("duplicate view for a process")
+        object.__setattr__(self, "views", views)
 
     @cached_property
     def by_process(self) -> dict[int, View]:

@@ -33,8 +33,10 @@ from conftest import resourced
 MODELS = (STRONG_CAUSAL, CAUSAL)
 
 
-def unsaturated_explanation(execution, model, budget):
-    """The first view set of the descent over the unsaturated bases."""
+def unsaturated_base(execution, model):
+    """`explanation_base` before its fixpoint: program order, read
+    validity and, under the causal model, WO, closed per process, with
+    read validity's vetoes."""
     program = execution.program
     index = program.index
     if model == CAUSAL:
@@ -47,7 +49,15 @@ def unsaturated_explanation(execution, model, budget):
         rows, vetoes[i], _ = read_validity(program, execution.writes_to, reads)
         po = program.process_index(i).po_rows
         base[i] = kernels.closure_rows([p | r | w for p, r, w in zip(po, rows, wo)])
-    leaves = iter_view_sets(program, model, base, budget, reads_given=True, vetoes=vetoes)
+    return base, vetoes
+
+
+def unsaturated_explanation(execution, model, budget):
+    """The first view set of the descent over the unsaturated bases."""
+    base, vetoes = unsaturated_base(execution, model)
+    leaves = iter_view_sets(
+        execution.program, model, base, budget, reads_given=True, vetoes=vetoes
+    )
     found = next(leaves, None)
     return None if found is None else ViewSet.of(found[0])
 

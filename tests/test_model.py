@@ -163,3 +163,16 @@ class TestWriteReadWrite:
         parsed = corpus["naive-view-record"]
         wo = write_read_write_order(parsed.execution)
         assert wo.pairs == {("w1", "w2"), ("w3", "w4")}
+
+
+class TestViewSet:
+    def test_views_are_kept_in_process_order(self):
+        a, b, c = View(1, ("w1",)), View(2, ("w1",)), View(3, ("w1",))
+        assert ViewSet.of([a, b, c]).views == (a, b, c)
+        assert ViewSet.of([c, a, b]).views == (a, b, c)
+        assert ViewSet([b, a]).views == (a, b)
+
+    @pytest.mark.parametrize("processes", [(1, 1), (2, 1, 2), (1, 2, 2), (3, 1, 3)])
+    def test_duplicate_process_rejected(self, processes):
+        with pytest.raises(ValueError, match="duplicate view for a process"):
+            ViewSet.of([View(p, ("w1",)) for p in processes])
