@@ -60,15 +60,16 @@ def run_battery(execution: Execution, views: ViewSet, *, max_ops: int | None = N
         _fail("fixture", "strongly causal fixture fails the causal check")
     stats.stages.append("fixture")
 
-    _view_record_stage(execution, views, stats, max_ops)
-    _online_record_stage(execution, views, stats, max_ops)
+    offline, sco = _view_record_stage(execution, views, stats, max_ops)
+    _online_record_stage(execution, views, offline, stats, max_ops)
     analysis = RaceAnalysis(views, execution.program)
     _race_record_stage(execution, views, analysis, stats, max_ops)
-    _observation_stage(execution, views, analysis, stats)
+    _observation_stage(execution, views, analysis, sco, stats)
     return stats
 
 
 def _view_record_stage(execution, views, stats, max_ops):
+    """Returns the offline record and the SCO, which the later stages share."""
     program = execution.program
     record = minimal_view_record(views, execution)
     sco = strong_causal_order(views, program)
@@ -119,11 +120,11 @@ def _view_record_stage(execution, views, stats, max_ops):
             _fail("view-record", "necessity witness equals the original views")
         stats.view_edges_checked += 1
     stats.stages.append("view-record")
+    return record, sco
 
 
-def _online_record_stage(execution, views, stats, max_ops):
+def _online_record_stage(execution, views, offline, stats, max_ops):
     program = execution.program
-    offline = minimal_view_record(views, execution)
     online = online_record_from_views(views, execution)
     po = program.po_pairs
     for view in views.views:
@@ -177,7 +178,7 @@ def _race_record_stage(execution, views, analysis, stats, max_ops):
         )
         if verdict.good:
             _fail("race-record", f"record without {edge} (process {i}) is still good")
-        witness = oracle.race_witness(analysis, record, i, edge)
+        witness = oracle.race_witness(analysis, i, edge)
         flipped = data_race_order(witness[i], program).pairs
         a, b = edge
         if (b, a) not in flipped:
@@ -186,10 +187,9 @@ def _race_record_stage(execution, views, analysis, stats, max_ops):
     stats.stages.append("race-record")
 
 
-def _observation_stage(execution, views, analysis, stats):
+def _observation_stage(execution, views, analysis, sco, stats):
     program = execution.program
     swo = analysis.strong_write_order()
-    sco = strong_causal_order(views, program)
 
     if not swo.relation.pairs <= sco.pairs:
         _fail("observations", "strong write order escapes strong causal order")

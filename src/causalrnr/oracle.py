@@ -34,13 +34,17 @@ apply.
 
 `extend_to_views` and the two necessity witnesses are the constructive
 side: they build, from a record with one edge dropped, a certifying view
-set that provably differs from the original.
+set that provably differs from the original.  The witnesses run on rows:
+the race witness hands its partial orders to the rows completion behind
+`extend_to_views` (`_complete`) without building `Relation`s, and each
+witness is checked for strong causality once, then for extending the
+reduced record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from causalrnr import kernels
 from causalrnr.consistency import (
@@ -96,6 +100,16 @@ def certifies(candidate: ViewSet, program: Program, record: Record, model: str) 
     explains its own derived execution under the model."""
     if model not in (CAUSAL, STRONG_CAUSAL):
         raise ValueError(f"unsupported replay model {model!r}")
+    if not _extends(candidate, program, record):
+        return False
+    derived = derive_writes_to(candidate, program)
+    check = check_causal if model == CAUSAL else check_strong_causal
+    return check(candidate, derived) is None
+
+
+def _extends(candidate: ViewSet, program: Program, record: Record) -> bool:
+    """Whether every view of `candidate` orders its process's record
+    edges as recorded."""
     for i in sorted(program.processes):
         view = candidate[i]
         for a, b in record.edges(i):
@@ -104,9 +118,7 @@ def certifies(candidate: ViewSet, program: Program, record: Record, model: str) 
                 raise ValueError(f"record edge ({a}, {b}) escapes process {i}'s view")
             if pos[a] > pos[b]:
                 return False
-    derived = derive_writes_to(candidate, program)
-    check = check_causal if model == CAUSAL else check_strong_causal
-    return check(candidate, derived) is None
+    return True
 
 
 def _original_certifies(
@@ -489,24 +501,43 @@ def extend_to_views(partials: Mapping[int, Relation], program: Program) -> ViewS
     respects program order and the strong causal order the partials
     already hold jointly.  Unordered cross-process write pairs are fixed
     so that no step introduces a new strong causal ordering; remaining
-    (write, read) gaps close write-first.  The orders are kept closed, as
-    rows over the program index.
+    (write, read) gaps close write-first.  The partials are turned into
+    rows over the program index once and completed by `_complete`, which
+    keeps the orders closed.
     """
     procs = tuple(sorted(program.processes))
     if set(partials) != set(procs):
         raise PreconditionViolated("one partial order per process is required")
+
+    def inputs():
+        # checked lazily, so that each process's universe is checked
+        # after the earlier processes' cycles
+        for i in procs:
+            rel = partials[i]
+            if rel.universe != program.universe_of(i):
+                raise PreconditionViolated(
+                    f"partial order of process {i} is not over its own operations "
+                    f"plus all writes"
+                )
+            yield i, _rows_of(rel, program)
+
+    views, _ = _complete(inputs(), program)
+    return views
+
+
+def _complete(
+    partials: Iterable[tuple[int, list[int]]], program: Program
+) -> tuple[ViewSet, dict[int, list[int]]]:
+    """`extend_to_views` on (process, rows) pairs over the program index,
+    one per process in process order, with the completed views' order
+    rows.  The result passed the completion's one strong-causality check."""
+    procs = tuple(sorted(program.processes))
     ids = program.all_ops
     inputs: dict[int, list[int]] = {}
     orders: dict[int, list[int]] = {}
-    for i in procs:
-        rel = partials[i]
-        if rel.universe != program.universe_of(i):
-            raise PreconditionViolated(
-                f"partial order of process {i} is not over its own operations "
-                f"plus all writes"
-            )
-        inputs[i] = _rows_of(rel, program)
-        orders[i] = kernels.closure_rows(inputs[i])
+    for i, rows in partials:
+        inputs[i] = rows
+        orders[i] = kernels.closure_rows(rows)
         if cyclic(orders[i]):
             raise PreconditionViolated(f"partial order of process {i} has a cycle")
     committed = sco_rows(program, orders.items())
@@ -584,10 +615,9 @@ def extend_to_views(partials: Mapping[int, Relation], program: Program) -> ViewS
             raise InternalInvariant(f"completion left process {i}'s order partial")
         out.append(View(i, seq))
     views = ViewSet.of(out)
+    final = {i: order_rows(views[i], program) for i in procs}
     for i in procs:
-        dropped = program.pairs_of(
-            [p & ~o for p, o in zip(inputs[i], order_rows(views[i], program))]
-        )
+        dropped = program.pairs_of([p & ~o for p, o in zip(inputs[i], final[i])])
         if dropped:
             a, b = min(dropped)
             raise InternalInvariant(
@@ -597,7 +627,7 @@ def extend_to_views(partials: Mapping[int, Relation], program: Program) -> ViewS
     bad = check_strong_causal(views, derived)
     if bad is not None:
         raise InternalInvariant(f"completion is not strongly causal: {bad}")
-    return views
+    return views, final
 
 
 def necessity_witness_view_record(
@@ -605,7 +635,8 @@ def necessity_witness_view_record(
 ) -> ViewSet:
     """A strongly causal replay certifying the record without `edge` whose
     views differ from the originals: the edge's endpoints swapped in its
-    owner's view."""
+    owner's view.  The minimal view record is rebuilt first, on rows, so
+    views that are not strongly causal raise `NotStronglyCausal`."""
     record = minimal_view_record(views, execution)
     return view_witness(views, execution, record, process, edge)
 
@@ -614,7 +645,9 @@ def view_witness(
     views: ViewSet, execution: Execution, record: Record, process: int, edge: Pair
 ) -> ViewSet:
     """`necessity_witness_view_record` for strongly causal views whose
-    minimal view record the caller already holds."""
+    minimal view record the caller already holds.  The swapped views get
+    one strong-causality check, then must extend the record without
+    `edge`: together, what `certifies` tests."""
     program = execution.program
     if edge not in record.edges(process):
         raise PreconditionViolated(
@@ -631,7 +664,7 @@ def view_witness(
     bad = check_strong_causal(witness, derived)
     if bad is not None:
         raise InternalInvariant(f"swapped views are not strongly causal: {bad}")
-    if not certifies(witness, program, record.drop(process, edge), STRONG_CAUSAL):
+    if not _extends(witness, program, record.drop(process, edge)):
         raise InternalInvariant("swapped views do not certify the reduced record")
     return witness
 
@@ -640,49 +673,52 @@ def necessity_witness_race_record(
     views: ViewSet, execution: Execution, process: int, edge: Pair
 ) -> ViewSet:
     """A strongly causal replay certifying the race record without `edge`
-    in which `process` resolves that race the other way.
-
-    Only `edge`'s membership in the minimal race record is decided; the
-    witness is certified against the candidate record without `edge`,
-    which holds the minimal record without it, so the check is at least
-    as strict."""
+    in which `process` resolves that race the other way."""
     bad = check_strong_causal(views, execution)
     if bad is not None:
         raise NotStronglyCausal(str(bad))
-    analysis = RaceAnalysis(views, execution.program)
-    if not analysis.in_record(process, edge):
-        raise PreconditionViolated(
-            f"edge {edge} is not a required record edge of process {process}"
-        )
-    return race_witness(analysis, analysis.candidate_record(), process, edge)
+    return race_witness(RaceAnalysis(views, execution.program), process, edge)
 
 
-def race_witness(
-    analysis: RaceAnalysis, record: Record, process: int, edge: Pair
-) -> ViewSet:
+def race_witness(analysis: RaceAnalysis, process: int, edge: Pair) -> ViewSet:
     """`necessity_witness_race_record` for strongly causal views whose
-    race analysis the caller already holds, certified against `record`
-    without `edge`: the minimal race record or a record that holds it."""
+    race analysis the caller already holds.
+
+    Only `edge`'s membership in the minimal race record is decided
+    (`RaceAnalysis.in_record`).  Each process's obligation graph plus the
+    flip cascade of `edge`, with `edge` reversed for `process`, goes to
+    the rows completion as rows, whose strong-causality check is the
+    witness's one.  The witness is then certified against the candidate
+    record without `edge`, a mask test on its order rows: that record
+    holds the minimal record without `edge`, so the test is at least as
+    strict."""
     program = analysis.program
-    if edge not in record.edges(process):
+    if not analysis.in_record(process, edge):
         raise PreconditionViolated(
             f"edge {edge} is not a required record edge of process {process}"
         )
     o1, o2 = edge
     a, b = program.index[o1], program.index[o2]
     cascade = analysis.cascade_rows(process, o1, o2)
-    partials: dict[int, Relation] = {}
-    for j in sorted(program.processes):
+    procs = sorted(program.processes)
+    partials = []
+    for j in procs:
         rows = [o | c for o, c in zip(analysis.obligation_rows(j), cascade)]
         if j == process:
             # the cascade may echo the dropped edge itself when its target
             # is an own write; re-adding it would cancel the flip
             rows[a] &= ~(1 << b)
             rows[b] |= 1 << a
-        partials[j] = Relation(program.universe_of(j), program.pairs_of(rows))
-    witness = extend_to_views(partials, program)
-    if data_race_rows(witness[process], program) == analysis.dro_rows(process):
+        partials.append((j, rows))
+    witness, orders = _complete(partials, program)
+    masks = program.variable_masks
+    if [row & m for row, m in zip(orders[process], masks)] == analysis.dro_rows(process):
         raise InternalInvariant("witness reproduces the original data-race order")
-    if not certifies(witness, program, record.drop(process, edge), STRONG_CAUSAL):
-        raise InternalInvariant("witness does not certify the reduced record")
+    for j in procs:
+        record = analysis.candidate_rows(j)
+        if j == process:
+            record = list(record)
+            record[a] &= ~(1 << b)
+        if any(r & ~o for r, o in zip(record, orders[j])):
+            raise InternalInvariant("witness does not certify the reduced record")
     return witness

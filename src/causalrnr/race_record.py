@@ -288,10 +288,11 @@ class RaceAnalysis:
         self._indirect[i] = frozenset(out)
         return self._indirect[i]
 
-    def _candidate_rows(self, process: int) -> list[int]:
+    def candidate_rows(self, process: int) -> list[int]:
         """The reduction of the process's obligation graph minus program
         order and foreign strong write order, as rows: its minimal race
-        record plus its indirectly enforced races."""
+        record plus its indirectly enforced races, so a replay that
+        extends these rows extends the minimal record."""
         if process not in self._candidates:
             program = self.program
             obligation = self.obligation_rows(process)
@@ -324,21 +325,8 @@ class RaceAnalysis:
         a, b = (index.get(o) for o in edge)
         if process not in self.views.by_process or a is None or b is None:
             return False
-        return bool(self._candidate_rows(process)[a] >> b & 1) and not self._collides(
+        return bool(self.candidate_rows(process)[a] >> b & 1) and not self._collides(
             process, a, b
-        )
-
-    def candidate_record(self) -> Record:
-        """Per process, the reduction of its obligation graph minus program
-        order and foreign strong write order: a record that holds the
-        minimal race record, so a replay that extends it extends the
-        minimal one."""
-        program = self.program
-        return Record.of(
-            {
-                view.process: program.pairs_of(self._candidate_rows(view.process))
-                for view in self.views.views
-            }
         )
 
     def record(self) -> Record:
@@ -346,7 +334,7 @@ class RaceAnalysis:
         out = {}
         for view in self.views.views:
             i = view.process
-            candidates = program.pairs_of(self._candidate_rows(i))
+            candidates = program.pairs_of(self.candidate_rows(i))
             out[i] = frozenset(e for e in candidates if self.in_record(i, e))
         return Record.of(out)
 

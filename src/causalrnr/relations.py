@@ -9,8 +9,9 @@ restriction.
 The hot paths (the consistency checks, the view-set descent
 `consistency.iter_view_sets` that the oracle and `find_explanation`
 share, with its placement engine `search.iter_extensions`, the race
-analysis of `race_record` and the view completion
-`oracle.extend_to_views`) do not build `Relation`s:
+analysis of `race_record`, the offline view record of `view_record`,
+and the view completion behind `oracle.extend_to_views` with the
+necessity witnesses) do not build `Relation`s:
 they work on bitmask rows over the index each `model.Program` interns
 once, where bit k stands for the k-th operation id in sorted order, and
 close, cycle-check and reduce them with the pure-Python `kernels`, as

@@ -7,6 +7,12 @@ are not already guaranteed: program order, strong causal order enforced
 by another writer, and orderings a third process also holds (reversing
 those would force the third process to contradict its own record).
 
+The offline record runs on bitmask rows over the program index: each
+view's order rows and the strong causal order are built once, and one
+helper gives, per process, the rows of the three guaranteed parts.
+`sco_from_others` and `indirectly_enforced` are `Relation` views of the
+same helper, so membership has one definition.
+
 The online recorder sees operations one at a time and cannot decide the
 third-party case, so it keeps those edges: its record per process is the
 view reduction minus program order and foreign strong causal order only.
@@ -16,46 +22,60 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from causalrnr.consistency import check_strong_causal, strong_causal_order
+from causalrnr.consistency import check_strong_causal, sco_rows, strong_causal_order
 from causalrnr.errors import MalformedStream, NotStronglyCausal
-from causalrnr.model import Execution, Program, ViewSet
+from causalrnr.model import Execution, Program, ViewSet, order_rows, write_read_write_order
 from causalrnr.records import Record
 from causalrnr.relations import Pair, Relation
-from causalrnr.model import write_read_write_order
 
 Event = tuple[int, str]
+
+
+def _guaranteed(
+    program: Program, orders: dict[int, list[int]], sco: list[int], process: int
+) -> tuple[list[int], list[int], list[int]]:
+    """The orderings a replay keeps for `process` without a record edge,
+    as rows over the program index: its program order, the strong causal
+    order `sco` with its own writes masked out (the part other writers
+    enforce), and the indirectly enforced pairs.  A pair (a, b) of its own
+    write a and a write b is indirectly enforced iff its view orders it
+    and the view of some k other than `process` does too while b is not
+    k's own write; b is the write of some j, so k is neither `process`
+    nor j, and reversing the pair would make k contradict its record."""
+    pi = program.process_index(process)
+    own = pi.own_writes_mask
+    foreign_sco = [row & ~own for row in sco]
+    indirect = [0] * len(sco)
+    mine = orders[process]
+    for a in program.write_positions:
+        if not own >> a & 1:
+            continue
+        third = 0
+        for k, order in orders.items():
+            if k != process:
+                third |= order[a] & ~program.process_index(k).own_writes_mask
+        indirect[a] = mine[a] & program.writes_mask & ~own & third
+    return pi.po_rows, foreign_sco, indirect
+
+
+def _guaranteed_in(views: ViewSet, program: Program, process: int):
+    orders = {v.process: order_rows(v, program) for v in views.views}
+    return _guaranteed(program, orders, sco_rows(program, orders.items()), process)
 
 
 def sco_from_others(views: ViewSet, program: Program, process: int) -> Relation:
     """Strong causal order restricted to pairs whose later write belongs
     to some other process: the part the consistency model replays for free."""
-    sco = strong_causal_order(views, program)
-    pairs = frozenset(
-        (a, b) for a, b in sco.pairs if program.proc_of(b) != process
-    )
-    return Relation(sco.universe, pairs)
+    _, foreign_sco, _ = _guaranteed_in(views, program, process)
+    return Relation(program.writes, program.pairs_of(foreign_sco))
 
 
 def indirectly_enforced(views: ViewSet, program: Program, process: int) -> Relation:
     """Pairs (own write, foreign write) ordered the same way by a third
     process; recording them is redundant because reversing one would force
     the third process to violate its record."""
-    i = process
-    view = views[i]
-    pairs = set()
-    own_writes = [w for w in program.writes if program.proc_of(w) == i]
-    for w1 in own_writes:
-        for w2 in program.writes:
-            j = program.proc_of(w2)
-            if j == i or not view.orders(w1, w2):
-                continue
-            for k in views.processes():
-                if k in (i, j):
-                    continue
-                if views[k].orders(w1, w2):
-                    pairs.add((w1, w2))
-                    break
-    return Relation(program.writes, frozenset(pairs))
+    _, _, indirect = _guaranteed_in(views, program, process)
+    return Relation(program.writes, program.pairs_of(indirect))
 
 
 def minimal_view_record(views: ViewSet, execution: Execution) -> Record:
@@ -66,16 +86,16 @@ def minimal_view_record(views: ViewSet, execution: Execution) -> Record:
     if bad is not None:
         raise NotStronglyCausal(str(bad))
     program = execution.program
-    po = program.po_pairs
+    index = program.index
+    orders = {v.process: order_rows(v, program) for v in views.views}
+    sco = sco_rows(program, orders.items())
     out = {}
     for view in views.views:
         i = view.process
-        drop = (
-            set(po)
-            | set(sco_from_others(views, program, i).pairs)
-            | set(indirectly_enforced(views, program, i).pairs)
+        drop = [p | s | d for p, s, d in zip(*_guaranteed(program, orders, sco, i))]
+        out[i] = frozenset(
+            (a, b) for a, b in view.reduction_pairs() if not drop[index[a]] >> index[b] & 1
         )
-        out[i] = frozenset(e for e in view.reduction_pairs() if e not in drop)
     return Record.of(out)
 
 

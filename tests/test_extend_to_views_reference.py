@@ -127,16 +127,23 @@ def reference_extend_to_views(partials, program):
 @pytest.fixture(scope="module")
 def witness_partials():
     """The partial orders every race necessity witness of the generated
-    fixtures hands to `extend_to_views`."""
+    fixtures hands to the rows completion, as `Relation`s."""
     captured = []
-    complete = oracle.extend_to_views
+    complete = oracle._complete
 
     def capture(partials, program):
-        captured.append((dict(partials), program))
+        partials = list(partials)
+        captured.append((
+            {
+                i: Relation(program.universe_of(i), program.pairs_of(rows))
+                for i, rows in partials
+            },
+            program,
+        ))
         return complete(partials, program)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracle, "extend_to_views", capture)
+        patch.setattr(oracle, "_complete", capture)
         for _, execution, views in GENERATED:
             record = minimal_race_record(views, execution)
             for i, edge in record.all_edges():
@@ -177,6 +184,7 @@ def _message(complete, partials, program):
 
 def test_same_precondition_messages(corpus):
     program = corpus["write-race"].program
+    named = []
     for i in program.processes:
         # a cyclic partial order for one process
         cyclic = po_partials(program)
@@ -188,9 +196,18 @@ def test_same_precondition_messages(corpus):
             i: Relation(program.universe_of(i), {("w2", "w1")} if i == 1 else {("w1", "w2")}),
             j: Relation.empty(program.universe_of(j)),
         }
-        for partials in (cyclic, missing):
+        # a cycle and, in the other process, a universe without w2: the
+        # reference checks process by process, so the lower process's
+        # fault is named
+        both = dict(cyclic)
+        both[j] = Relation(("w1",), ())
+        for partials in (cyclic, missing, both):
             expected = _message(reference_extend_to_views, partials, program)
             assert _message(oracle.extend_to_views, partials, program) == expected
+        named.append(_message(oracle.extend_to_views, both, program))
+    # process 1's fault comes first: a cycle once, a wrong universe once
+    assert "process 1 has a cycle" in named[0]
+    assert "process 1 is not over its own operations" in named[1]
     assert "has a cycle" in _message(oracle.extend_to_views, cyclic, program)
     assert "does not respect the required ordering" in _message(
         oracle.extend_to_views, missing, program

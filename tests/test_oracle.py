@@ -22,6 +22,7 @@ from causalrnr.model import (
     ViewSet,
     data_race_order,
     derive_writes_to,
+    order_rows,
 )
 from causalrnr.race_record import RaceAnalysis, minimal_race_record, naive_causal_race_record
 from causalrnr.records import Record
@@ -444,3 +445,55 @@ class TestNecessityWitnessRace:
             parsed.views, parsed.execution, 1, ("w2", "w1")
         )
         assert oracle.certifies(witness, parsed.program, reduced, STRONG_CAUSAL)
+
+
+class TestWitnessCertifiedOnce:
+    """Each witness is checked for strong causality once and then for the
+    reduced record; both checks still reject what they must."""
+
+    @staticmethod
+    def completing_to(views):
+        """A stand-in for the rows completion that returns `views`."""
+
+        def complete(partials, program):
+            list(partials)
+            return views, {v.process: order_rows(v, program) for v in views.views}
+
+        return complete
+
+    def test_race_witness_rejects_the_original_race_order(self, corpus, monkeypatch):
+        parsed = corpus["race-agreement"]
+        analysis = RaceAnalysis(parsed.views, parsed.program)
+        monkeypatch.setattr(oracle, "_complete", self.completing_to(parsed.views))
+        with pytest.raises(InternalInvariant, match="reproduces the original data-race order"):
+            oracle.race_witness(analysis, 2, ("w2", "w1"))
+
+    def test_race_witness_rejects_a_reversed_candidate_edge(self, corpus, monkeypatch):
+        parsed = corpus["race-agreement"]
+        analysis = RaceAnalysis(parsed.views, parsed.program)
+        assert oracle.race_witness(analysis, 2, ("w2", "w1"))[2].sequence == ("w1", "w2")
+        # process 2 flips its edge, and process 1 reverses (w1, w2): an
+        # edge of its candidate record that the minimal record leaves out
+        assert not analysis.in_record(1, ("w1", "w2"))
+        breaking = parsed.views.replace(View(2, ("w1", "w2"))).replace(View(1, ("w2", "w1")))
+        monkeypatch.setattr(oracle, "_complete", self.completing_to(breaking))
+        with pytest.raises(InternalInvariant, match="does not certify the reduced record"):
+            oracle.race_witness(analysis, 2, ("w2", "w1"))
+
+    def test_view_witness_rejects_a_non_strongly_causal_swap(self):
+        program = Program.of({1: [Operation(WRITE, 1, "x", "a"), Operation(READ, 1, "x", "b")]})
+        execution = Execution(program, {"b": "a"})
+        views = ViewSet.of([View(1, ("a", "b"))])
+        record = Record.of({1: {("a", "b")}})
+        with pytest.raises(InternalInvariant, match="swapped views are not strongly causal"):
+            oracle.view_witness(views, execution, record, 1, ("a", "b"))
+
+    def test_view_witness_rejects_a_reversed_record_edge(self, corpus):
+        parsed = corpus["indirect-order"]
+        record = minimal_view_record(parsed.views, parsed.execution)
+        # an edge of process 1 that the original views, and so the swapped
+        # views, reverse
+        record = Record.of({i: record.edges(i) | ({("w2", "w1")} if i == 1 else set())
+                            for i in record.processes})
+        with pytest.raises(InternalInvariant, match="do not certify the reduced record"):
+            oracle.view_witness(parsed.views, parsed.execution, record, 2, ("w2", "w1"))

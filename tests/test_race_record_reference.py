@@ -217,7 +217,7 @@ def assert_witnesses_match(views, execution):
     for i in program.processes:
         for pair in sorted(data_race_order(views[i], program).pairs):
             if pair in record.edges(i):
-                expected = oracle.race_witness(analysis, record, i, pair)
+                expected = oracle.race_witness(analysis, i, pair)
                 found = oracle.necessity_witness_race_record(views, execution, i, pair)
                 assert found == expected
             else:
