@@ -306,7 +306,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CausalRnrError, FileNotFoundError, ValueError) as exc:
+    except (CausalRnrError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

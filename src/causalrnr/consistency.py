@@ -233,10 +233,30 @@ def saturate(
     respects the SCO its owners' rows force and makes each read return
     its given source), so an edge derived here holds in every replay
     above `rows` and `edges`: a cycle means there is none.  Without
-    rules, an acyclic result is a valid input to `extend_to_views`, which
-    totalises it into a certifying replay, so the two outcomes decide the
-    strong model's feasibility exactly; read validity's rules are not
-    complete, so with them an acyclic result only narrows the search.
+    rules, an acyclic result totalises into a strongly causal replay, so
+    the two outcomes decide the strong model's feasibility exactly, and
+    `oracle._least_replay` places the least such replay; read validity's
+    rules are not complete, so with them an acyclic result only narrows
+    the search.
+
+    Why an acyclic fixpoint totalises: orient every write pair (a, b)
+    that some process k leaves unordered, one pair at a time, so that
+    the SCO does not change.  Let a be a write of process p and b one of
+    q != p.  A new SCO edge would be a pair (x, y) that closing the
+    orientation adds, with x at or before a, y at or after b, and y an
+    own write of k.  If k is p, it puts a first: program order ranks the
+    own writes a and y, y before a would already order b before a, and a
+    before y already orders x before y.  Symmetrically q puts b first.
+    Any other k has an orientation that adds no SCO edge: if putting a
+    first added (x, y) and putting b first added (x2, y2), with y after
+    b and y2 after a, then y2 before y in program order already orders
+    x before y, and y before y2 already orders x2 before y2.  Neither
+    orientation closes a cycle, since a and b were unordered in a closed
+    acyclic order, so each step keeps an acyclic fixpoint with the same
+    SCO.  Once every process orders all write pairs, any linear
+    extension of each order orders no new write pair, so the views
+    respect the SCO they define, and their reads return what the views
+    make them return.
 
     Rows are acyclic on entry, so a cycle passes through a new edge and
     shows as a self bit at that edge's source."""

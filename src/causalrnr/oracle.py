@@ -22,29 +22,31 @@ one fixpoint helper, which `find_explanation` runs with read validity's
 rules added and the oracle runs without): every view extends its closed
 base, and respects the SCO its owners' orders put on their own writes.
 A cyclic fixpoint admits no replay, and an acyclic one totalises into a
-certifying replay (`extend_to_views`).  A replay differs iff it reverses
-an adjacent pair of an original view (of one variable's operations in
-it, for data-race orders), so a record is not good iff the fixpoint
-already reverses such a pair or can reverse one without a cycle; the
-least counterexample is then placed position by position
-(`_strong_counterexample`).  `Verdict.enumerated` counts the certifying
-sets walked under the causal model and the fixpoints computed under the
+certifying replay (`saturate` gives the argument).  A replay differs iff
+it reverses an adjacent pair of an original view (of one variable's
+operations in it, for data-race orders), so a record is not good iff
+the fixpoint already reverses such a pair or can reverse one without a
+cycle; the least counterexample is then placed position by position
+(`_least_replay`).  `Verdict.enumerated` counts the certifying sets
+walked under the causal model and the fixpoints computed under the
 strong model, where the enumeration cap and the placement budget do not
 apply.
 
 `extend_to_views` and the two necessity witnesses are the constructive
 side: they build, from a record with one edge dropped, a certifying view
-set that provably differs from the original.  The witnesses run on rows:
-the race witness hands its partial orders to the rows completion behind
-`extend_to_views` (`_complete`) without building `Relation`s, and each
-witness is checked for strong causality once, then for extending the
-reduced record.
+set that provably differs from the original.  `_least_replay` is their
+one totaliser too: without pairs to reverse, it places the least replay
+above closed base rows.  `extend_to_views` hands it the closures of its
+partial orders, and the race witness program order plus each process's
+candidate record, with the witnessed edge reversed; the view witness
+swaps its edge in its owner's view.  Each witness is checked for strong
+causality once, then for extending the reduced record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from causalrnr import kernels
 from causalrnr.consistency import (
@@ -68,7 +70,6 @@ from causalrnr.errors import (
 from causalrnr.model import (
     Execution,
     Program,
-    READ,
     View,
     ViewSet,
     data_race_rows,
@@ -278,25 +279,47 @@ def _adjacent_pairs(
     return out
 
 
-def _strong_counterexample(
-    program: Program, base: dict[int, list[int]], pairs: list[tuple[int, int, int]]
+def _related(rows: list[int], a: int, b: int) -> bool:
+    return bool((rows[a] >> b | rows[b] >> a) & 1)
+
+
+def _least_replay(
+    program: Program,
+    base: dict[int, list[int]],
+    pairs: list[tuple[int, int, int]] | None,
 ) -> tuple[ViewSet | None, int]:
     """The least view set certifying a strongly causal replay above the
-    closed base rows that reverses one of `pairs`, or None, with the
-    number of fixpoints (`saturate` calls) computed.
+    closed base rows, or None, with the number of fixpoints (`saturate`
+    calls) computed.  With `pairs` (process, a, b) the replay must also
+    reverse one of them: the least counterexample of the strong-model
+    verdicts.  With None any replay will do: the least totalisation of
+    the base, which `extend_to_views` and `race_witness` build.
 
     A state is the fixpoint of the base plus the placed prefixes, each a
     set of edges from every placed position to the positions after it.
-    A state admits a difference iff its rows already reverse a pair, or
-    some pair they leave unordered can be reversed without a cycle; the
-    fixpoint of that reversal is kept as a witness, and a placement that
-    the witness already orders keeps it valid, since the witness is then
-    a fixpoint above the new state too.  Processes are placed in order,
-    each position by position, trying the remaining positions without a
-    remaining predecessor in ascending order and keeping the first whose
-    state still admits a difference.  Since feasibility is exact, this is
-    the lexicographically least such set: the one `_find_counterexample`
-    returns first."""
+    Processes are placed in order, each position by position, trying the
+    remaining positions without a remaining predecessor in ascending
+    order and keeping the first whose state is feasible.  Feasibility is
+    exact: a state admits a certifying replay iff its fixpoint is acyclic.
+    A cycle rules every replay out, since each replay's order rows are a
+    fixpoint above the state and so hold the least one.  Conversely an
+    acyclic fixpoint totalises (`saturate` gives the argument); in such
+    a totalisation the first remaining position of process i has no
+    remaining predecessor, so placing it keeps the fixpoint below that
+    totalisation, acyclic.  Hence some candidate always extends a
+    feasible state, a stuck placement breaks the theorem and raises
+    `InternalInvariant`, and the result is the lexicographically least
+    certifying set: the first that `enumerate_certifying` yields over the
+    same base.
+
+    With `pairs`, a state admits a difference iff its rows already
+    reverse a pair, or some pair they leave unordered can be reversed
+    without a cycle; the fixpoint of that reversal is kept as a witness,
+    and a placement that the witness already orders keeps it valid, since
+    the witness is then a fixpoint above the new state too.  A state is
+    then feasible iff it also admits a difference, so the result is the
+    least certifying set that differs: the first differing set that
+    `enumerate_certifying` yields."""
     queries = 0
 
     def fixpoint(rows, edges):
@@ -309,7 +332,7 @@ def _strong_counterexample(
 
     # per (process, b), the a of every pair (a, b)
     into: dict[tuple[int, int], int] = {}
-    for i, a, b in pairs:
+    for i, a, b in pairs or ():
         into[i, b] = into.get((i, b), 0) | 1 << a
 
     def flip(rows, first):
@@ -327,7 +350,7 @@ def _strong_counterexample(
     rows = fixpoint(base, {i: () for i in base})
     if rows is None:
         return None, queries
-    differs = reverses(rows)
+    differs = pairs is None or reverses(rows)
     flipped = witness = None
     if not differs:
         flipped, witness = flip(rows, None)
@@ -412,7 +435,7 @@ def _goodness(
         return Verdict(True, None, original, 0)
     if strong:
         pairs = _adjacent_pairs(views, program, kind)
-        counterexample, queries = _strong_counterexample(program, base, pairs)
+        counterexample, queries = _least_replay(program, base, pairs)
         return Verdict(counterexample is None, counterexample, original, queries)
     differs = _difference_test(views, program, kind)
     budget = NodeBudget(node_budget)
@@ -470,28 +493,10 @@ def _rows_of(rel: Relation, program: Program) -> list[int]:
     return rows
 
 
-def _adds_own_sco(before: list[int], after: list[int], program: Program, process: int) -> bool:
-    """Whether `after` holds a write pair ending at an own write of
-    `process` that `before` lacks."""
-    own = program.process_index(process).own_writes_mask
-    return any(after[p] & ~before[p] & own for p in program.write_positions)
-
-
-def _related(rows: list[int], a: int, b: int) -> bool:
-    return bool((rows[a] >> b | rows[b] >> a) & 1)
-
-
-def _sequence(rows: list[int], universe: tuple[str, ...], program: Program):
-    """The listing of a closed total order, or None if `rows` is not one."""
-    index = program.index
-    order = sorted(universe, key=lambda o: -rows[index[o]].bit_count())
-    after = 0
-    for o in reversed(order):
-        k = index[o]
-        if rows[k] != after:
-            return None
-        after |= 1 << k
-    return tuple(order)
+def _check_strongly_causal(views: ViewSet, program: Program) -> None:
+    bad = check_strong_causal(views, derive_writes_to(views, program))
+    if bad is not None:
+        raise InternalInvariant(f"completion is not strongly causal: {bad}")
 
 
 def extend_to_views(partials: Mapping[int, Relation], program: Program) -> ViewSet:
@@ -499,45 +504,26 @@ def extend_to_views(partials: Mapping[int, Relation], program: Program) -> ViewS
 
     Each input must be an acyclic order over its process's universe that
     respects program order and the strong causal order the partials
-    already hold jointly.  Unordered cross-process write pairs are fixed
-    so that no step introduces a new strong causal ordering; remaining
-    (write, read) gaps close write-first.  The partials are turned into
-    rows over the program index once and completed by `_complete`, which
-    keeps the orders closed.
+    already hold jointly.  Their closures are then a fixpoint of the
+    strong model's replay constraints, and the result is the least
+    replay above them (`_least_replay`), checked once for strong
+    causality.
     """
     procs = tuple(sorted(program.processes))
     if set(partials) != set(procs):
         raise PreconditionViolated("one partial order per process is required")
-
-    def inputs():
-        # checked lazily, so that each process's universe is checked
-        # after the earlier processes' cycles
-        for i in procs:
-            rel = partials[i]
-            if rel.universe != program.universe_of(i):
-                raise PreconditionViolated(
-                    f"partial order of process {i} is not over its own operations "
-                    f"plus all writes"
-                )
-            yield i, _rows_of(rel, program)
-
-    views, _ = _complete(inputs(), program)
-    return views
-
-
-def _complete(
-    partials: Iterable[tuple[int, list[int]]], program: Program
-) -> tuple[ViewSet, dict[int, list[int]]]:
-    """`extend_to_views` on (process, rows) pairs over the program index,
-    one per process in process order, with the completed views' order
-    rows.  The result passed the completion's one strong-causality check."""
-    procs = tuple(sorted(program.processes))
     ids = program.all_ops
     inputs: dict[int, list[int]] = {}
     orders: dict[int, list[int]] = {}
-    for i, rows in partials:
-        inputs[i] = rows
-        orders[i] = kernels.closure_rows(rows)
+    for i in procs:
+        rel = partials[i]
+        if rel.universe != program.universe_of(i):
+            raise PreconditionViolated(
+                f"partial order of process {i} is not over its own operations "
+                f"plus all writes"
+            )
+        inputs[i] = _rows_of(rel, program)
+        orders[i] = kernels.closure_rows(inputs[i])
         if cyclic(orders[i]):
             raise PreconditionViolated(f"partial order of process {i} has a cycle")
     committed = sco_rows(program, orders.items())
@@ -552,82 +538,19 @@ def _complete(
                 f"ordering ({a}, {b})"
             )
 
-    owner = [program.proc_of(o) for o in ids]
-    positions = program.write_positions
-    cross = [
-        (a, b)
-        for a in positions
-        for b in positions
-        if owner[a] != owner[b] and (owner[a], a) < (owner[b], b)
-    ]
-    # The checks after each step read only what the step changed.  Every
-    # order was closed and acyclic before it, and a step adds at most one
-    # edge between a and b to a process's order with `close_with`, so a
-    # cycle would pass through that edge and show as self bits at a and b.
-    # The orders only grow, so SCO changes iff some process gains a write
-    # pair ending at one of its own writes: `_adds_own_sco` rules that out
-    # for every process but the owners as it chooses their orientation,
-    # and is tested for the owners against their orders before the step.
-    for a, b in cross:
-        before = dict(orders)
-        pa, pb = owner[a], owner[b]
-        if not _related(orders[pa], a, b):
-            orders[pa] = kernels.close_with(orders[pa], a, 1 << b)
-        if not _related(orders[pb], a, b):
-            orders[pb] = kernels.close_with(orders[pb], b, 1 << a)
-        for k in procs:
-            if k in (pa, pb) or _related(orders[k], a, b):
-                continue
-            keep = kernels.close_with(orders[k], a, 1 << b)
-            if not _adds_own_sco(orders[k], keep, program, k):
-                orders[k] = keep
-            else:
-                flip = kernels.close_with(orders[k], b, 1 << a)
-                if _adds_own_sco(orders[k], flip, program, k):
-                    raise InternalInvariant(
-                        f"both orientations of ({ids[a]}, {ids[b]}) force a new "
-                        f"strong causal ordering at process {k}"
-                    )
-                orders[k] = flip
-        for k in procs:
-            rows = orders[k]
-            if (rows[a] >> a | rows[b] >> b) & 1:
-                raise InternalInvariant(
-                    f"ordering ({ids[a]}, {ids[b]}) made process {k}'s order cyclic"
-                )
-        if any(_adds_own_sco(before[p], orders[p], program, p) for p in (pa, pb)):
-            raise InternalInvariant(
-                f"ordering ({ids[a]}, {ids[b]}) changed the strong causal order"
-            )
-
-    index = program.index
+    views, _ = _least_replay(program, orders, None)
+    if views is None:
+        raise InternalInvariant("the partial orders' fixpoint admits no replay")
     for i in procs:
-        reads = [index[o] for o in program.own(i) if program.ops[o].kind == READ]
-        for r in reads:
-            for w in positions:
-                if not _related(orders[i], w, r):
-                    orders[i] = kernels.close_with(orders[i], w, 1 << r)
-
-    out = []
-    for i in procs:
-        seq = _sequence(orders[i], program.universe_of(i), program)
-        if seq is None:
-            raise InternalInvariant(f"completion left process {i}'s order partial")
-        out.append(View(i, seq))
-    views = ViewSet.of(out)
-    final = {i: order_rows(views[i], program) for i in procs}
-    for i in procs:
-        dropped = program.pairs_of([p & ~o for p, o in zip(inputs[i], final[i])])
+        final = order_rows(views[i], program)
+        dropped = program.pairs_of([p & ~o for p, o in zip(inputs[i], final)])
         if dropped:
             a, b = min(dropped)
             raise InternalInvariant(
                 f"completion dropped the input ordering ({a}, {b}) of process {i}"
             )
-    derived = derive_writes_to(views, program)
-    bad = check_strong_causal(views, derived)
-    if bad is not None:
-        raise InternalInvariant(f"completion is not strongly causal: {bad}")
-    return views, final
+    _check_strongly_causal(views, program)
+    return views
 
 
 def necessity_witness_view_record(
@@ -685,32 +608,34 @@ def race_witness(analysis: RaceAnalysis, process: int, edge: Pair) -> ViewSet:
     race analysis the caller already holds.
 
     Only `edge`'s membership in the minimal race record is decided
-    (`RaceAnalysis.in_record`).  Each process's obligation graph plus the
-    flip cascade of `edge`, with `edge` reversed for `process`, goes to
-    the rows completion as rows, whose strong-causality check is the
-    witness's one.  The witness is then certified against the candidate
-    record without `edge`, a mask test on its order rows: that record
-    holds the minimal record without `edge`, so the test is at least as
-    strict."""
+    (`RaceAnalysis.in_record`).  Each process's base is program order
+    plus its candidate record (`RaceAnalysis.candidate_rows`), closed,
+    with `edge` reversed for `process`; the witness is the least replay
+    above these bases (`_least_replay`), checked once for strong
+    causality.  It must then differ from the original data-race order of
+    `process` and extend the candidate record without `edge`, a mask test
+    on its order rows: that record holds the minimal record without
+    `edge`, so the test is at least as strict."""
     program = analysis.program
     if not analysis.in_record(process, edge):
         raise PreconditionViolated(
             f"edge {edge} is not a required record edge of process {process}"
         )
-    o1, o2 = edge
-    a, b = program.index[o1], program.index[o2]
-    cascade = analysis.cascade_rows(process, o1, o2)
+    a, b = (program.index[o] for o in edge)
     procs = sorted(program.processes)
-    partials = []
+    base = {}
     for j in procs:
-        rows = [o | c for o, c in zip(analysis.obligation_rows(j), cascade)]
+        po = program.process_index(j).po_rows
+        rows = [p | c for p, c in zip(po, analysis.candidate_rows(j))]
         if j == process:
-            # the cascade may echo the dropped edge itself when its target
-            # is an own write; re-adding it would cancel the flip
             rows[a] &= ~(1 << b)
             rows[b] |= 1 << a
-        partials.append((j, rows))
-    witness, orders = _complete(partials, program)
+        base[j] = kernels.closure_rows(rows)
+    witness, _ = _least_replay(program, base, None)
+    if witness is None:
+        raise InternalInvariant(f"no replay reverses the record edge {edge}")
+    _check_strongly_causal(witness, program)
+    orders = {j: order_rows(witness[j], program) for j in procs}
     masks = program.variable_masks
     if [row & m for row, m in zip(orders[process], masks)] == analysis.dro_rows(process):
         raise InternalInvariant("witness reproduces the original data-race order")

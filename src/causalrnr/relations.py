@@ -10,12 +10,13 @@ The hot paths (the consistency checks, the view-set descent
 `consistency.iter_view_sets` that the oracle and `find_explanation`
 share, with its placement engine `search.iter_extensions`, the race
 analysis of `race_record`, the offline view record of `view_record`,
-and the view completion behind `oracle.extend_to_views` with the
-necessity witnesses) do not build `Relation`s:
-they work on bitmask rows over the index each `model.Program` interns
-once, where bit k stands for the k-th operation id in sorted order, and
-close, cycle-check and reduce them with the pure-Python `kernels`, as
-the functions here do over a relation's own rows.  Only
+and the oracle's totaliser `_least_replay` behind the strong-model
+verdicts, `oracle.extend_to_views` and the necessity witnesses) do not
+build `Relation`s: they work on bitmask rows over the index each
+`model.Program` interns once, where bit k stands for the k-th operation
+id in sorted order, and close, cycle-check and reduce them with the
+pure-Python `kernels`, as the functions here do over a relation's own
+rows.  Only
 `oracle.enumerate_certifying` builds one `Relation` per process and
 query, to validate and close program order with the record's edges
 apart from the goodness verdicts.  `pairs_of_rows` turns rows back into
@@ -98,33 +99,6 @@ class Relation:
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-    def is_transitive(self) -> bool:
-        return self == transitive_closure(self)
-
-    def is_partial_order(self) -> bool:
-        """Irreflexive, antisymmetric and transitive, checkable by scan."""
-        if any((b, a) in self.pairs for a, b in self.pairs):
-            return False
-        return self.is_transitive() and not has_cycle(self)
-
-    def is_total_order(self) -> bool:
-        if not self.is_partial_order():
-            return False
-        u = self.universe
-        return all(
-            (a, b) in self.pairs or (b, a) in self.pairs
-            for i, a in enumerate(u)
-            for b in u[i + 1 :]
-        )
-
-    def as_sequence(self) -> tuple[str, ...]:
-        """The element listing of a total order."""
-        if not self.is_total_order():
-            raise ValueError("relation is not a total order")
-        idx = self._index
-        rows = self.rows()
-        return tuple(sorted(self.universe, key=lambda o: -bin(rows[idx[o]]).count("1")))
 
 
 def pairs_of_rows(ids: tuple[str, ...], rows) -> frozenset[Pair]:

@@ -66,6 +66,15 @@ class TestCheck:
         code, _, err = run(capsys, "check", str(bad))
         assert code == 2 and "error:" in err
 
+    def test_directory_argument_exits_two(self, capsys, tmp_path):
+        code, out, err = run(capsys, "check", str(tmp_path))
+        assert code == 2 and out == "" and err.startswith("error: ")
+
+    def test_unwritable_output_path_exits_two(self, capsys, fixture_file, tmp_path):
+        # a directory cannot be opened for writing, whatever its permissions
+        code, _, err = run(capsys, "record", fixture_file("write-race"), "-o", str(tmp_path))
+        assert code == 2 and err.startswith("error: ")
+
 
 class TestRecordAndVerify:
     def test_offline_record_output(self, capsys, fixture_file):

@@ -1,24 +1,35 @@
-"""The row-based `extend_to_views` against the Relation-based reference.
+"""`extend_to_views` and the race necessity witness against the oracle.
 
-`reference_extend_to_views` is the completion as it was written over
-id-pair `Relation`s, re-closing the whole order for every added pair.
-Both must return the same `ViewSet` on the partial orders the race
-necessity witnesses build and on program-order-only partials, and raise
-the same `PreconditionViolated` message on malformed partials.
+Both build the least strongly causal replay above closed per-process
+bases (`oracle._least_replay`).  The reference is the brute-force
+ground truth: the first set `enumerate_certifying` yields for the record
+of the bases' pairs minus program order.  `extend_to_views` must return
+it on program-order partials and on partials that are fixpoints of the
+strong model's replay constraints (`consistency.saturate`), and
+`race_witness` on the bases of every race record edge of the record
+corpus.  `reference_extend_to_views` checks the preconditions over
+id-pair `Relation`s, and both must raise the same `PreconditionViolated`
+message on malformed partials.
 """
+
+import random
 
 import pytest
 
 from causalrnr import oracle
-from causalrnr.consistency import check_strong_causal
+from causalrnr.consistency import STRONG_CAUSAL, saturate
 from causalrnr.errors import InternalInvariant, PreconditionViolated
-from causalrnr.model import READ, View, ViewSet, derive_writes_to
-from causalrnr.race_record import minimal_race_record
+from causalrnr.race_record import RaceAnalysis
+from causalrnr.records import Record
 from causalrnr.relations import Relation, has_cycle, transitive_closure
+from causalrnr.view_record import minimal_view_record
 
 from conftest import record_generated
 
 GENERATED = record_generated()
+# the reference enumeration takes 8 s on one witness of p5x3v2-s38, more
+# than all the other witnesses together
+WITNESS_SAMPLE = [g for g in GENERATED if g[0] != "p5x3v2-s38"]
 
 
 def _extended_sco(orders, program):
@@ -31,21 +42,18 @@ def _extended_sco(orders, program):
     )
 
 
-def _own_sco(rel, program, process):
-    writes = set(program.writes)
-    return frozenset(
-        (a, b)
-        for a, b in rel.pairs
-        if a in writes and b in writes and program.proc_of(b) == process
+def first_certifying(program, pairs):
+    """The first strongly causal replay the oracle enumerates for the
+    record of `pairs`, per process, minus program order."""
+    record = Record.of(
+        {i: set(pairs[i]) - program.process_index(i).po_pairs for i in program.processes}
     )
-
-
-def _related(rel, a, b):
-    return (a, b) in rel.pairs or (b, a) in rel.pairs
-
-
-def _close_with(rel, pair):
-    return transitive_closure(Relation(rel.universe, rel.pairs | {pair}))
+    return next(
+        oracle.enumerate_certifying(
+            program, record, STRONG_CAUSAL, max_ops=len(program.all_ops), node_budget=None
+        ),
+        None,
+    )
 
 
 def reference_extend_to_views(partials, program):
@@ -74,81 +82,10 @@ def reference_extend_to_views(partials, program):
                 f"ordering ({a}, {b})"
             )
 
-    cross = sorted(
-        (a, b)
-        for a in program.writes
-        for b in program.writes
-        if program.proc_of(a) != program.proc_of(b)
-        and (program.proc_of(a), a) < (program.proc_of(b), b)
-    )
-    for a, b in cross:
-        before = _extended_sco(orders, program)
-        pa, pb = program.proc_of(a), program.proc_of(b)
-        if not _related(orders[pa], a, b):
-            orders[pa] = _close_with(orders[pa], (a, b))
-        if not _related(orders[pb], a, b):
-            orders[pb] = _close_with(orders[pb], (b, a))
-        for k in procs:
-            if k in (pa, pb) or _related(orders[k], a, b):
-                continue
-            keep = _close_with(orders[k], (a, b))
-            if _own_sco(keep, program, k) <= _own_sco(orders[k], program, k):
-                orders[k] = keep
-            else:
-                flip = _close_with(orders[k], (b, a))
-                if not _own_sco(flip, program, k) <= _own_sco(orders[k], program, k):
-                    raise InternalInvariant("both orientations force a new ordering")
-                orders[k] = flip
-        if any(has_cycle(orders[k]) for k in procs):
-            raise InternalInvariant("an ordering made an order cyclic")
-        if _extended_sco(orders, program) != before:
-            raise InternalInvariant("an ordering changed the strong causal order")
-
-    for i in procs:
-        for r in program.own(i):
-            if program.ops[r].kind != READ:
-                continue
-            for w in program.writes:
-                if not _related(orders[i], w, r):
-                    orders[i] = _close_with(orders[i], (w, r))
-
-    out = []
-    for i in procs:
-        if not orders[i].is_total_order():
-            raise InternalInvariant(f"completion left process {i}'s order partial")
-        out.append(View(i, orders[i].as_sequence()))
-    views = ViewSet.of(out)
-    derived = derive_writes_to(views, program)
-    if check_strong_causal(views, derived) is not None:
-        raise InternalInvariant("completion is not strongly causal")
-    return views
-
-
-@pytest.fixture(scope="module")
-def witness_partials():
-    """The partial orders every race necessity witness of the generated
-    fixtures hands to the rows completion, as `Relation`s."""
-    captured = []
-    complete = oracle._complete
-
-    def capture(partials, program):
-        partials = list(partials)
-        captured.append((
-            {
-                i: Relation(program.universe_of(i), program.pairs_of(rows))
-                for i, rows in partials
-            },
-            program,
-        ))
-        return complete(partials, program)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracle, "_complete", capture)
-        for _, execution, views in GENERATED:
-            record = minimal_race_record(views, execution)
-            for i, edge in record.all_edges():
-                oracle.necessity_witness_race_record(views, execution, i, edge)
-    return captured
+    replay = first_certifying(program, {i: orders[i].pairs for i in procs})
+    if replay is None:
+        raise InternalInvariant("no replay extends the partial orders")
+    return replay
 
 
 def po_partials(program):
@@ -158,12 +95,57 @@ def po_partials(program):
     }
 
 
-def test_witness_partials_match_reference(witness_partials):
-    assert len(witness_partials) > 50
-    for partials, program in witness_partials:
+def _fixpoint_partials():
+    """Partials that are acyclic fixpoints of the strong model's replay
+    constraints: those of the record corpus's minimal view and race
+    records with their first edge dropped, and of a random record."""
+    rng = random.Random(5)
+    for _, execution, views in GENERATED:
+        program = execution.program
+        analysis = RaceAnalysis(views, program)
+        records = [analysis.record(), minimal_view_record(views, execution)]
+        records = [r.drop(*next(r.all_edges())) for r in records if r.size()]
+        records.append(Record.of({
+            i: {tuple(rng.sample(program.universe_of(i), 2))} - {
+                (b, a) for a, b in program.process_index(i).po_pairs
+            }
+            for i in program.processes
+        }))
+        for record in records:
+            base = oracle._base_rows(program, record)
+            fixpoint = base and saturate(program, base, {i: () for i in base})
+            if fixpoint:
+                yield program, {
+                    i: Relation(program.universe_of(i), program.pairs_of(rows))
+                    for i, rows in fixpoint.items()
+                }
+
+
+def test_fixpoint_partials_match_reference():
+    seen = 0
+    for program, partials in _fixpoint_partials():
+        seen += 1
         assert oracle.extend_to_views(partials, program) == reference_extend_to_views(
             partials, program
         )
+    assert seen > 40
+
+
+def test_race_witnesses_match_reference():
+    """Each witness is the least replay above program order plus the
+    candidate records, with the witnessed edge reversed."""
+    seen = 0
+    for _, execution, views in WITNESS_SAMPLE:
+        program = execution.program
+        analysis = RaceAnalysis(views, program)
+        candidates = {i: program.pairs_of(analysis.candidate_rows(i)) for i in program.processes}
+        for i, (a, b) in analysis.record().all_edges():
+            seen += 1
+            pairs = dict(candidates)
+            pairs[i] = pairs[i] - {(a, b)} | {(b, a)}
+            expected = first_certifying(program, pairs)
+            assert oracle.race_witness(analysis, i, (a, b)) == expected, (i, (a, b))
+    assert seen > 50
 
 
 def test_program_order_partials_match_reference(corpus):
