@@ -51,6 +51,17 @@ def _print_views(views) -> None:
         print(f"view {view.process}:{' ' + seq if seq else ''}")
 
 
+def _count(text: str) -> int:
+    """A non-negative integer option; anything else is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, not {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-ops", type=int, default=None,
                         help="enumeration cap (default 10, env CAUSAL_RNR_MAX_OPS)")
@@ -280,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", help="run the invariant battery on generated fixtures")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--iterations", type=int, default=20)
+    p.add_argument("--iterations", type=_count, default=20)
     p.add_argument("--processes", type=int, default=3)
     p.add_argument("--ops-per-process", type=int, default=2)
     p.add_argument("--variables", type=int, default=2)

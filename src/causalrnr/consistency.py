@@ -15,7 +15,8 @@ with it, each read returning what the views make it return;
 `find_explanation`, the existential form of the checkers, takes its
 first set with the execution's reads given.  Two helpers turn
 constraints into placement-time predecessors and vetoes: `read_validity`
-(shared with `check_cache`) and `sco_vetoes`.
+(shared with `check_cache`) and `sco_summary`, the writes that each own
+write of a process may not be placed after.
 
 `saturate` is the package's one fixpoint of monotone replay constraints.
 It closes each process's rows under the strong causal order the owners'
@@ -303,21 +304,38 @@ def cyclic(rows: list[int]) -> bool:
     return any((row >> k) & 1 for k, row in enumerate(rows))
 
 
-def sco_vetoes(program: Program, process: int, orders) -> list[tuple[Veto, ...]]:
-    """Strong causal order as vetoes on the view of `process`, given the
-    order rows of fixed views: an own write b is vetoed while any write
-    that some fixed view orders after b is placed, since placing b then
-    would add an SCO edge that view contradicts."""
+def sco_summary(program: Program, process: int, orders) -> tuple[int, ...]:
+    """Strong causal order as seen by the view of `process`, given the
+    order rows of fixed views: for each own write b, in `write_positions`
+    order, the writes that some fixed view orders after b.  Placing b
+    after one of them would add an SCO edge that view contradicts, so
+    each is a veto on b (`_sco_vetoes`)."""
+    own = program.process_index(process).own_writes_mask
+    writes = program.writes_mask
+    summary = []
+    while own:
+        low = own & -own
+        own ^= low
+        b = low.bit_length() - 1
+        later = 0
+        for order in orders:
+            later |= order[b]
+        summary.append(later & writes)
+    return tuple(summary)
+
+
+def _sco_vetoes(
+    program: Program, process: int, summary: tuple[int, ...]
+) -> list[tuple[Veto, ...]]:
+    """`sco_summary` as vetoes on the view of `process`: an own write b is
+    vetoed while any write of its summary row is placed."""
     vetoes: list[tuple[Veto, ...]] = [()] * len(program.all_ops)
     own = program.process_index(process).own_writes_mask
-    for b in program.write_positions:
-        if own >> b & 1:
-            later = 0
-            for order in orders:
-                later |= order[b]
-            later &= program.writes_mask
-            if later:
-                vetoes[b] = ((later, 0),)
+    for later in summary:
+        low = own & -own
+        own ^= low
+        if later:
+            vetoes[low.bit_length() - 1] = ((later, 0),)
     return vetoes
 
 
@@ -329,14 +347,21 @@ def _wo_contribution(program: Program, view: View) -> list[int]:
     return write_read_write_rows(program, sources)
 
 
-def _respects(order: list[int], contribution: list[int]) -> bool:
-    return not any(c & ~o for c, o in zip(contribution, order))
+def _inside(contribution: tuple[tuple[int, int], ...], meet: tuple[int, ...]) -> bool:
+    """Whether a contribution's (row, mask) pairs lie inside `meet`, the
+    row-wise intersection of the fixed views' orders: whether every fixed
+    view respects it."""
+    for k, c in contribution:
+        if c & ~meet[k]:
+            return False
+    return True
 
 
 Leaf = tuple[list[View], list[list[int]]]
 # a placed view with its order rows and the orderings it forces on the
-# views placed after it, each None where the descent does not need it
-Entry = tuple[View, list[int] | None, list[int] | None]
+# views placed after it, as the nonzero (row, mask) pairs of its
+# contribution, each None where the descent does not need it
+Entry = tuple[View, list[int] | None, tuple[tuple[int, int], ...] | None]
 
 
 def iter_view_sets(
@@ -377,7 +402,10 @@ def iter_view_sets(
       definition the last preceding write in their owner's view;
     * causal model, reads not given: each new view is placed under
       `forced`, so it respects the earlier views' WO contributions, and
-      `_respects` keeps it only if every earlier view respects its own;
+      is kept only if every earlier view respects its own, that is, if
+      its contribution lies inside the row-wise intersection of the
+      earlier views' orders (`_inside`): a pair lies in every order iff
+      it lies in their intersection;
     * strong model: each new view respects the earlier views' SCO
       contributions through `forced`, and the SCO vetoes stop it from
       adding an SCO edge that an earlier view contradicts;
@@ -393,28 +421,35 @@ def iter_view_sets(
     and under the strong model no contribution either.
 
     Each process's extensions are searched once per distinct key: the
-    process, the forced rows and the SCO vetoes of the earlier views.
-    Within one call a process's base and read validity's vetoes are
-    fixed, so the key determines the extensions; a later node with the
-    same key replays the stored list, in the order it was found, without
-    a placement, so the sets, their order and the first of them are the
-    unmemoised search's.  A list is stored only once its search has run
-    to the end: an early exit of the caller or a `BudgetExceeded` stores
-    nothing.  A key repeats only in another branch of a shallower
-    process, which starts after the list is complete.  The causal
-    model's `_respects` reads the earlier views' orders, which the key
-    leaves out, so it runs at every node.  Each distinct sequence of a
-    process builds its view, order rows and contribution once, and the
-    stored lists share them."""
+    process, the forced rows and, under the strong model, the earlier
+    views' SCO summary (`sco_summary`).  The summary holds exactly the
+    SCO vetoes' masks, one per own write, so it determines the vetoes,
+    which are built from it only when the search runs.  Within one call
+    a process's base and read validity's vetoes are fixed, so the key
+    determines the extensions; a later node with the same key replays
+    the stored list, in the order it was found, without a placement, so
+    the sets, their order and the first of them are the unmemoised
+    search's.  A list is stored only once its search has run to the end:
+    an early exit of the caller or a `BudgetExceeded` stores nothing.  A
+    key repeats only in another branch of a shallower process, which
+    starts after the list is complete.  The causal model's filter reads
+    the intersection of the earlier views' orders, which the key leaves
+    out, so it runs at every node; the intersection is carried down the
+    descent as `forced` is.  Each distinct sequence of a process builds
+    its view, order rows and contribution once, the contribution as its
+    nonzero (row, mask) pairs, and the stored lists share them."""
     procs = tuple(sorted(program.processes))
     if not procs:
         yield [], []
         return
     ids = program.all_ops
     size = len(ids)
+    writes = program.write_positions
     strong = model == STRONG_CAUSAL
     # whether each view forces orderings on the views placed after it
     contributes = strong or not reads_given
+    # whether each view is kept only if the fixed views respect its own
+    filters = contributes and not strong
     memo: dict[tuple, list[Entry]] = {}
     interned: dict[tuple[int, tuple[int, ...]], Entry] = {}
 
@@ -424,58 +459,72 @@ def iter_view_sets(
             item = view, None, None
         else:
             order = None if last else sequence_rows(seq, size)
+            # both contributions order writes only
             if strong:
-                item = view, order, sco_rows(program, [(i, order)])
+                # `sco_rows` of this view alone: its order on its own writes
+                own = program.process_index(i).own_writes_mask
+                pairs = [(k, order[k] & own) for k in writes if order[k] & own]
             else:
-                item = view, order, _wo_contribution(program, view)
+                rows = _wo_contribution(program, view)
+                pairs = [(k, rows[k]) for k in writes if rows[k]]
+            item = view, order, tuple(pairs)
         interned[i, seq] = item
         return item
 
     def search(
-        i: int, forced: tuple[int, ...], sco: tuple[tuple[Veto, ...], ...] | None
+        i: int, forced: tuple[int, ...], summary: tuple[int, ...] | None
     ) -> Iterator[tuple[int, ...]]:
         preds = predecessors(forced, onto=base[i])
         if preds is None:
             return iter(())
         placing = vetoes[i] if vetoes is not None else None
-        if sco is not None:
+        if summary is not None:
+            sco = _sco_vetoes(program, i, summary)
             placing = sco if placing is None else [v + s for v, s in zip(placing, sco)]
         positions = program.process_index(i).positions
         return iter_extensions(positions, preds, placing, budget)
 
-    def extend(fixed: list[View], orders: list[list[int]], forced: tuple[int, ...]) -> Iterator[Leaf]:
+    def extend(
+        fixed: list[View],
+        orders: list[list[int]],
+        forced: tuple[int, ...],
+        meet: tuple[int, ...] | None,
+    ) -> Iterator[Leaf]:
         i = procs[len(fixed)]
         last = len(fixed) == len(procs) - 1
-        sco = tuple(sco_vetoes(program, i, orders)) if strong and orders else None
-        key = (i, forced, sco)
+        summary = sco_summary(program, i, orders) if strong and orders else None
+        key = (i, forced, summary)
         listed = memo.get(key)
         missed = listed is None
         if missed:
             found: list[Entry] = []
-            listed = search(i, forced, sco)
+            listed = search(i, forced, summary)
         # a miss iterates the search's sequences, a hit the stored entries
         for item in listed:
             if missed:
                 item = interned.get((i, item)) or intern(i, item, last)
                 found.append(item)
             view, order, contribution = item
-            if contributes and not strong:
-                if not all(_respects(o, contribution) for o in orders):
-                    continue
+            if filters and contribution and not _inside(contribution, meet):
+                continue
             if last:
                 yield fixed + [view], orders
             elif not contributes:
-                yield from extend(fixed + [view], orders, forced)
+                yield from extend(fixed + [view], orders, forced, meet)
             else:
-                yield from extend(
-                    fixed + [view],
-                    orders + [order],
-                    tuple([f | c for f, c in zip(forced, contribution)]),
-                )
+                grown = forced
+                if contribution:
+                    grown = list(forced)
+                    for k, c in contribution:
+                        grown[k] |= c
+                    grown = tuple(grown)
+                narrowed = tuple([m & o for m, o in zip(meet, order)]) if filters else None
+                yield from extend(fixed + [view], orders + [order], grown, narrowed)
         if missed:
             memo[key] = found
 
-    yield from extend([], [], (0,) * size)
+    # with no fixed view the intersection is every pair: -1 has every bit
+    yield from extend([], [], (0,) * size, (-1,) * size if filters else None)
 
 
 def explanation_base(

@@ -260,12 +260,21 @@ class ViewSet:
         return cls(tuple(views))
 
     def __post_init__(self):
-        views = tuple(self.views)
+        views = self.views
+        if type(views) is not tuple:
+            views = tuple(views)
+            object.__setattr__(self, "views", views)
         # strictly increasing process ids are sorted and distinct already
-        if any(a.process >= b.process for a, b in zip(views, views[1:])):
-            views = tuple(sorted(views, key=lambda v: v.process))
-            if any(a.process == b.process for a, b in zip(views, views[1:])):
-                raise ValueError("duplicate view for a process")
+        previous = None
+        for view in views:
+            if previous is not None and previous >= view.process:
+                break
+            previous = view.process
+        else:
+            return
+        views = tuple(sorted(views, key=lambda v: v.process))
+        if any(a.process == b.process for a, b in zip(views, views[1:])):
+            raise ValueError("duplicate view for a process")
         object.__setattr__(self, "views", views)
 
     @cached_property

@@ -192,6 +192,19 @@ class TestGenAndFuzz:
         assert out_a == out_b
         assert "fuzz: ok iterations=4" in out_a
 
+    def test_fuzz_negative_iterations_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fuzz", "--seed", "1", "--iterations", "-3"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--iterations" in captured.err
+
+    def test_fuzz_zero_iterations_is_valid(self, capsys):
+        code, out, _ = run(capsys, "fuzz", "--seed", "1", "--iterations", "0")
+        assert code == 0
+        assert out == "fuzz: ok iterations=0\n"
+
     def test_fuzz_failure_dumps_the_fixture(self, capsys, monkeypatch):
         from causalrnr import cli
         from causalrnr.battery import BatteryFailure

@@ -171,8 +171,29 @@ class TestViewSet:
         assert ViewSet.of([a, b, c]).views == (a, b, c)
         assert ViewSet.of([c, a, b]).views == (a, b, c)
         assert ViewSet([b, a]).views == (a, b)
+        assert ViewSet((c, b, a)).views == (a, b, c)
+        assert ViewSet([a, c, b]) == ViewSet((a, b, c))
 
     @pytest.mark.parametrize("processes", [(1, 1), (2, 1, 2), (1, 2, 2), (3, 1, 3)])
     def test_duplicate_process_rejected(self, processes):
+        views = [View(p, ("w1",)) for p in processes]
         with pytest.raises(ValueError, match="duplicate view for a process"):
-            ViewSet.of([View(p, ("w1",)) for p in processes])
+            ViewSet.of(views)
+        with pytest.raises(ValueError, match="duplicate view for a process"):
+            ViewSet(views)
+
+    def test_list_input_is_stored_as_a_tuple(self):
+        a, b = View(1, ("w1",)), View(2, ("w1",))
+        from_list, from_tuple = ViewSet([a, b]), ViewSet((a, b))
+        assert type(from_list.views) is tuple
+        assert from_list.views == (a, b)
+        assert from_list == from_tuple
+        assert hash(from_list) == hash(from_tuple)
+
+    def test_single_view_and_empty_set(self):
+        a = View(1, ("w1",))
+        assert ViewSet([a]).views == (a,)
+        assert ViewSet.of([a]) == ViewSet((a,))
+        assert ViewSet([]).views == ()
+        assert ViewSet.of([]) == ViewSet(())
+        assert ViewSet(()).processes() == ()

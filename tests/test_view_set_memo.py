@@ -1,11 +1,13 @@
 """The memoised view-set descent against the unmemoised one.
 
 `consistency.iter_view_sets` searches each process's extensions once per
-distinct (process, forced rows, SCO vetoes) and replays the stored list
+distinct (process, forced rows, SCO summary) and replays the stored list
 at every later node with the same key.  The reference here is the descent as
-it ran before the memo: one `iter_extensions` search at every node.  Both
-must yield the same leaves, views and order rows, in the same order, the
-memoised one with no more placements.
+it ran before the memo: one `iter_extensions` search at every node, under
+the full SCO veto list built from every fixed order, and each causal
+contribution tested against each fixed order in turn.  Both must yield the
+same leaves, views and order rows, in the same order, the memoised one
+with no more placements.
 """
 
 import random
@@ -19,7 +21,6 @@ from causalrnr.consistency import (
     explanation_base,
     iter_view_sets,
     sco_rows,
-    sco_vetoes,
 )
 from causalrnr.errors import BudgetExceeded
 from causalrnr.generator import GenParams, gen_strong_causal
@@ -39,6 +40,27 @@ FIXTURES = small_generated()
 BACKTRACKING = [
     (seed, *gen_strong_causal(GenParams(seed, 3, 3, 1, 0.6))) for seed in (35, 47, 52)
 ]
+
+
+def sco_vetoes(program, process, orders):
+    """SCO as vetoes on the view of `process`, from the fixed views' order
+    rows: an own write b is vetoed while any write that some fixed view
+    orders after b is placed."""
+    vetoes = [()] * len(program.all_ops)
+    own = program.process_index(process).own_writes_mask
+    for b in program.write_positions:
+        if own >> b & 1:
+            later = 0
+            for order in orders:
+                later |= order[b]
+            later &= program.writes_mask
+            if later:
+                vetoes[b] = ((later, 0),)
+    return vetoes
+
+
+def respects(order, contribution):
+    return not any(c & ~o for c, o in zip(contribution, order))
 
 
 def reference_view_sets(program, model, base, budget, *, reads_given, vetoes=None):
@@ -66,7 +88,7 @@ def reference_view_sets(program, model, base, budget, *, reads_given, vetoes=Non
             view = View(i, tuple(ids[k] for k in seq))
             if contributes and not strong:
                 contribution = consistency._wo_contribution(program, view)
-                if not all(consistency._respects(o, contribution) for o in orders):
+                if not all(respects(o, contribution) for o in orders):
                     continue
             if last:
                 yield fixed + [view], orders
@@ -157,18 +179,19 @@ def test_same_leaves_in_the_same_order_with_no_more_placements(model):
 def test_cached_contributions_are_filtered_at_every_node(monkeypatch):
     """Under the causal model with the reads not given, a stored view's WO
     contribution is checked again under other fixed views, and rejected
-    under some of them.  With two processes, each check of the second
-    process's views reads the one fixed view's order, so two orders
-    checked against one contribution are two nodes."""
+    under some of them.  With two processes, the intersection that each
+    check of the second process's views tests against is the one fixed
+    view's order, so two intersections checked against one contribution
+    are two nodes."""
     calls = []
-    respects = consistency._respects
+    inside = consistency._inside
 
-    def recording(order, contribution):
-        result = respects(order, contribution)
-        calls.append((contribution, tuple(order), result))
+    def recording(contribution, meet):
+        result = inside(contribution, meet)
+        calls.append((contribution, meet, result))
         return result
 
-    monkeypatch.setattr(consistency, "_respects", recording)
+    monkeypatch.setattr(consistency, "_inside", recording)
     execution, _ = gen_strong_causal(GenParams(0, 2, 3, 2, 0.5))
     program = execution.program
     assert len(program.processes) == 2
@@ -176,10 +199,10 @@ def test_cached_contributions_are_filtered_at_every_node(monkeypatch):
     list(oracle.enumerate_certifying(program, empty, CAUSAL))
     fixed: dict[int, set] = {}
     rejected: dict[int, bool] = {}
-    for contribution, order, result in calls:
-        fixed.setdefault(id(contribution), set()).add(order)
+    for contribution, meet, result in calls:
+        fixed.setdefault(id(contribution), set()).add(meet)
         rejected[id(contribution)] = rejected.get(id(contribution), False) or not result
-    reused = [key for key, orders in fixed.items() if len(orders) > 1]
+    reused = [key for key, meets in fixed.items() if len(meets) > 1]
     assert reused
     assert any(rejected[key] for key in reused)
 
