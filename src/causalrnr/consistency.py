@@ -132,10 +132,18 @@ def check_causal(views: ViewSet, execution: Execution) -> Violation | None:
 
 
 def check_strong_causal(views: ViewSet, execution: Execution) -> Violation | None:
+    return _strong_causal_check(views, execution)[0]
+
+
+def _strong_causal_check(
+    views: ViewSet, execution: Execution
+) -> tuple[Violation | None, list[list[int]], list[int]]:
+    """`check_strong_causal`'s verdict with the rows it was reached on:
+    the views' order rows, in view order, and the SCO rows."""
     program = execution.program
     orders = [order_rows(v, program) for v in views.views]
     sco = sco_rows(program, zip(views.processes(), orders))
-    return _check_against(views, execution, orders, sco)
+    return _check_against(views, execution, orders, sco), orders, sco
 
 
 def read_validity(

@@ -25,12 +25,18 @@ applies the same test to every candidate edge, so membership has one
 definition; a necessity witness needs only its own edge's cascade.
 
 `RaceAnalysis` works on bitmask rows over the index its `Program`
-interns (see `causalrnr.model`): the DRO, the strong write order
-fixpoint, the closed obligation graphs and the cascade levels are rows
-closed and cycle-checked by the `kernels`.  Id pairs and `Relation`s are
-built only for its public results: `obligation`, `strong_write_order`,
-`swo_from_others`, `flip_cascade`, `indirectly_enforced` and the
-`Record`s.
+interns (see `causalrnr.model`), and everything rests on one fixpoint
+over closed rows: each process's DRO and program-order base is closed
+once, and each strong write order level only adds its new rows onto the
+closed rows (`kernels.close_onto`).  The rows it ends with are the
+closed obligation graphs, since a process's own-write part of SWO adds
+nothing to its own closure; a cycle shows as a self bit in them, so no
+separate cycle check runs.  Cascade levels and collision tests add the
+cascade onto those closed rows too; only the owner's collision test,
+whose graph loses the flipped pair and is no longer closed, closes from
+scratch.  Id pairs and `Relation`s are built only for its public
+results: `obligation`, `strong_write_order`, `swo_from_others`,
+`flip_cascade`, `indirectly_enforced` and the `Record`s.
 """
 
 from __future__ import annotations
@@ -84,9 +90,13 @@ class RaceAnalysis:
 
     All public module functions are thin wrappers; building the analysis
     once amortises the fixpoints across record construction, the
-    redundancy test and the necessity witnesses.  Everything is computed
-    and cached as rows over the program index; `Relation`s and id pairs
-    are built only for the public results.
+    redundancy test and the necessity witnesses.  The strong write order
+    fixpoint (`_solve`) runs once, on first use, and leaves each
+    process's closed rows, which are its obligation graph (self bits
+    mark cycles, so `candidate_rows` raises `CyclicInput` without a
+    further closure).  Everything is computed and cached as rows over
+    the program index; `Relation`s and id pairs, `strong_write_order`'s
+    `WriteOrderLevels` included, are built only for the public results.
     """
 
     def __init__(self, views: ViewSet, program: Program):
@@ -101,6 +111,8 @@ class RaceAnalysis:
         self._indirect: dict[int, frozenset[Pair]] = {}
         self._swo: WriteOrderLevels | None = None
         self._swo_rows: list[int] = []
+        self._levels: list[list[int]] = []
+        self._closed: dict[int, list[int]] | None = None
 
     def dro_rows(self, process: int) -> list[int]:
         if process not in self._dro:
@@ -117,54 +129,84 @@ class RaceAnalysis:
         po = self.program.process_index(process).po_rows
         return [d | p for d, p in zip(self.dro_rows(process), po)]
 
-    def strong_write_order(self) -> WriteOrderLevels:
-        if self._swo is not None:
-            return self._swo
+    def _solve(self) -> None:
+        """The strong write order fixpoint, level by level, over closed
+        rows.  Each process's DRO and program-order base is closed once;
+        at level k every closed row set gains only that level's new
+        forced rows (`kernels.close_onto`), since the closure of
+        base ∪ forced_k is the closure of closure(base ∪ forced_(k-1))
+        ∪ new_k.  Level k+1 collects, per process, the orderings its
+        closed rows place before its own writes that are not yet forced.
+        Fills the forced rows, the rows of each level and each process's
+        closed rows at the fixpoint (self bits mark cycles)."""
+        if self._closed is not None:
+            return
         program = self.program
         positions = program.write_positions
-        base = {view.process: self._base_rows(view.process) for view in self.views.views}
+        closed = {
+            view.process: kernels.closure_rows(self._base_rows(view.process))
+            for view in self.views.views
+        }
         forced = [0] * len(program.all_ops)
-        levels: list[list[int]] = []
         while True:
             new = [0] * len(forced)
-            for i, rows in base.items():
+            for i, rows in closed.items():
                 own = program.process_index(i).own_writes_mask
-                closed = kernels.closure_rows([r | f for r, f in zip(rows, forced)])
                 for p in positions:
-                    new[p] |= closed[p] & own & ~forced[p] & ~(1 << p)
+                    new[p] |= rows[p] & own & ~forced[p] & ~(1 << p)
             if not any(new):
                 break
-            levels.append(new)
+            self._levels.append(new)
             forced = [f | n for f, n in zip(forced, new)]
-        level = sorted(
-            (pair, k)
-            for k, rows in enumerate(levels, start=1)
-            for pair in program.pairs_of(rows)
-        )
+            closed = {i: kernels.close_onto(rows, new) for i, rows in closed.items()}
         self._swo_rows = forced
-        self._swo = WriteOrderLevels(
-            Relation(program.writes, program.pairs_of(forced)), tuple(level)
-        )
+        self._closed = closed
+
+    def strong_write_order(self) -> WriteOrderLevels:
+        if self._swo is None:
+            self._solve()
+            program = self.program
+            level = sorted(
+                (pair, k)
+                for k, rows in enumerate(self._levels, start=1)
+                for pair in program.pairs_of(rows)
+            )
+            self._swo = WriteOrderLevels(
+                Relation(program.writes, program.pairs_of(self._swo_rows)), tuple(level)
+            )
         return self._swo
 
     def _foreign_swo_rows(self, process: int) -> list[int]:
-        self.strong_write_order()  # fills self._swo_rows
+        self._solve()
         own = self.program.process_index(process).own_writes_mask
         return [row & ~own for row in self._swo_rows]
 
     def swo_from_others(self, process: int) -> frozenset[Pair]:
         return self.program.pairs_of(self._foreign_swo_rows(process))
 
+    def _closed_rows(self, process: int) -> list[int]:
+        """The process's closed rows at the fixpoint, self bits kept: a
+        self bit marks an operation on a cycle of its obligation graph."""
+        self._solve()
+        return self._closed[process]
+
     def obligation_rows(self, process: int) -> list[int]:
         """The closed obligation graph as rows, self bits cleared: row k
-        is everything operation k must precede."""
+        is everything operation k must precede.
+
+        These are the fixpoint's closed rows of the process, with no
+        second closure.  The graph is closure(base ∪ foreign SWO), the
+        rows are closure(base ∪ SWO), and the two are equal because an
+        edge into one of the process's own writes is forced only by the
+        process's own closed rows.  By induction on the level k: the
+        own-write edges forced at level k lie in closure(base ∪
+        forced_(k-1)), which by hypothesis is closure(base ∪ foreign
+        part of forced_(k-1)), so they add nothing to the closure of
+        base ∪ foreign part of forced_k."""
         if process not in self._obligation:
-            rows = [
-                b | s
-                for b, s in zip(self._base_rows(process), self._foreign_swo_rows(process))
+            self._obligation[process] = [
+                r & ~(1 << k) for k, r in enumerate(self._closed_rows(process))
             ]
-            closed = kernels.closure_rows(rows)
-            self._obligation[process] = [r & ~(1 << k) for k, r in enumerate(closed)]
         return self._obligation[process]
 
     def obligation(self, process: int) -> Relation:
@@ -224,9 +266,7 @@ class RaceAnalysis:
         while True:
             grown = list(current)
             for j in procs:
-                mixed = kernels.closure_rows(
-                    [o | c for o, c in zip(self.obligation_rows(j), current)]
-                )
+                mixed = kernels.close_onto(self._closed_rows(j), current)
                 targets_j = self._target_rows(j)
                 for w5 in positions:
                     ends = current[w5]
@@ -258,13 +298,16 @@ class RaceAnalysis:
         found = False
         if any(cascade):
             for m in sorted(self.program.processes):
-                obligation = self.obligation_rows(m)
-                mixed = [o | c for o, c in zip(obligation, cascade)]
-                if m == i:
-                    # the flipped pair itself leaves the owner's graph
+                if m != i:
+                    found = _has_self_bit(kernels.close_onto(self._closed_rows(m), cascade))
+                else:
+                    # the flipped pair leaves the owner's graph, which is
+                    # then no longer closed: close it from scratch
+                    obligation = self.obligation_rows(i)
+                    mixed = [o | c for o, c in zip(obligation, cascade)]
                     mixed[o1] = obligation[o1] & ~(1 << o2) | cascade[o1]
-                if kernels.has_cycle_rows(mixed):
-                    found = True
+                    found = kernels.has_cycle_rows(mixed)
+                if found:
                     break
         self._collisions[key] = found
         return found
@@ -295,9 +338,9 @@ class RaceAnalysis:
         extends these rows extends the minimal record."""
         if process not in self._candidates:
             program = self.program
-            obligation = self.obligation_rows(process)
-            if kernels.has_cycle_rows(obligation):
+            if _has_self_bit(self._closed_rows(process)):
                 raise CyclicInput("transitive reduction requires an acyclic relation")
+            obligation = self.obligation_rows(process)
             po = program.process_index(process).po_rows
             kept = [
                 r & ~p & ~s
@@ -337,6 +380,11 @@ class RaceAnalysis:
             candidates = program.pairs_of(self.candidate_rows(i))
             out[i] = frozenset(e for e in candidates if self.in_record(i, e))
         return Record.of(out)
+
+
+def _has_self_bit(closed: list[int]) -> bool:
+    """Whether closed rows hold a cycle: some element reaches itself."""
+    return any(row >> k & 1 for k, row in enumerate(closed))
 
 
 def strong_write_order(views: ViewSet, program: Program) -> WriteOrderLevels:

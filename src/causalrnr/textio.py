@@ -191,6 +191,7 @@ def serialize_execution(
 
 def parse_record(text: str, program: Program) -> Record:
     edges: dict[int, set] = {p: set() for p in program.processes}
+    seen = set()
     for tokens in _lines(text):
         line_no, col, head = tokens[0]
         if head != "record":
@@ -198,6 +199,9 @@ def parse_record(text: str, program: Program) -> Record:
         pid = _parse_pid(tokens, "record")
         if pid not in edges:
             raise SemanticError(f"record names unknown process {pid}")
+        if pid in seen:
+            raise SemanticError(f"duplicate record line for process {pid}")
+        seen.add(pid)
         for ln, c, tok in tokens[2:]:
             m = _EDGE_TOKEN.match(tok)
             if not m:

@@ -8,7 +8,8 @@ by another writer, and orderings a third process also holds (reversing
 those would force the third process to contradict its own record).
 
 The offline record runs on bitmask rows over the program index: each
-view's order rows and the strong causal order are built once, and one
+view's order rows and the strong causal order are built once, shared
+with the strong causality check that guards the record, and one
 helper gives, per process, the rows of the three guaranteed parts.
 `sco_from_others` and `indirectly_enforced` are `Relation` views of the
 same helper, so membership has one definition.
@@ -22,7 +23,12 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from causalrnr.consistency import check_strong_causal, sco_rows, strong_causal_order
+from causalrnr.consistency import (
+    _strong_causal_check,
+    check_strong_causal,
+    sco_rows,
+    strong_causal_order,
+)
 from causalrnr.errors import MalformedStream, NotStronglyCausal
 from causalrnr.model import Execution, Program, ViewSet, order_rows, write_read_write_order
 from causalrnr.records import Record
@@ -82,13 +88,12 @@ def minimal_view_record(views: ViewSet, execution: Execution) -> Record:
     """The good record with the fewest edges: per process, the view
     reduction minus program order, foreign strong causal order and
     indirectly enforced pairs."""
-    bad = check_strong_causal(views, execution)
+    bad, rows, sco = _strong_causal_check(views, execution)
     if bad is not None:
         raise NotStronglyCausal(str(bad))
     program = execution.program
     index = program.index
-    orders = {v.process: order_rows(v, program) for v in views.views}
-    sco = sco_rows(program, orders.items())
+    orders = dict(zip(views.processes(), rows))
     out = {}
     for view in views.views:
         i = view.process

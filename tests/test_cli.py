@@ -133,6 +133,14 @@ class TestRecordAndVerify:
         code, out, _ = run(capsys, "verify", source, str(out_path), "--model2")
         assert code == 0 and "verdict: good" in out
 
+    def test_verify_rejects_duplicate_record_lines(self, capsys, fixture_file, tmp_path):
+        record = tmp_path / "record.txt"
+        record.write_text("record 1:\nrecord 2: w2->w1\nrecord 1:\n", encoding="utf-8")
+        code, out, err = run(
+            capsys, "verify", fixture_file("write-race"), str(record), "--model2"
+        )
+        assert code == 2 and out == "" and "duplicate record line for process 1" in err
+
     def test_recording_non_strongly_causal_views_fails_cleanly(self, capsys, fixture_file):
         code, _, err = run(capsys, "record", fixture_file("separation"))
         assert code == 2 and "error:" in err

@@ -7,14 +7,20 @@ with it on every public result, for every process and every race pair,
 and its per-edge record membership must agree with the reference's
 whole record.  The necessity witness, which decides only its own edge's
 membership, must equal the witness built from the whole record.
+
+`RaceAnalysis` also accepts views that are not strongly causal, whose
+obligation graphs may be cyclic.  On such perturbed sets every public
+result must still equal the reference's, and `record` must raise
+`CyclicInput` exactly where the reference does: when some obligation
+graph has a cycle.
 """
 
 import pytest
 
 from causalrnr import oracle
 from causalrnr.consistency import check_strong_causal
-from causalrnr.errors import InternalInvariant, PreconditionViolated
-from causalrnr.model import WRITE, data_race_order
+from causalrnr.errors import CyclicInput, InternalInvariant, PreconditionViolated
+from causalrnr.model import WRITE, View, data_race_order
 from causalrnr.race_record import FlipCascade, RaceAnalysis, WriteOrderLevels
 from causalrnr.records import Record
 from causalrnr.relations import (
@@ -28,6 +34,22 @@ from causalrnr.relations import (
 from conftest import record_generated
 
 GENERATED = record_generated()
+
+
+def perturbed(execution, views):
+    """The view sets that swap one adjacent pair on one variable in one
+    view: the data-race order changes, and the set need not be strongly
+    causal any more."""
+    ops = execution.program.ops
+    out = []
+    for view in views.views:
+        seq = view.sequence
+        for k in range(len(seq) - 1):
+            a, b = seq[k], seq[k + 1]
+            if ops[a].variable == ops[b].variable:
+                swapped = seq[:k] + (b, a) + seq[k + 2 :]
+                out.append(views.replace(View(view.process, swapped)))
+    return out
 
 
 class ReferenceRaceAnalysis:
@@ -189,9 +211,9 @@ def bundled_fixtures(corpus):
     ]
 
 
-def assert_same_analysis(views, program):
-    fast = RaceAnalysis(views, program)
-    slow = ReferenceRaceAnalysis(views, program)
+def assert_same_results(fast, slow, program):
+    """Every public result short of the record: SWO levels, obligation
+    graphs, foreign SWO, every cascade and the indirectly enforced races."""
     assert fast.strong_write_order() == slow.strong_write_order()
     for i in program.processes:
         assert fast.obligation(i) == slow.obligation(i)
@@ -199,6 +221,12 @@ def assert_same_analysis(views, program):
         for o1, o2 in sorted(slow.dro(i).pairs):
             assert fast.flip_cascade(i, o1, o2) == slow.flip_cascade(i, o1, o2)
         assert fast.indirectly_enforced(i) == slow.indirectly_enforced(i)
+
+
+def assert_same_analysis(views, program):
+    fast = RaceAnalysis(views, program)
+    slow = ReferenceRaceAnalysis(views, program)
+    assert_same_results(fast, slow, program)
     record = slow.record()
     assert fast.record() == record
     for i in program.processes:
@@ -270,3 +298,37 @@ def test_witness_fixtures_hold_both_outcomes():
 def test_generated_fixtures_match_reference(execution, views):
     assert_same_analysis(views, execution.program)
     assert_witnesses_match(views, execution)
+
+
+@pytest.mark.parametrize(
+    "execution,views",
+    [(execution, views) for _, execution, views in GENERATED],
+    ids=[name for name, _, _ in GENERATED],
+)
+def test_perturbed_views_match_reference(execution, views):
+    program = execution.program
+    for swapped in perturbed(execution, views):
+        fast = RaceAnalysis(swapped, program)
+        slow = ReferenceRaceAnalysis(swapped, program)
+        assert_same_results(fast, slow, program)
+        cyclic = any(has_cycle(slow.obligation(i)) for i in program.processes)
+        if cyclic:
+            with pytest.raises(CyclicInput):
+                slow.record()
+            with pytest.raises(CyclicInput):
+                fast.record()
+        else:
+            assert fast.record() == slow.record()
+
+
+def test_perturbed_views_hold_both_outcomes():
+    outcomes = []
+    for _, execution, views in GENERATED:
+        program = execution.program
+        for swapped in perturbed(execution, views):
+            try:
+                RaceAnalysis(swapped, program).record()
+                outcomes.append(False)
+            except CyclicInput:
+                outcomes.append(True)
+    assert any(outcomes) and not all(outcomes)

@@ -131,6 +131,11 @@ class TestRecordFiles:
         with pytest.raises(ParseError):
             parse_record("record 1: w1<w2\n", parsed.program)
 
+    def test_duplicate_process_line_rejected(self, corpus):
+        parsed = corpus["indirect-order"]
+        with pytest.raises(SemanticError, match="duplicate record line for process 2"):
+            parse_record("record 2: w2->w1\nrecord 2:\n", parsed.program)
+
 
 def test_fixture_texts_match_registry():
     for name in fixtures.names():
