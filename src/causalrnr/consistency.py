@@ -69,6 +69,16 @@ def enumeration_cap(max_ops: int | None = None) -> int:
     return int(env) if env else DEFAULT_MAX_OPS
 
 
+def _check_cap(program: Program, max_ops: int | None) -> None:
+    """Raise `BudgetExceeded` when the program has more operations than
+    the enumeration cap (`enumeration_cap`) lets an exhaustive query walk."""
+    cap = enumeration_cap(max_ops)
+    if len(program.all_ops) > cap:
+        raise BudgetExceeded(
+            f"{len(program.all_ops)} operations exceed the enumeration cap of {cap}"
+        )
+
+
 def sco_rows(program: Program, orders) -> list[int]:
     """SCO as rows over the program index, from (process, order rows)
     pairs of views: row a holds each owner's writes that its view places
@@ -586,11 +596,7 @@ def find_explanation(
     if model not in (CAUSAL, STRONG_CAUSAL):
         raise ValueError(f"find_explanation supports causal/strong_causal, not {model}")
     program = execution.program
-    cap = enumeration_cap(max_ops)
-    if len(program.all_ops) > cap:
-        raise BudgetExceeded(
-            f"{len(program.all_ops)} operations exceed the cap of {cap}"
-        )
+    _check_cap(program, max_ops)
     base, vetoes = explanation_base(execution, model)
     if base is None:
         return None

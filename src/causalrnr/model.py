@@ -20,8 +20,8 @@ view into such rows, checking its universe; `sequence_rows` does the same
 unchecked for a tuple of positions a search placed; `data_race_rows`
 keeps their same-variable part (the DRO), using `Program.variable_masks`;
 `write_read_write_rows` builds WO as rows.  The consistency checks, both
-searches (which place positions, see `search`), the oracle's completion
-and its race-fidelity difference test and the race analysis work on these
+searches (which place positions, see `search`), the oracle's
+certification test and completion and the race analysis work on these
 rows; id pairs remain at the boundaries (text I/O, DOT output, `Record`s,
 `Violation` messages and public return values such as
 `write_read_write_order`).

@@ -1,36 +1,39 @@
 """Record goodness: brute-force ground truth, and the strong model's fixpoint.
 
-`enumerate_certifying` walks every set of replay views that extends a
-record under a consistency model, with the view-set descent it shares
-with `find_explanation` (`consistency.iter_view_sets`): program order
-and the record edges, closed once per process, are each view's base,
-and the reads return what the views make them return.  Every set the
-descent completes certifies by construction (`iter_view_sets` gives the
-argument), so no candidate is checked again; `certifies` remains the
-whole-set check for given views.  The enumeration is the ground truth:
-it is independent of the record constructions, and of the fixpoint
-below.
+A view set certifies a replay of a record when it extends the record
+and respects the model; `certifies` is the one test of that, read off
+the views' order rows (its docstring gives the argument).
+`enumerate_certifying` walks every certifying set with the view-set
+descent it shares with `find_explanation` (`consistency.iter_view_sets`):
+program order and the record edges, closed once per process, are each
+view's base, and the reads return what the views make them return.
+Every set the descent completes certifies by construction
+(`iter_view_sets` gives the argument), so no candidate is checked
+again.  The enumeration is the ground truth: it is independent of the
+record constructions, and of the fixpoint below.
 
 The goodness verdicts ask whether some certifying replay differs from
 the original views (`is_good_view_record`) or in some data-race order
 (`is_good_race_record`), and whether the original views certify the
-record (`Verdict.original_certifies`, read off their order rows).  Under
-the causal model they walk the same descent until a differing set turns
-up.  Under the strong model the replay constraints are monotone, so they
-are decided by a fixpoint instead (`consistency.saturate`, the package's
-one fixpoint helper, which `find_explanation` runs with read validity's
-rules added and the oracle runs without): every view extends its closed
-base, and respects the SCO its owners' orders put on their own writes.
-A cyclic fixpoint admits no replay, and an acyclic one totalises into a
-certifying replay (`saturate` gives the argument).  A replay differs iff
-it reverses an adjacent pair of an original view (of one variable's
-operations in it, for data-race orders), so a record is not good iff
-the fixpoint already reverses such a pair or can reverse one without a
-cycle; the least counterexample is then placed position by position
-(`_least_replay`).  `Verdict.enumerated` counts the certifying sets
-walked under the causal model and the fixpoints computed under the
-strong model, where the enumeration cap and the placement budget do not
-apply.
+record (`Verdict.original_certifies`, from `certifies`).  Both models
+share one difference test: two total orders over one set differ iff one
+reverses an adjacent pair of the other, so a replay differs iff it
+reverses an adjacent pair of an original view (of one variable's
+operations in it, for data-race orders; `_adjacent_pairs`).  Under the
+causal model the verdicts walk the descent until a leaf reverses such a
+pair.  Under the strong model the replay constraints are monotone, so
+they are decided by a fixpoint instead (`consistency.saturate`, the
+package's one fixpoint helper, which `find_explanation` runs with read
+validity's rules added and the oracle runs without): every view extends
+its closed base, and respects the SCO its owners' orders put on their
+own writes.  A cyclic fixpoint admits no replay, and an acyclic one
+totalises into a certifying replay (`saturate` gives the argument), so
+a record is not good iff the fixpoint already reverses such a pair or
+can reverse one without a cycle; the least counterexample is then
+placed position by position (`_least_replay`).  `Verdict.enumerated`
+counts the certifying sets walked under the causal model and the
+fixpoints computed under the strong model, where the enumeration cap
+and the placement budget do not apply.
 
 `extend_to_views` and the two necessity witnesses are the constructive
 side: they build, from a record with one edge dropped, a certifying view
@@ -52,16 +55,14 @@ from causalrnr import kernels
 from causalrnr.consistency import (
     CAUSAL,
     STRONG_CAUSAL,
-    check_causal,
+    _check_cap,
     check_strong_causal,
     cyclic,
-    enumeration_cap,
     iter_view_sets,
     saturate,
     sco_rows,
 )
 from causalrnr.errors import (
-    BudgetExceeded,
     InternalInvariant,
     NotStronglyCausal,
     PreconditionViolated,
@@ -72,7 +73,6 @@ from causalrnr.model import (
     Program,
     View,
     ViewSet,
-    data_race_rows,
     derive_writes_to,
     order_rows,
     read_sources,
@@ -97,15 +97,44 @@ class Verdict:
 
 
 def certifies(candidate: ViewSet, program: Program, record: Record, model: str) -> bool:
-    """Whether `candidate` certifies a replay: it extends the record and
-    explains its own derived execution under the model."""
+    """Whether `candidate` certifies a replay of the record under the
+    model: it holds one view per process over its universe, each view
+    extends its process's record edges (`_extends`), and each view's
+    order rows hold its program order and the model's order.  That order
+    is the SCO the owners' views place on their own writes under the
+    strong model, and the WO of the reads the views derive under the
+    causal model.
+
+    Nothing else needs checking.  The execution a view set explains is
+    the one its views derive (`derive_writes_to`): each read returns the
+    last preceding write in its owner's view, so the set is read-valid by
+    construction.  And a total order respects a relation iff it respects
+    the relation's closure, so nothing is closed: program order plus the
+    model's order is tested as it stands.  A cyclic record never
+    certifies, since no total order extends a cycle.
+
+    Raises `UniverseMismatch` for a set without a view of each process
+    over its universe, and ValueError for a view of an unknown process
+    or a record edge that escapes its process's universe."""
     if model not in (CAUSAL, STRONG_CAUSAL):
         raise ValueError(f"unsupported replay model {model!r}")
+    missing = sorted(set(program.processes) - set(candidate.processes()))
+    if missing:
+        raise UniverseMismatch(f"view set has no view of process {missing[0]}")
+    orders = [(v.process, order_rows(v, program)) for v in candidate.views]
     if not _extends(candidate, program, record):
         return False
-    derived = derive_writes_to(candidate, program)
-    check = check_causal if model == CAUSAL else check_strong_causal
-    return check(candidate, derived) is None
+    if model == STRONG_CAUSAL:
+        order = sco_rows(program, orders)
+    else:
+        views = candidate.views
+        sources = [(r, s) for v in views for r, s in read_sources(v, program) if s is not None]
+        order = write_read_write_rows(program, sources)
+    return not any(
+        (p | m) & ~o
+        for i, rows in orders
+        for p, m, o in zip(program.process_index(i).po_rows, order, rows)
+    )
 
 
 def _extends(candidate: ViewSet, program: Program, record: Record) -> bool:
@@ -120,43 +149,6 @@ def _extends(candidate: ViewSet, program: Program, record: Record) -> bool:
             if pos[a] > pos[b]:
                 return False
     return True
-
-
-def _original_certifies(
-    views: ViewSet,
-    program: Program,
-    record: Record,
-    base: dict[int, list[int]] | None,
-    model: str,
-) -> bool:
-    """`certifies` for the original views of a verdict whose base rows
-    (`_base_rows`) are built, read off each view's order rows: the views
-    certify iff each holds its process's closed base rows and the model's
-    order, SCO or the WO of the reads the views derive.  A cyclic record
-    never certifies.  An unsupported model, or a view set without one
-    view of the right universe per process, goes to `certifies`, so that
-    it fails as it does there."""
-    procs = tuple(sorted(program.processes))
-    orders = None
-    if model in (CAUSAL, STRONG_CAUSAL) and views.processes() == procs:
-        try:
-            orders = [(i, order_rows(views[i], program)) for i in procs]
-        except UniverseMismatch:
-            pass
-    if orders is None:
-        return certifies(views, program, record, model)
-    if base is None:
-        return False
-    if model == STRONG_CAUSAL:
-        order = sco_rows(program, orders)
-    else:
-        sources = [
-            (r, s) for v in views.views for r, s in read_sources(v, program) if s is not None
-        ]
-        order = write_read_write_rows(program, sources)
-    return not any(
-        (b | m) & ~o for i, rows in orders for b, m, o in zip(base[i], order, rows)
-    )
 
 
 def _base_rows(program: Program, record: Record) -> dict[int, list[int]] | None:
@@ -217,37 +209,13 @@ def enumerate_certifying(
     order of the per-process sequences."""
     if model not in (CAUSAL, STRONG_CAUSAL):
         raise ValueError(f"unsupported replay model {model!r}")
-    cap = enumeration_cap(max_ops)
-    if len(program.all_ops) > cap:
-        raise BudgetExceeded(
-            f"{len(program.all_ops)} operations exceed the enumeration cap of {cap}"
-        )
+    _check_cap(program, max_ops)
     base = _relation_base_rows(program, record)
     if base is None:
         return
     budget = NodeBudget(node_budget)
     for views, _ in iter_view_sets(program, model, base, budget, reads_given=False):
         yield ViewSet.of(views)
-
-
-def _difference_test(views: ViewSet, program: Program, kind: str):
-    """The test of whether a leaf of the descent differs from the original
-    `views`: in their sequences, or in some process's data-race order,
-    read off the descent's order rows (the last view's are built here)."""
-    if kind == "views":
-        reference = views.sort_key()
-        return lambda leaf, orders: tuple(v.sequence for v in leaf) != reference
-    original = {i: data_race_rows(views[i], program) for i in sorted(program.processes)}
-    masks = program.variable_masks
-
-    def differs(leaf: list[View], orders: list[list[int]]) -> bool:
-        rows = orders + [order_rows(view, program) for view in leaf[len(orders):]]
-        return any(
-            [row & mask for row, mask in zip(order, masks)] != original[view.process]
-            for view, order in zip(leaf, rows)
-        )
-
-    return differs
 
 
 # ---------------------------------------------------------------------------
@@ -424,25 +392,25 @@ def _goodness(
 ) -> Verdict:
     strong = model == STRONG_CAUSAL
     if not strong:
-        cap = enumeration_cap(max_ops)
-        if len(program.all_ops) > cap:
-            raise BudgetExceeded(
-                f"{len(program.all_ops)} operations exceed the enumeration cap of {cap}"
-            )
+        _check_cap(program, max_ops)
     base = _base_rows(program, record)
-    original = _original_certifies(views, program, record, base, model)
+    original = certifies(views, program, record, model)
     if base is None:
         return Verdict(True, None, original, 0)
+    pairs = _adjacent_pairs(views, program, kind)
     if strong:
-        pairs = _adjacent_pairs(views, program, kind)
         counterexample, queries = _least_replay(program, base, pairs)
         return Verdict(counterexample is None, counterexample, original, queries)
-    differs = _difference_test(views, program, kind)
+    # a leaf lists its views in process order, and differs iff one of
+    # them reverses a pair
+    ids = program.all_ops
+    slot = {i: k for k, i in enumerate(sorted(program.processes))}
+    reversals = [(slot[i], ids[a], ids[b]) for i, a, b in pairs]
     budget = NodeBudget(node_budget)
     seen = 0
-    for leaf, orders in iter_view_sets(program, model, base, budget, reads_given=False):
+    for leaf, _ in iter_view_sets(program, model, base, budget, reads_given=False):
         seen += 1
-        if differs(leaf, orders):
+        if any(leaf[k].positions[b] < leaf[k].positions[a] for k, a, b in reversals):
             return Verdict(False, ViewSet.of(leaf), original, seen)
     return Verdict(True, None, original, seen)
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from causalrnr import kernels
-from causalrnr.consistency import check_strong_causal
+from causalrnr.consistency import check_strong_causal, cyclic
 from causalrnr.errors import CyclicInput, InternalInvariant, NotStronglyCausal
 from causalrnr.model import (
     Execution,
@@ -299,7 +299,7 @@ class RaceAnalysis:
         if any(cascade):
             for m in sorted(self.program.processes):
                 if m != i:
-                    found = _has_self_bit(kernels.close_onto(self._closed_rows(m), cascade))
+                    found = cyclic(kernels.close_onto(self._closed_rows(m), cascade))
                 else:
                     # the flipped pair leaves the owner's graph, which is
                     # then no longer closed: close it from scratch
@@ -338,7 +338,7 @@ class RaceAnalysis:
         extends these rows extends the minimal record."""
         if process not in self._candidates:
             program = self.program
-            if _has_self_bit(self._closed_rows(process)):
+            if cyclic(self._closed_rows(process)):
                 raise CyclicInput("transitive reduction requires an acyclic relation")
             obligation = self.obligation_rows(process)
             po = program.process_index(process).po_rows
@@ -380,11 +380,6 @@ class RaceAnalysis:
             candidates = program.pairs_of(self.candidate_rows(i))
             out[i] = frozenset(e for e in candidates if self.in_record(i, e))
         return Record.of(out)
-
-
-def _has_self_bit(closed: list[int]) -> bool:
-    """Whether closed rows hold a cycle: some element reaches itself."""
-    return any(row >> k & 1 for k, row in enumerate(closed))
 
 
 def strong_write_order(views: ViewSet, program: Program) -> WriteOrderLevels:

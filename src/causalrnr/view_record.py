@@ -23,12 +23,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from causalrnr.consistency import (
-    _strong_causal_check,
-    check_strong_causal,
-    sco_rows,
-    strong_causal_order,
-)
+from causalrnr.consistency import _strong_causal_check, sco_rows
 from causalrnr.errors import MalformedStream, NotStronglyCausal
 from causalrnr.model import Execution, Program, ViewSet, order_rows, write_read_write_order
 from causalrnr.records import Record
@@ -181,9 +176,9 @@ def online_view_record(
 
 def online_record_from_views(views: ViewSet, execution: Execution) -> Record:
     """Convenience wrapper: record the round-robin stream of the views."""
-    bad = check_strong_causal(views, execution)
+    bad, _, sco = _strong_causal_check(views, execution)
     if bad is not None:
         raise NotStronglyCausal(str(bad))
     program = execution.program
-    sco = strong_causal_order(views, program)
-    return online_view_record(observation_stream(views), sco, program)
+    relation = Relation(program.writes, program.pairs_of(sco))
+    return online_view_record(observation_stream(views), relation, program)

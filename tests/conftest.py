@@ -1,8 +1,9 @@
 import pytest
 
 from causalrnr import fixtures
+from causalrnr.consistency import CAUSAL, STRONG_CAUSAL, check_causal, check_strong_causal
 from causalrnr.generator import GenParams, gen_strong_causal
-from causalrnr.model import Execution
+from causalrnr.model import Execution, derive_writes_to
 
 
 @pytest.fixture(scope="session")
@@ -52,6 +53,25 @@ def resourced(execution, rng):
     else:
         writes_to[read] = source
     return Execution(program, writes_to)
+
+
+def reference_certifies(candidate, program, record, model):
+    """Certification as first defined, sharing no code with
+    `oracle.certifies`: every view orders its process's record edges as
+    recorded, and the model's checker accepts the views together with
+    the execution they derive."""
+    if model not in (CAUSAL, STRONG_CAUSAL):
+        raise ValueError(f"unsupported replay model {model!r}")
+    for i in sorted(program.processes):
+        pos = candidate[i].positions
+        for a, b in record.edges(i):
+            if a not in pos or b not in pos:
+                raise ValueError(f"record edge ({a}, {b}) escapes process {i}'s view")
+            if pos[a] > pos[b]:
+                return False
+    derived = derive_writes_to(candidate, program)
+    check = check_causal if model == CAUSAL else check_strong_causal
+    return check(candidate, derived) is None
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,13 @@
-"""The strong model's fixpoint decider against the brute-force oracle.
+"""The goodness verdicts against the brute-force oracle.
 
 Under the strong model, `is_good_view_record` and `is_good_race_record`
-decide by `consistency.saturate` instead of walking replays.  The
-reference here is `enumerate_certifying`: a record is good iff no set it
-yields differs from the original views (kind "views") or in some
-data-race order (kind "dro"), and the counterexample must be the first
-such set.  `saturate` itself, without read validity's rules, must decide
+decide by `consistency.saturate` instead of walking replays; under the
+causal model they walk the descent with one difference test, the
+reversal of an adjacent pair of the original views.  The reference here
+is `enumerate_certifying` with its own difference test: a record is good
+iff no set it yields differs from the original views (kind "views") or
+in some data-race order (kind "dro"), and the counterexample must be the
+first such set.  `saturate` itself, without read validity's rules, must decide
 exactly whether any replay exists, and an acyclic fixpoint must
 totalise into a replay that certifies the record.
 """
@@ -15,7 +17,7 @@ import random
 import pytest
 
 from causalrnr import oracle
-from causalrnr.consistency import STRONG_CAUSAL, saturate
+from causalrnr.consistency import CAUSAL, STRONG_CAUSAL, saturate
 from causalrnr.generator import GenParams, gen_program, gen_strong_causal
 from causalrnr.model import data_race_rows
 from causalrnr.race_record import minimal_race_record
@@ -23,7 +25,7 @@ from causalrnr.records import Record
 from causalrnr.relations import Relation
 from causalrnr.view_record import minimal_view_record
 
-from conftest import small_generated
+from conftest import reference_certifies, small_generated
 
 FIXTURES = small_generated()
 JUDGES = {"views": oracle.is_good_view_record, "dro": oracle.is_good_race_record}
@@ -44,11 +46,9 @@ def _random_record(program, rng, most=3):
     return Record.of(edges)
 
 
-def _first_differing(views, program, record, kind):
+def _first_differing(views, program, record, kind, model):
     dro = {i: data_race_rows(views[i], program) for i in program.processes}
-    for candidate in oracle.enumerate_certifying(
-        program, record, STRONG_CAUSAL, node_budget=None
-    ):
+    for candidate in oracle.enumerate_certifying(program, record, model, node_budget=None):
         if kind == "views":
             differs = candidate.sort_key() != views.sort_key()
         else:
@@ -80,17 +80,23 @@ def _outcomes():
 OUTCOMES = list(_outcomes())
 
 
-@pytest.mark.parametrize("k", range(len(FIXTURES)))
-def test_verdicts_match_the_first_differing_enumerated_set(k):
+# the strong cases keep their plain fixture ids
+CASES = [(k, m) for m in (STRONG_CAUSAL, CAUSAL) for k in range(len(FIXTURES))]
+
+
+@pytest.mark.parametrize(
+    "k, model", CASES, ids=[f"{k}" if m == STRONG_CAUSAL else f"{k}-causal" for k, m in CASES]
+)
+def test_verdicts_match_the_first_differing_enumerated_set(k, model):
     for _, kind, execution, views, record in (o for o in OUTCOMES if o[0] == k):
         program = execution.program
-        verdict = JUDGES[kind](views, program, record, STRONG_CAUSAL)
-        expected = _first_differing(views, program, record, kind)
+        verdict = JUDGES[kind](views, program, record, model)
+        expected = _first_differing(views, program, record, kind, model)
         assert verdict.good == (expected is None), (kind, record)
         if expected is not None:
             assert verdict.counterexample.sort_key() == expected.sort_key(), (kind, record)
-        assert verdict.original_certifies == oracle.certifies(
-            views, program, record, STRONG_CAUSAL
+        assert verdict.original_certifies == reference_certifies(
+            views, program, record, model
         )
 
 

@@ -11,7 +11,12 @@ from causalrnr.consistency import (
     check_strong_causal,
     strong_causal_order,
 )
-from causalrnr.errors import BudgetExceeded, InternalInvariant, PreconditionViolated
+from causalrnr.errors import (
+    BudgetExceeded,
+    InternalInvariant,
+    PreconditionViolated,
+    UniverseMismatch,
+)
 from causalrnr.model import (
     READ,
     WRITE,
@@ -31,6 +36,8 @@ from causalrnr.view_record import (
     minimal_view_record,
     naive_causal_view_record,
 )
+
+from conftest import reference_certifies
 
 
 class TestEnumerate:
@@ -181,6 +188,38 @@ class TestMalformedRecord:
         assert verdict.good and verdict.enumerated == 0
 
 
+JUDGES = (oracle.certifies, oracle.is_good_view_record, oracle.is_good_race_record)
+RECORDS = {
+    "empty": Record.of({1: set(), 2: set()}),
+    # process 1's view (w1, r1, w2) orders w1 before w2
+    "violated": Record.of({1: {("w2", "w1")}, 2: set()}),
+}
+
+
+class TestMalformedViewSet:
+    """A view set is checked before the record is: one without a view for
+    some process, or whose view names an unknown operation, is a
+    `UniverseMismatch` for the certification test and both verdicts,
+    under both models, whether or not the views extend the record."""
+
+    pytestmark = [
+        pytest.mark.parametrize("model", [STRONG_CAUSAL, CAUSAL]),
+        pytest.mark.parametrize("judge", JUDGES, ids=lambda judge: judge.__name__),
+        pytest.mark.parametrize("record", sorted(RECORDS)),
+    ]
+
+    def test_missing_view(self, judge, model, record):
+        program, views = _two_readers()
+        with pytest.raises(UniverseMismatch, match="no view of process 2"):
+            judge(ViewSet.of([views[1]]), program, RECORDS[record], model)
+
+    def test_unknown_operation(self, judge, model, record):
+        program, views = _two_readers()
+        unknown = views.replace(View(2, ("w1", "w2", "r9")))
+        with pytest.raises(UniverseMismatch, match="view of process 2 must order exactly"):
+            judge(unknown, program, RECORDS[record], model)
+
+
 class TestGoodness:
     def test_minimal_view_record_is_good(self, corpus):
         parsed = corpus["indirect-order"]
@@ -275,10 +314,10 @@ def _certification_queries(corpus, generated_corpus):
 def test_verdicts_report_whether_the_original_views_certify(model, corpus, generated_corpus):
     outcomes = set()
     for views, program, record in _certification_queries(corpus, generated_corpus):
-        expected = oracle.certifies(views, program, record, model)
+        expected = reference_certifies(views, program, record, model)
         for judge in (oracle.is_good_view_record, oracle.is_good_race_record):
             assert judge(views, program, record, model).original_certifies == expected
-        strong = oracle.certifies(views, program, record, STRONG_CAUSAL)
+        strong = reference_certifies(views, program, record, STRONG_CAUSAL)
         outcomes.add((expected, strong))
     # certified and not; under the causal model, views that are not strongly causal
     assert {(True, True), (False, False)} <= outcomes
