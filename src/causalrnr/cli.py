@@ -63,7 +63,7 @@ def _count(text: str) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-ops", type=int, default=None,
+    parser.add_argument("--max-ops", type=_count, default=None,
                         help="enumeration cap (default 10, env CAUSAL_RNR_MAX_OPS)")
 
 

@@ -10,10 +10,12 @@ to respect it.
 `iter_view_sets` is the package's one view-set descent: it places one
 view per process with `search.iter_extensions`, pruned while placing, and
 yields every view set over the closed base rows its caller gives that
-respects the model.  The oracle enumerates a record's certifying replays
-with it, each read returning what the views make it return;
-`find_explanation`, the existential form of the checkers, takes its
-first set with the execution's reads given.  Two helpers turn
+respects the model, each a finished `ViewSet` built once from the
+descent's tuple of views, which its callers hand out as it is.  The
+oracle enumerates a record's certifying replays with it, each read
+returning what the views make it return; `find_explanation`, the
+existential form of the checkers, takes its first set with the
+execution's reads given.  Two helpers turn
 constraints into placement-time predecessors and vetoes: `read_validity`
 (shared with `check_cache`) and `sco_summary`, the writes that each own
 write of a process may not be placed after.
@@ -63,10 +65,21 @@ DEFAULT_NODE_BUDGET = 5_000_000
 
 
 def enumeration_cap(max_ops: int | None = None) -> int:
+    """`max_ops` if given, else `CAUSAL_RNR_MAX_OPS` if set, else the
+    default; a set variable that is not a non-negative integer raises
+    `ValueError` naming it."""
     if max_ops is not None:
         return max_ops
     env = os.environ.get(MAX_OPS_ENV)
-    return int(env) if env else DEFAULT_MAX_OPS
+    if not env:
+        return DEFAULT_MAX_OPS
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise ValueError(f"{MAX_OPS_ENV} must be a non-negative integer, not {env!r}")
+    return cap
 
 
 def _check_cap(program: Program, max_ops: int | None) -> None:
@@ -375,7 +388,6 @@ def _inside(contribution: tuple[tuple[int, int], ...], meet: tuple[int, ...]) ->
     return True
 
 
-Leaf = tuple[list[View], list[list[int]]]
 # a placed view with its order rows and the orderings it forces on the
 # views placed after it, as the nonzero (row, mask) pairs of its
 # contribution, each None where the descent does not need it
@@ -390,13 +402,12 @@ def iter_view_sets(
     *,
     reads_given: bool,
     vetoes: Mapping[int, Sequence[tuple[Veto, ...]]] | None = None,
-) -> Iterator[Leaf]:
+) -> Iterator[ViewSet]:
     """Every view set, one view per process, that extends each process's
     closed `base` rows and respects the model's order, in lexicographic
-    order of the per-process sequences.  Each set is yielded as its views
-    in process order with the order rows of all but the last; under the
-    causal model with reads given, no view's order rows are needed and
-    the list is empty.
+    order of the per-process sequences.  Each set is built once, as the
+    descent's tuple of views in process order (`ViewSet._ordered`), and
+    its callers hand it out as it comes.
 
     `reads_given` says whether the caller fixed the source of every read.
     If so, the caller closed each process's read validity (`read_validity`)
@@ -458,7 +469,7 @@ def iter_view_sets(
     nonzero (row, mask) pairs, and the stored lists share them."""
     procs = tuple(sorted(program.processes))
     if not procs:
-        yield [], []
+        yield ViewSet(())
         return
     ids = program.all_ops
     size = len(ids)
@@ -470,6 +481,8 @@ def iter_view_sets(
     filters = contributes and not strong
     memo: dict[tuple, list[Entry]] = {}
     interned: dict[tuple[int, tuple[int, ...]], Entry] = {}
+    # `procs` is sorted, so every leaf's tuple is in process order
+    ordered = ViewSet._ordered
 
     def intern(i: int, seq: tuple[int, ...], last: bool) -> Entry:
         view = View(i, tuple(ids[k] for k in seq))
@@ -503,11 +516,11 @@ def iter_view_sets(
         return iter_extensions(positions, preds, placing, budget)
 
     def extend(
-        fixed: list[View],
+        fixed: tuple[View, ...],
         orders: list[list[int]],
         forced: tuple[int, ...],
         meet: tuple[int, ...] | None,
-    ) -> Iterator[Leaf]:
+    ) -> Iterator[ViewSet]:
         i = procs[len(fixed)]
         last = len(fixed) == len(procs) - 1
         summary = sco_summary(program, i, orders) if strong and orders else None
@@ -526,9 +539,9 @@ def iter_view_sets(
             if filters and contribution and not _inside(contribution, meet):
                 continue
             if last:
-                yield fixed + [view], orders
+                yield ordered(fixed + (view,))
             elif not contributes:
-                yield from extend(fixed + [view], orders, forced, meet)
+                yield from extend(fixed + (view,), orders, forced, meet)
             else:
                 grown = forced
                 if contribution:
@@ -537,12 +550,12 @@ def iter_view_sets(
                         grown[k] |= c
                     grown = tuple(grown)
                 narrowed = tuple([m & o for m, o in zip(meet, order)]) if filters else None
-                yield from extend(fixed + [view], orders + [order], grown, narrowed)
+                yield from extend(fixed + (view,), orders + [order], grown, narrowed)
         if missed:
             memo[key] = found
 
     # with no fixed view the intersection is every pair: -1 has every bit
-    yield from extend([], [], (0,) * size, (-1,) * size if filters else None)
+    yield from extend((), [], (0,) * size, (-1,) * size if filters else None)
 
 
 def explanation_base(
@@ -603,8 +616,7 @@ def find_explanation(
     leaves = iter_view_sets(
         program, model, base, NodeBudget(node_budget), reads_given=True, vetoes=vetoes
     )
-    found = next(leaves, None)
-    return None if found is None else ViewSet.of(found[0])
+    return next(leaves, None)
 
 
 def check_cache(

@@ -259,6 +259,15 @@ class ViewSet:
     def of(cls, views: Iterable[View]) -> "ViewSet":
         return cls(tuple(views))
 
+    @classmethod
+    def _ordered(cls, views: tuple[View, ...]) -> "ViewSet":
+        """A set over `views`, which must already be a tuple in strictly
+        increasing process order: it is neither copied nor checked, so the
+        result equals `ViewSet.of(views)` only under that precondition."""
+        made = object.__new__(cls)
+        made.__dict__["views"] = views
+        return made
+
     def __post_init__(self):
         views = self.views
         if type(views) is not tuple:

@@ -9,7 +9,8 @@ program order and the record edges, closed once per process, are each
 view's base, and the reads return what the views make them return.
 Every set the descent completes certifies by construction
 (`iter_view_sets` gives the argument), so no candidate is checked
-again.  The enumeration is the ground truth: it is independent of the
+again, and each is yielded as the descent built it, not rebuilt.  The
+enumeration is the ground truth: it is independent of the
 record constructions, and of the fixpoint below.
 
 The goodness verdicts ask whether some certifying replay differs from
@@ -214,8 +215,7 @@ def enumerate_certifying(
     if base is None:
         return
     budget = NodeBudget(node_budget)
-    for views, _ in iter_view_sets(program, model, base, budget, reads_given=False):
-        yield ViewSet.of(views)
+    yield from iter_view_sets(program, model, base, budget, reads_given=False)
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +408,11 @@ def _goodness(
     reversals = [(slot[i], ids[a], ids[b]) for i, a, b in pairs]
     budget = NodeBudget(node_budget)
     seen = 0
-    for leaf, _ in iter_view_sets(program, model, base, budget, reads_given=False):
+    for leaf in iter_view_sets(program, model, base, budget, reads_given=False):
         seen += 1
-        if any(leaf[k].positions[b] < leaf[k].positions[a] for k, a, b in reversals):
-            return Verdict(False, ViewSet.of(leaf), original, seen)
+        placed = leaf.views
+        if any(placed[k].positions[b] < placed[k].positions[a] for k, a, b in reversals):
+            return Verdict(False, leaf, original, seen)
     return Verdict(True, None, original, seen)
 
 
@@ -527,7 +528,12 @@ def necessity_witness_view_record(
     """A strongly causal replay certifying the record without `edge` whose
     views differ from the originals: the edge's endpoints swapped in its
     owner's view.  The minimal view record is rebuilt first, on rows, so
-    views that are not strongly causal raise `NotStronglyCausal`."""
+    views that are not strongly causal raise `NotStronglyCausal`.
+
+    A one-shot convenience: every call rebuilds the fixture's state (the
+    strong-causality check and the minimal view record).  For many edges
+    of one fixture, build the record once and call `view_witness` per
+    edge."""
     record = minimal_view_record(views, execution)
     return view_witness(views, execution, record, process, edge)
 
@@ -564,7 +570,12 @@ def necessity_witness_race_record(
     views: ViewSet, execution: Execution, process: int, edge: Pair
 ) -> ViewSet:
     """A strongly causal replay certifying the race record without `edge`
-    in which `process` resolves that race the other way."""
+    in which `process` resolves that race the other way.
+
+    A one-shot convenience: every call rebuilds the fixture's state (the
+    strong-causality check and a new `RaceAnalysis`).  For many edges of
+    one fixture, share one `RaceAnalysis` and call `race_witness` per
+    edge."""
     bad = check_strong_causal(views, execution)
     if bad is not None:
         raise NotStronglyCausal(str(bad))

@@ -59,7 +59,7 @@ def unsaturated_explanation(execution, model, budget):
         execution.program, model, base, budget, reads_given=True, vetoes=vetoes
     )
     found = next(leaves, None)
-    return None if found is None else ViewSet.of(found[0])
+    return None if found is None else ViewSet.of(found.views)
 
 
 GRIDS = (

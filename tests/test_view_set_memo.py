@@ -6,8 +6,8 @@ at every later node with the same key.  The reference here is the descent as
 it ran before the memo: one `iter_extensions` search at every node, under
 the full SCO veto list built from every fixed order, and each causal
 contribution tested against each fixed order in turn.  Both must yield the
-same leaves, views and order rows, in the same order, the memoised one
-with no more placements.
+same leaves, in the same order, the memoised one with no more placements.
+A leaf is compared by its views: the order rows are a function of them.
 """
 
 import random
@@ -24,7 +24,7 @@ from causalrnr.consistency import (
 )
 from causalrnr.errors import BudgetExceeded
 from causalrnr.generator import GenParams, gen_strong_causal
-from causalrnr.model import View, sequence_rows
+from causalrnr.model import View, ViewSet, sequence_rows
 from causalrnr.race_record import minimal_race_record
 from causalrnr.records import Record
 from causalrnr.search import NodeBudget, iter_extensions, predecessors
@@ -67,7 +67,7 @@ def reference_view_sets(program, model, base, budget, *, reads_given, vetoes=Non
     """`iter_view_sets` without the memo: every node runs its own search."""
     procs = tuple(sorted(program.processes))
     if not procs:
-        yield [], []
+        yield ViewSet.of([])
         return
     ids = program.all_ops
     strong = model == STRONG_CAUSAL
@@ -91,7 +91,7 @@ def reference_view_sets(program, model, base, budget, *, reads_given, vetoes=Non
                 if not all(respects(o, contribution) for o in orders):
                     continue
             if last:
-                yield fixed + [view], orders
+                yield ViewSet.of(fixed + [view])
             elif not contributes:
                 yield from extend(fixed + [view], orders, forced)
             else:
@@ -107,11 +107,12 @@ def reference_view_sets(program, model, base, budget, *, reads_given, vetoes=Non
     yield from extend([], [], [0] * len(ids))
 
 
+def _views(leaf):
+    return [(v.process, v.sequence) for v in leaf.views]
+
+
 def _leaves(descent, *args, **kwargs):
-    return [
-        ([(v.process, v.sequence) for v in views], [list(o) for o in orders])
-        for views, orders in descent(*args, **kwargs)
-    ]
+    return [_views(leaf) for leaf in descent(*args, **kwargs)]
 
 
 def _records(execution, views):
@@ -232,8 +233,8 @@ def test_exhausted_budget_then_a_larger_one_gives_the_reference():
         leaves = iter_view_sets(program, CAUSAL, base, budget, reads_given=False)
         prefix = []
         with pytest.raises(BudgetExceeded):
-            for views, orders in leaves:
-                prefix.append(([(v.process, v.sequence) for v in views], [list(o) for o in orders]))
+            for leaf in leaves:
+                prefix.append(_views(leaf))
         assert prefix == expected[: len(prefix)]
         again = _leaves(
             iter_view_sets, program, CAUSAL, base, NodeBudget(limit * 10 + placements),
@@ -264,6 +265,6 @@ def test_an_early_exit_leaves_later_queries_unaffected():
         )
         assert found == expected
         assert [c.sort_key() for c in oracle.enumerate_certifying(program, empty, CAUSAL)] == [
-            tuple(seq for _, seq in views) for views, _ in expected
+            tuple(seq for _, seq in views) for views in expected
         ]
     assert checked
