@@ -259,14 +259,17 @@ def saturate(
     for the processes named in `edges`, whose new edges are (source,
     targets mask) pairs.  A process whose rows changed closes them under
     its read validity `rules` (`close_reads`), if any, and with `lift`
-    (the strong model) lifts its own-write rows through SCO (`sco_rows`)
-    onto every other process, which may change in turn, until nothing
-    changes.  Every constraint is monotone (each view extends its rows,
-    respects the SCO its owners' rows force and makes each read return
-    its given source), so an edge derived here holds in every replay
-    above `rows` and `edges`: a cycle means there is none.  Without
-    rules, an acyclic result totalises into a strongly causal replay, so
-    the two outcomes decide the strong model's feasibility exactly, and
+    (the strong model) lifts the SCO it forces onto every other process,
+    which may change in turn, until nothing changes.  That SCO is its
+    `sco_rows` alone: each write row masked to its own writes.  Only the
+    nonzero such rows are lifted, and a process that forces none is not
+    swept over the others.  Every constraint is monotone (each view
+    extends its rows, respects the SCO its owners' rows force and makes
+    each read return its given source), so an edge derived here holds
+    in every replay above `rows` and `edges`: a cycle means there is
+    none.  Without rules, an acyclic result totalises into a strongly
+    causal replay, so the two outcomes decide the strong model's
+    feasibility exactly, and
     `oracle._least_replay` places the least such replay; read validity's
     rules are not complete, so with them an acyclic result only narrows
     the search.
@@ -294,6 +297,7 @@ def saturate(
     shows as a self bit at that edge's source."""
     positions = program.write_positions
     out = dict(rows)
+    owns = program.own_writes_masks
     work = []
     for i, new in edges.items():
         closed = out[i]
@@ -312,13 +316,16 @@ def saturate(
             out[i] = closed
         if not lift:
             continue
-        lifted = sco_rows(program, [(i, out[i])])
+        mine, own = out[i], owns[i]
+        lifted = [(a, mine[a] & own) for a in positions if mine[a] & own]
+        if not lifted:
+            continue
         for j, closed in out.items():
             if j == i:
                 continue
             grown = closed
-            for a in positions:
-                gain = lifted[a] & ~grown[a]
+            for a, targets in lifted:
+                gain = targets & ~grown[a]
                 if gain:
                     grown = kernels.close_with(grown, a, gain)
                     if grown[a] >> a & 1:
@@ -332,7 +339,10 @@ def saturate(
 
 def cyclic(rows: list[int]) -> bool:
     """Whether a closed relation's rows hold a cycle: a self bit."""
-    return any((row >> k) & 1 for k, row in enumerate(rows))
+    for k, row in enumerate(rows):
+        if row >> k & 1:
+            return True
+    return False
 
 
 def sco_summary(program: Program, process: int, orders) -> tuple[int, ...]:

@@ -157,6 +157,11 @@ class Program:
             )
         return out
 
+    @cached_property
+    def own_writes_masks(self) -> dict[int, int]:
+        """Each process's `own_writes_mask`, read once per program."""
+        return {p: pi.own_writes_mask for p, pi in self._process_indexes.items()}
+
     def process_index(self, process: int) -> ProcessIndex:
         try:
             return self._process_indexes[process]

@@ -115,13 +115,15 @@ def certifies(candidate: ViewSet, program: Program, record: Record, model: str) 
     certifies, since no total order extends a cycle.
 
     Raises `UniverseMismatch` for a set without a view of each process
-    over its universe, and ValueError for a view of an unknown process
-    or a record edge that escapes its process's universe."""
+    over its universe, and ValueError for a view of an unknown process,
+    a record that names a process the program lacks, or a record edge
+    that escapes its process's universe."""
     if model not in (CAUSAL, STRONG_CAUSAL):
         raise ValueError(f"unsupported replay model {model!r}")
     missing = sorted(set(program.processes) - set(candidate.processes()))
     if missing:
         raise UniverseMismatch(f"view set has no view of process {missing[0]}")
+    _check_record_processes(program, record)
     orders = [(v.process, order_rows(v, program)) for v in candidate.views]
     if not _extends(candidate, program, record):
         return False
@@ -131,11 +133,11 @@ def certifies(candidate: ViewSet, program: Program, record: Record, model: str) 
         views = candidate.views
         sources = [(r, s) for v in views for r, s in read_sources(v, program) if s is not None]
         order = write_read_write_rows(program, sources)
-    return not any(
-        (p | m) & ~o
-        for i, rows in orders
-        for p, m, o in zip(program.process_index(i).po_rows, order, rows)
-    )
+    for i, rows in orders:
+        for p, m, o in zip(program.process_index(i).po_rows, order, rows):
+            if (p | m) & ~o:
+                return False
+    return True
 
 
 def _extends(candidate: ViewSet, program: Program, record: Record) -> bool:
@@ -156,27 +158,42 @@ def _base_rows(program: Program, record: Record) -> dict[int, list[int]] | None:
     """Per process, program order plus its record edges, validated and
     closed once per query, as rows over the program index; None when some
     process's record is cyclic, so that no replay extends it.  Every
-    process is validated, in process order, before a cycle is reported."""
+    process is validated, in process order, before a cycle is reported.
+
+    Program order's rows are closed already, so each record edge that
+    they do not imply yet is added with `kernels.close_with`.  The rows
+    are acyclic until an edge closes a cycle, which then shows as a self
+    bit at that edge's source."""
+    _check_record_processes(program, record)
     index = program.index
     base = {}
     looped = False
     for i in sorted(program.processes):
         pi = program.process_index(i)
-        rows = list(pi.po_rows)
+        mask = pi.universe_mask
+        rows = pi.po_rows
         for a, b in sorted(record.edges(i)):
             ka, kb = index.get(a, -1), index.get(b, -1)
-            mask = pi.universe_mask
             if a == b:
                 problem = f"self-loop ({a}, {b}) is not representable"
             elif min(ka, kb) < 0 or not mask >> ka & mask >> kb & 1:
                 problem = f"pair ({a}, {b}) escapes the universe"
             else:
-                rows[ka] |= 1 << kb
+                if not looped and not rows[ka] >> kb & 1:
+                    rows = kernels.close_with(rows, ka, 1 << kb)
+                    looped = bool(rows[ka] >> ka & 1)
                 continue
             raise ValueError(f"record for process {i} is malformed: {problem}")
-        base[i] = kernels.closure_rows(rows)
-        looped = looped or cyclic(base[i])
+        base[i] = list(rows)
     return None if looped else base
+
+
+def _check_record_processes(program: Program, record: Record) -> None:
+    """Raises ValueError for a record that names a process the program
+    lacks, whose edges no view could order."""
+    for i, _ in record.per_process:
+        if i not in program.processes:
+            raise ValueError(f"record names process {i}, which the program lacks")
 
 
 def _relation_base_rows(program: Program, record: Record) -> dict[int, list[int]] | None:
@@ -207,10 +224,13 @@ def enumerate_certifying(
     node_budget: int | None = DEFAULT_NODE_BUDGET,
 ) -> Iterator[ViewSet]:
     """Every view set certifying a replay of the record, in lexicographic
-    order of the per-process sequences."""
+    order of the per-process sequences.  A record that names a process
+    the program lacks, or holds an edge outside its process's universe,
+    raises ValueError before anything is yielded."""
     if model not in (CAUSAL, STRONG_CAUSAL):
         raise ValueError(f"unsupported replay model {model!r}")
     _check_cap(program, max_ops)
+    _check_record_processes(program, record)
     base = _relation_base_rows(program, record)
     if base is None:
         return
@@ -245,10 +265,6 @@ def _adjacent_pairs(
                 out.append((i, last[masks[k]], k))
             last[masks[k]] = k
     return out
-
-
-def _related(rows: list[int], a: int, b: int) -> bool:
-    return bool((rows[a] >> b | rows[b] >> a) & 1)
 
 
 def _least_replay(
@@ -287,7 +303,23 @@ def _least_replay(
     the witness is then a fixpoint above the new state too.  A state is
     then feasible iff it also admits a difference, so the result is the
     least certifying set that differs: the first differing set that
-    `enumerate_certifying` yields."""
+    `enumerate_certifying` yields.
+
+    Only a candidate c that is a write and gains an own write of process
+    i as a successor adds SCO edges, and only then is a fixpoint computed.
+    Any other placement changes row c of process i alone, by `gain`, the
+    remaining positions c does not precede yet.  No SCO edge changes, so
+    no other process gains.  A remaining position's row holds only
+    remaining positions other than c: a placed position precedes every
+    remaining one, so reaching it would close a cycle, and c has no
+    remaining predecessor.  So closing the new edges adds nothing to row
+    c beyond `gain`.  A placed position's row already holds every
+    remaining position, and no remaining one reaches c, so no other row
+    gains, and no cycle forms.  The state is then updated in place: the
+    current state's dict is always a fixpoint's fresh output, but its
+    row lists may be shared with the witness and with `base`, so the
+    changed row list is copied first, and a new dict is built only for
+    a flip to start from."""
     queries = 0
 
     def fixpoint(rows, edges):
@@ -296,7 +328,10 @@ def _least_replay(
         return saturate(program, rows, edges)
 
     def reverses(rows) -> bool:
-        return any(rows[i][b] >> a & 1 for i, a, b in pairs)
+        for i, a, b in pairs:
+            if rows[i][b] >> a & 1:
+                return True
+        return False
 
     # per (process, b), the a of every pair (a, b)
     into: dict[tuple[int, int], int] = {}
@@ -308,7 +343,8 @@ def _least_replay(
         trying `first` before the others, with the reversal's fixpoint."""
         order = pairs if first is None else [first] + [p for p in pairs if p != first]
         for i, a, b in order:
-            if _related(rows[i], a, b):
+            mine = rows[i]
+            if (mine[a] >> b | mine[b] >> a) & 1:
                 continue
             state = fixpoint(rows, {i: ((b, 1 << a),)})
             if state is not None:
@@ -330,14 +366,16 @@ def _least_replay(
     views = []
     for i in sorted(program.processes):
         pi = program.process_index(i)
+        own = pi.own_writes_mask
         remaining = pi.universe_mask
         seq = []
         while remaining:
+            mine = rows[i]
             blocked = 0
             rest = remaining
             while rest:
                 low = rest & -rest
-                blocked |= rows[i][low.bit_length() - 1]
+                blocked |= mine[low.bit_length() - 1]
                 rest ^= low
             candidates = remaining & ~blocked
             while candidates:
@@ -345,30 +383,34 @@ def _least_replay(
                 candidates ^= low
                 c = low.bit_length() - 1
                 after = remaining ^ low
-                gain = after & ~rows[i][c]
-                if writes & low and gain & pi.own_writes_mask:
+                gain = after & ~mine[c]
+                if writes & low and gain & own:
                     # new SCO edges from c to own writes of i
                     state = fixpoint(rows, {i: ((c, gain),)})
                     if state is None:
                         continue
                     reversal = not differs and reverses(state)
                 else:
-                    # no SCO edge changes, and the placed positions
-                    # precede c, so no cycle can form and only row c
-                    # of process i gains
-                    state = rows
+                    # only row c of process i gains, by `gain`
+                    state = None
+                    grown = mine
                     if gain:
-                        state = dict(rows)
-                        state[i] = kernels.close_with(rows[i], c, gain)
+                        grown = list(mine)
+                        grown[c] |= gain
                     reversal = bool(gain & into.get((i, c), 0))
                 if reversal:
                     differs = True
                 elif not differs and after & ~witness[i][c]:
+                    if state is None:
+                        state = {**rows, i: grown}
                     found, kept = flip(state, flipped)
                     if kept is None:
                         continue
                     flipped, witness = found, kept
-                rows = state
+                if state is None:
+                    rows[i] = grown
+                else:
+                    rows = state
                 remaining = after
                 seq.append(c)
                 break
@@ -377,7 +419,7 @@ def _least_replay(
                     f"no position of process {i} extends a feasible state"
                 )
         views.append(View(i, tuple(ids[k] for k in seq)))
-    return ViewSet.of(views), queries
+    return ViewSet._ordered(tuple(views)), queries
 
 
 def _goodness(
@@ -544,17 +586,23 @@ def view_witness(
     """`necessity_witness_view_record` for strongly causal views whose
     minimal view record the caller already holds.  The swapped views get
     one strong-causality check, then must extend the record without
-    `edge`: together, what `certifies` tests."""
+    `edge`: together, what `certifies` tests.  An edge of `record` that
+    is not two consecutive operations of the view raises
+    `PreconditionViolated`: no minimal view record holds one."""
     program = execution.program
     if edge not in record.edges(process):
         raise PreconditionViolated(
             f"edge {edge} is not a required record edge of process {process}"
         )
     a, b = edge
-    seq = list(views[process].sequence)
-    idx = seq.index(a)
-    if seq[idx + 1] != b:
-        raise InternalInvariant(f"record edge {edge} is not consecutive in the view")
+    view = views[process]
+    pos = view.positions
+    if a not in pos or pos.get(b) != pos[a] + 1:
+        raise PreconditionViolated(
+            f"record edge {edge} is not consecutive in the view of process {process}"
+        )
+    seq = list(view.sequence)
+    idx = pos[a]
     seq[idx], seq[idx + 1] = b, a
     witness = views.replace(View(process, tuple(seq)))
     derived = derive_writes_to(witness, program)
@@ -589,12 +637,15 @@ def race_witness(analysis: RaceAnalysis, process: int, edge: Pair) -> ViewSet:
     Only `edge`'s membership in the minimal race record is decided
     (`RaceAnalysis.in_record`).  Each process's base is program order
     plus its candidate record (`RaceAnalysis.candidate_rows`), closed,
-    with `edge` reversed for `process`; the witness is the least replay
-    above these bases (`_least_replay`), checked once for strong
-    causality.  It must then differ from the original data-race order of
-    `process` and extend the candidate record without `edge`, a mask test
-    on its order rows: that record holds the minimal record without
-    `edge`, so the test is at least as strict."""
+    with `edge` reversed for `process`.  Only that owner's base depends
+    on the edge: it is closed onto program order's closed rows here
+    (`kernels.close_onto`), and every other process's base is the one
+    the analysis caches (`RaceAnalysis.witness_base_rows`).  The witness
+    is the least replay above these bases (`_least_replay`), checked
+    once for strong causality.  It must then differ from the original
+    data-race order of `process` and extend the candidate record without
+    `edge`, a mask test on its order rows: that record holds the minimal
+    record without `edge`, so the test is at least as strict."""
     program = analysis.program
     if not analysis.in_record(process, edge):
         raise PreconditionViolated(
@@ -604,12 +655,13 @@ def race_witness(analysis: RaceAnalysis, process: int, edge: Pair) -> ViewSet:
     procs = sorted(program.processes)
     base = {}
     for j in procs:
-        po = program.process_index(j).po_rows
-        rows = [p | c for p, c in zip(po, analysis.candidate_rows(j))]
-        if j == process:
-            rows[a] &= ~(1 << b)
-            rows[b] |= 1 << a
-        base[j] = kernels.closure_rows(rows)
+        if j != process:
+            base[j] = analysis.witness_base_rows(j)
+            continue
+        rows = list(analysis.candidate_rows(j))
+        rows[a] &= ~(1 << b)
+        rows[b] |= 1 << a
+        base[j] = kernels.close_onto(program.process_index(j).po_rows, rows)
     witness, _ = _least_replay(program, base, None)
     if witness is None:
         raise InternalInvariant(f"no replay reverses the record edge {edge}")

@@ -97,6 +97,10 @@ class RaceAnalysis:
     further closure).  Everything is computed and cached as rows over
     the program index; `Relation`s and id pairs, `strong_write_order`'s
     `WriteOrderLevels` included, are built only for the public results.
+    Next to each process's candidate record it caches that record closed
+    with program order (`witness_base_rows`), the process's base in every
+    race witness of another process's edge, so an analysis shared by all
+    witnesses of a fixture closes each such base once.
     """
 
     def __init__(self, views: ViewSet, program: Program):
@@ -107,6 +111,7 @@ class RaceAnalysis:
         self._targets: dict[int, list[int]] = {}
         self._cascades: dict[tuple[int, str, str], tuple[list[int], ...]] = {}
         self._candidates: dict[int, list[int]] = {}
+        self._witness_bases: dict[int, list[int]] = {}
         self._collisions: dict[tuple[int, int, int], bool] = {}
         self._indirect: dict[int, frozenset[Pair]] = {}
         self._swo: WriteOrderLevels | None = None
@@ -357,6 +362,15 @@ class RaceAnalysis:
                 )
             self._candidates[process] = kept
         return self._candidates[process]
+
+    def witness_base_rows(self, process: int) -> list[int]:
+        """Program order plus the candidate record, closed: the process's
+        base in every race witness of another process's edge
+        (`oracle.race_witness`).  Callers must not change the rows."""
+        if process not in self._witness_bases:
+            po = self.program.process_index(process).po_rows
+            self._witness_bases[process] = kernels.close_onto(po, self.candidate_rows(process))
+        return self._witness_bases[process]
 
     def in_record(self, process: int, edge: Pair) -> bool:
         """Whether `edge` is in the minimal race record of `process`: an

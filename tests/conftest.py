@@ -1,9 +1,17 @@
 import pytest
 
-from causalrnr import fixtures
-from causalrnr.consistency import CAUSAL, STRONG_CAUSAL, check_causal, check_strong_causal
+from causalrnr import fixtures, kernels
+from causalrnr.consistency import (
+    CAUSAL,
+    STRONG_CAUSAL,
+    check_causal,
+    check_strong_causal,
+    close_reads,
+    sco_rows,
+)
+from causalrnr.errors import InternalInvariant
 from causalrnr.generator import GenParams, gen_strong_causal
-from causalrnr.model import Execution, derive_writes_to
+from causalrnr.model import Execution, View, ViewSet, derive_writes_to
 
 
 @pytest.fixture(scope="session")
@@ -72,6 +80,147 @@ def reference_certifies(candidate, program, record, model):
     derived = derive_writes_to(candidate, program)
     check = check_causal if model == CAUSAL else check_strong_causal
     return check(candidate, derived) is None
+
+
+def reference_saturate(program, rows, edges, *, rules=None, lift=True):
+    """`consistency.saturate` as first written: each popped process lifts
+    all of its SCO rows (`sco_rows`) onto every other process."""
+    positions = program.write_positions
+    out = dict(rows)
+    work = []
+    for i, new in edges.items():
+        closed = out[i]
+        for a, targets in new:
+            closed = kernels.close_with(closed, a, targets)
+            if closed[a] >> a & 1:
+                return None
+        out[i] = closed
+        work.append(i)
+    while work:
+        i = work.pop()
+        if rules is not None and rules[i]:
+            closed = close_reads(out[i], rules[i])
+            if closed is None:
+                return None
+            out[i] = closed
+        if not lift:
+            continue
+        lifted = sco_rows(program, [(i, out[i])])
+        for j, closed in out.items():
+            if j == i:
+                continue
+            grown = closed
+            for a in positions:
+                gain = lifted[a] & ~grown[a]
+                if gain:
+                    grown = kernels.close_with(grown, a, gain)
+                    if grown[a] >> a & 1:
+                        return None
+            if grown is not closed:
+                out[j] = grown
+                if j not in work:
+                    work.append(j)
+    return out
+
+
+def _reference_related(rows, a, b):
+    return bool((rows[a] >> b | rows[b] >> a) & 1)
+
+
+def reference_least_replay(program, base, pairs):
+    """`oracle._least_replay` as first written: each placement that adds no
+    SCO edge closes the new edges over every row of its process
+    (`kernels.close_with`)."""
+    queries = 0
+
+    def fixpoint(rows, edges):
+        nonlocal queries
+        queries += 1
+        return reference_saturate(program, rows, edges)
+
+    def reverses(rows):
+        return any(rows[i][b] >> a & 1 for i, a, b in pairs)
+
+    # per (process, b), the a of every pair (a, b)
+    into = {}
+    for i, a, b in pairs or ():
+        into[i, b] = into.get((i, b), 0) | 1 << a
+
+    def flip(rows, first):
+        """A pair of `pairs` that `rows` leaves unordered and can reverse,
+        trying `first` before the others, with the reversal's fixpoint."""
+        order = pairs if first is None else [first] + [p for p in pairs if p != first]
+        for i, a, b in order:
+            if _reference_related(rows[i], a, b):
+                continue
+            state = fixpoint(rows, {i: ((b, 1 << a),)})
+            if state is not None:
+                return (i, a, b), state
+        return None, None
+
+    rows = fixpoint(base, {i: () for i in base})
+    if rows is None:
+        return None, queries
+    differs = pairs is None or reverses(rows)
+    flipped = witness = None
+    if not differs:
+        flipped, witness = flip(rows, None)
+        if witness is None:
+            return None, queries
+
+    ids = program.all_ops
+    writes = program.writes_mask
+    views = []
+    for i in sorted(program.processes):
+        pi = program.process_index(i)
+        remaining = pi.universe_mask
+        seq = []
+        while remaining:
+            blocked = 0
+            rest = remaining
+            while rest:
+                low = rest & -rest
+                blocked |= rows[i][low.bit_length() - 1]
+                rest ^= low
+            candidates = remaining & ~blocked
+            while candidates:
+                low = candidates & -candidates
+                candidates ^= low
+                c = low.bit_length() - 1
+                after = remaining ^ low
+                gain = after & ~rows[i][c]
+                if writes & low and gain & pi.own_writes_mask:
+                    # new SCO edges from c to own writes of i
+                    state = fixpoint(rows, {i: ((c, gain),)})
+                    if state is None:
+                        continue
+                    reversal = not differs and reverses(state)
+                else:
+                    # no SCO edge changes, and the placed positions
+                    # precede c, so no cycle can form and only row c
+                    # of process i gains
+                    state = rows
+                    if gain:
+                        state = dict(rows)
+                        state[i] = kernels.close_with(rows[i], c, gain)
+                    reversal = bool(gain & into.get((i, c), 0))
+                if reversal:
+                    differs = True
+                elif not differs and after & ~witness[i][c]:
+                    found, kept = flip(state, flipped)
+                    if kept is None:
+                        continue
+                    flipped, witness = found, kept
+                rows = state
+                remaining = after
+                seq.append(c)
+                break
+            else:
+                raise InternalInvariant(
+                    f"no position of process {i} extends a feasible state"
+                )
+        views.append(View(i, tuple(ids[k] for k in seq)))
+    return ViewSet.of(views), queries
 
 
 @pytest.fixture(scope="session")

@@ -108,6 +108,12 @@ def cases(workdir: Path) -> list[tuple[str, list[str]]]:
     return [
         *GENERATED,
         ("fuzz-seed-77", ["fuzz", "--seed", "77", "--iterations", "20"]),
+        # the fuzz benchmark's size, up to 10 operations, where placement does
+        # real work
+        ("fuzz-seed-7", [
+            "fuzz", "--seed", "7", "--iterations", "40", "--processes", "3",
+            "--ops-per-process", "4", "--variables", "2", "--write-ratio", "0.5",
+        ]),
         *record_cases(names),
         *verify_cases(write_records(workdir, names)),
     ]

@@ -1,6 +1,7 @@
 """Replay enumeration, goodness verdicts, completions and witnesses."""
 
 import random
+import re
 
 import pytest
 
@@ -17,6 +18,7 @@ from causalrnr.errors import (
     PreconditionViolated,
     UniverseMismatch,
 )
+from causalrnr.generator import GenParams, gen_strong_causal
 from causalrnr.model import (
     READ,
     WRITE,
@@ -179,6 +181,23 @@ class TestMalformedRecord:
         record = Record.of({1: set(), 2: {("w2", "w2")}})
         with pytest.raises(ValueError, match="record for process 2 is malformed"):
             self.QUERIES[query](program, views, record)
+
+    @pytest.mark.parametrize("query", sorted(QUERIES) + ["certifies", "certifies-causal"])
+    def test_unknown_process(self, query, corpus):
+        parsed = corpus["indirect-order"]
+        minimal = minimal_view_record(parsed.views, parsed.execution)
+        record = Record.of({**dict(minimal.per_process), 99: {("zz", "yy")}})
+        queries = {
+            **self.QUERIES,
+            "certifies": lambda program, views, record: oracle.certifies(
+                views, program, record, STRONG_CAUSAL
+            ),
+            "certifies-causal": lambda program, views, record: oracle.certifies(
+                views, program, record, CAUSAL
+            ),
+        }
+        with pytest.raises(ValueError, match="record names process 99"):
+            queries[query](parsed.program, parsed.views, record)
 
     def test_cyclic_record_admits_no_replay(self):
         program, views = _two_readers()
@@ -421,6 +440,19 @@ class TestNecessityWitnessView:
             oracle.view_witness(
                 parsed.views, parsed.execution, record.drop(i, edge), i, edge
             )
+
+
+    @pytest.mark.parametrize("edge", [("w3_00", "r1_00"), ("r1_00", "w3_00")])
+    def test_view_witness_rejects_an_edge_not_consecutive_in_the_view(self, edge):
+        # the view of process 1 is r1_00 r1_01 w3_00: the first edge starts
+        # at its last operation, the second skips r1_01
+        execution, views = gen_strong_causal(
+            GenParams(seed=5, processes=3, ops_per_process=3, variables=2, write_ratio=0.6)
+        )
+        assert views[1].sequence == ("r1_00", "r1_01", "w3_00")
+        record = Record.of({1: {edge}})
+        with pytest.raises(PreconditionViolated, match=re.escape(str(edge))):
+            oracle.view_witness(views, execution, record, 1, edge)
 
 
 class TestNecessityWitnessRace:
