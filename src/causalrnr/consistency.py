@@ -15,7 +15,13 @@ descent's tuple of views, which its callers hand out as it is.  The
 oracle enumerates a record's certifying replays with it, each read
 returning what the views make it return; `find_explanation`, the
 existential form of the checkers, takes its first set with the
-execution's reads given.  Two helpers turn
+execution's reads given.
+
+The checkers decide on the views' order rows, built once: read validity
+is a mask test per read (`_check_against`), and `strongly_causal_rows`
+is the one rows test for a strongly causal replay, whose reads return
+what its views make them return; the oracle's certification test and
+its witnesses run it.  Two helpers turn
 constraints into placement-time predecessors and vetoes: `read_validity`
 (shared with `check_cache`) and `sco_summary`, the writes that each own
 write of a process may not be placed after.
@@ -43,6 +49,7 @@ from causalrnr.model import (
     View,
     ViewSet,
     Violation,
+    check_complete,
     order_rows,
     read_sources,
     read_violation,
@@ -105,6 +112,34 @@ def sco_rows(program: Program, orders) -> list[int]:
     return rows
 
 
+def respects(order: list[int], po, base) -> bool:
+    """Whether a view's order rows hold its process's program order rows
+    `po` plus the base order `base`.  A total order respects a relation
+    iff it respects the relation's closure, so nothing is closed."""
+    for b, p, o in zip(base, po, order):
+        if (b | p) & ~o:
+            return False
+    return True
+
+
+def strongly_causal_rows(views: ViewSet, program: Program) -> tuple[list[list[int]], bool]:
+    """The order rows of a replay's views, in view order, and whether each
+    holds its process's program order plus the SCO that the rows define
+    (`sco_rows`): whether the replay is strongly causal.  Each read of a
+    replay returns what its owner's view makes it return, so read
+    validity holds by construction, and this is `check_strong_causal` on
+    the execution the views derive, with no execution built.  Every
+    view's rows are built, and so checked (`order_rows`), before any is
+    tested; the caller checks that the set is complete."""
+    pairs = [(v.process, order_rows(v, program)) for v in views.views]
+    sco = sco_rows(program, pairs)
+    orders = [order for _, order in pairs]
+    for i, order in pairs:
+        if not respects(order, program.process_index(i).po_rows, sco):
+            return orders, False
+    return orders, True
+
+
 def strong_causal_order(views: ViewSet, program: Program) -> Relation:
     """SCO: (w1, w2) for writes ordered w1 before w2 by the view of w2's
     own process.  Raw membership; no closure beyond it."""
@@ -117,18 +152,40 @@ def _check_against(
 ) -> Violation | None:
     """The first violation of `views` (with `orders` their order rows)
     against the base order `base` closed with each view's program order.
-    Order violations name the least violated pair in sorted id order."""
+
+    Read validity is a mask test on the rows.  Let `before` be the writes
+    to an own read r's variable that r's view places before it.  The
+    read returns the write s iff s is in `before` and no write of
+    `before` follows s, and the initial value iff `before` is empty.
+    Only a view that fails this test is scanned (`read_violation`), to
+    name its first invalid read in view order, so the violation reported
+    is the scan's.  Order violations name the least violated pair in
+    sorted id order."""
     program = execution.program
-    for view in views.views:
-        bad = read_violation(view, execution)
-        if bad is not None:
-            return bad
+    index = program.index
+    masks = program.variable_masks
+    writes = program.writes_mask
+    sources = {index[r]: index[w] for r, w in execution.writes_to.items()}
+    for view, order in zip(views.views, orders):
+        # every write lies in each universe, so the rest are own reads
+        reads = program.process_index(view.process).universe_mask & ~writes
+        while reads:
+            low = reads & -reads
+            reads ^= low
+            r = low.bit_length() - 1
+            before = masks[r] & writes & ~order[r]
+            s = sources.get(r)
+            if s is None:
+                valid = not before
+            else:
+                valid = before >> s & 1 and not order[s] & before
+            if not valid:
+                return read_violation(view, execution)
     ids = program.all_ops
     for view, order in zip(views.views, orders):
         po = program.process_index(view.process).po_rows
-        # a total order respects a relation iff it respects its closure, so
         # the closure is built only to name the first violated pair
-        if not any((b | p) & ~o for b, p, o in zip(base, po, order)):
+        if respects(order, po, base):
             continue
         closed = kernels.closure_rows([b | p for b, p in zip(base, po)])
         for k, (row, o) in enumerate(zip(closed, order)):
@@ -148,13 +205,20 @@ def _check_against(
 
 
 def check_causal(views: ViewSet, execution: Execution) -> Violation | None:
+    """The first violation of causal consistency by `views`: a read that
+    its view makes return another write than the execution's, or a view
+    that breaks program order closed with WO.  Raises `UniverseMismatch`
+    for a set without a view of each process, or a view over the wrong
+    operations."""
     program = execution.program
+    check_complete(views, program)
     orders = [order_rows(v, program) for v in views.views]
     wo = write_read_write_rows(program, execution.writes_to.items())
     return _check_against(views, execution, orders, wo)
 
 
 def check_strong_causal(views: ViewSet, execution: Execution) -> Violation | None:
+    """`check_causal` with SCO in place of WO."""
     return _strong_causal_check(views, execution)[0]
 
 
@@ -164,6 +228,7 @@ def _strong_causal_check(
     """`check_strong_causal`'s verdict with the rows it was reached on:
     the views' order rows, in view order, and the SCO rows."""
     program = execution.program
+    check_complete(views, program)
     orders = [order_rows(v, program) for v in views.views]
     sco = sco_rows(program, zip(views.processes(), orders))
     return _check_against(views, execution, orders, sco), orders, sco

@@ -19,7 +19,8 @@ when operation j is related to the row's operation.  `order_rows` turns a
 view into such rows, checking its universe; `sequence_rows` does the same
 unchecked for a tuple of positions a search placed; `data_race_rows`
 keeps their same-variable part (the DRO), using `Program.variable_masks`;
-`write_read_write_rows` builds WO as rows.  The consistency checks, both
+`write_read_write_rows` builds WO as rows.  `check_complete` checks that
+a view set has a view of every process.  The consistency checks, both
 searches (which place positions, see `search`), the oracle's
 certification test and completion and the race analysis work on these
 rows; id pairs remain at the boundaries (text I/O, DOT output, `Record`s,
@@ -364,6 +365,15 @@ def sequence_rows(seq: tuple[int, ...], size: int) -> list[int]:
 
 def check_universe(view: View, program: Program) -> None:
     order_rows(view, program)
+
+
+def check_complete(views: ViewSet, program: Program) -> None:
+    """Raises `UniverseMismatch` for a view set without a view of each of
+    the program's processes."""
+    if views.processes() != program.processes:
+        missing = sorted(set(program.processes) - set(views.processes()))
+        if missing:
+            raise UniverseMismatch(f"view set has no view of process {missing[0]}")
 
 
 def data_race_order(view: View, program: Program) -> Relation:

@@ -43,8 +43,12 @@ one totaliser too: without pairs to reverse, it places the least replay
 above closed base rows.  `extend_to_views` hands it the closures of its
 partial orders, and the race witness program order plus each process's
 candidate record, with the witnessed edge reversed; the view witness
-swaps its edge in its owner's view.  Each witness is checked for strong
-causality once, then for extending the reduced record.
+swaps its edge in its owner's view.  Each witness is checked on its
+order rows, built once: for strong causality by the rows test that
+`certifies` runs (`consistency.strongly_causal_rows`; its reads return
+what its views make them return, so none is derived or checked), then
+for extending the reduced record.  The full checker runs only on a
+witness that fails the rows test, to word the error.
 """
 
 from __future__ import annotations
@@ -60,20 +64,22 @@ from causalrnr.consistency import (
     check_strong_causal,
     cyclic,
     iter_view_sets,
+    respects,
     saturate,
     sco_rows,
+    strongly_causal_rows,
 )
 from causalrnr.errors import (
     InternalInvariant,
     NotStronglyCausal,
     PreconditionViolated,
-    UniverseMismatch,
 )
 from causalrnr.model import (
     Execution,
     Program,
     View,
     ViewSet,
+    check_complete,
     derive_writes_to,
     order_rows,
     read_sources,
@@ -103,8 +109,9 @@ def certifies(candidate: ViewSet, program: Program, record: Record, model: str) 
     extends its process's record edges (`_extends`), and each view's
     order rows hold its program order and the model's order.  That order
     is the SCO the owners' views place on their own writes under the
-    strong model, and the WO of the reads the views derive under the
-    causal model.
+    strong model, tested by `consistency.strongly_causal_rows`, the rows
+    test that also checks every witness, and the WO of the reads the
+    views derive under the causal model.
 
     Nothing else needs checking.  The execution a view set explains is
     the one its views derive (`derive_writes_to`): each read returns the
@@ -120,24 +127,21 @@ def certifies(candidate: ViewSet, program: Program, record: Record, model: str) 
     that escapes its process's universe."""
     if model not in (CAUSAL, STRONG_CAUSAL):
         raise ValueError(f"unsupported replay model {model!r}")
-    missing = sorted(set(program.processes) - set(candidate.processes()))
-    if missing:
-        raise UniverseMismatch(f"view set has no view of process {missing[0]}")
+    check_complete(candidate, program)
     _check_record_processes(program, record)
-    orders = [(v.process, order_rows(v, program)) for v in candidate.views]
+    if model == STRONG_CAUSAL:
+        _, holds = strongly_causal_rows(candidate, program)
+        return _extends(candidate, program, record) and holds
+    views = candidate.views
+    orders = [order_rows(v, program) for v in views]
     if not _extends(candidate, program, record):
         return False
-    if model == STRONG_CAUSAL:
-        order = sco_rows(program, orders)
-    else:
-        views = candidate.views
-        sources = [(r, s) for v in views for r, s in read_sources(v, program) if s is not None]
-        order = write_read_write_rows(program, sources)
-    for i, rows in orders:
-        for p, m, o in zip(program.process_index(i).po_rows, order, rows):
-            if (p | m) & ~o:
-                return False
-    return True
+    sources = [(r, s) for v in views for r, s in read_sources(v, program) if s is not None]
+    wo = write_read_write_rows(program, sources)
+    return all(
+        respects(rows, program.process_index(v.process).po_rows, wo)
+        for v, rows in zip(views, orders)
+    )
 
 
 def _extends(candidate: ViewSet, program: Program, record: Record) -> bool:
@@ -504,10 +508,13 @@ def _rows_of(rel: Relation, program: Program) -> list[int]:
     return rows
 
 
-def _check_strongly_causal(views: ViewSet, program: Program) -> None:
+def _not_strongly_causal(views: ViewSet, program: Program, what: str) -> InternalInvariant:
+    """The error `what` for a witness that failed the rows test
+    (`strongly_causal_rows`), with the violation that the full check
+    finds on the execution its views derive, which fails exactly when
+    that test does."""
     bad = check_strong_causal(views, derive_writes_to(views, program))
-    if bad is not None:
-        raise InternalInvariant(f"completion is not strongly causal: {bad}")
+    return InternalInvariant(f"{what}: {bad}")
 
 
 def extend_to_views(partials: Mapping[int, Relation], program: Program) -> ViewSet:
@@ -517,8 +524,9 @@ def extend_to_views(partials: Mapping[int, Relation], program: Program) -> ViewS
     respects program order and the strong causal order the partials
     already hold jointly.  Their closures are then a fixpoint of the
     strong model's replay constraints, and the result is the least
-    replay above them (`_least_replay`), checked once for strong
-    causality.
+    replay above them (`_least_replay`).  Its order rows are built once
+    (`strongly_causal_rows`): they must hold every input ordering, and
+    then the strong causal order.
     """
     procs = tuple(sorted(program.processes))
     if set(partials) != set(procs):
@@ -552,15 +560,16 @@ def extend_to_views(partials: Mapping[int, Relation], program: Program) -> ViewS
     views, _ = _least_replay(program, orders, None)
     if views is None:
         raise InternalInvariant("the partial orders' fixpoint admits no replay")
-    for i in procs:
-        final = order_rows(views[i], program)
+    finals, holds = strongly_causal_rows(views, program)
+    for i, final in zip(procs, finals):
         dropped = program.pairs_of([p & ~o for p, o in zip(inputs[i], final)])
         if dropped:
             a, b = min(dropped)
             raise InternalInvariant(
                 f"completion dropped the input ordering ({a}, {b}) of process {i}"
             )
-    _check_strongly_causal(views, program)
+    if not holds:
+        raise _not_strongly_causal(views, program, "completion is not strongly causal")
     return views
 
 
@@ -584,9 +593,10 @@ def view_witness(
     views: ViewSet, execution: Execution, record: Record, process: int, edge: Pair
 ) -> ViewSet:
     """`necessity_witness_view_record` for strongly causal views whose
-    minimal view record the caller already holds.  The swapped views get
-    one strong-causality check, then must extend the record without
-    `edge`: together, what `certifies` tests.  An edge of `record` that
+    minimal view record the caller already holds.  The swapped views must
+    pass the rows test for a strongly causal replay
+    (`strongly_causal_rows`), then extend the record without `edge`:
+    together, what `certifies` tests.  An edge of `record` that
     is not two consecutive operations of the view raises
     `PreconditionViolated`: no minimal view record holds one."""
     program = execution.program
@@ -605,10 +615,8 @@ def view_witness(
     idx = pos[a]
     seq[idx], seq[idx + 1] = b, a
     witness = views.replace(View(process, tuple(seq)))
-    derived = derive_writes_to(witness, program)
-    bad = check_strong_causal(witness, derived)
-    if bad is not None:
-        raise InternalInvariant(f"swapped views are not strongly causal: {bad}")
+    if not strongly_causal_rows(witness, program)[1]:
+        raise _not_strongly_causal(witness, program, "swapped views are not strongly causal")
     if not _extends(witness, program, record.drop(process, edge)):
         raise InternalInvariant("swapped views do not certify the reduced record")
     return witness
@@ -641,11 +649,13 @@ def race_witness(analysis: RaceAnalysis, process: int, edge: Pair) -> ViewSet:
     on the edge: it is closed onto program order's closed rows here
     (`kernels.close_onto`), and every other process's base is the one
     the analysis caches (`RaceAnalysis.witness_base_rows`).  The witness
-    is the least replay above these bases (`_least_replay`), checked
-    once for strong causality.  It must then differ from the original
-    data-race order of `process` and extend the candidate record without
-    `edge`, a mask test on its order rows: that record holds the minimal
-    record without `edge`, so the test is at least as strict."""
+    is the least replay above these bases (`_least_replay`).  Its order
+    rows are built once, by the rows test for a strongly causal replay
+    (`strongly_causal_rows`), which it must pass.  On the same rows it
+    must then differ from the original data-race order of `process` and
+    extend the candidate record without `edge`, two mask tests: that
+    record holds the minimal record without `edge`, so the test is at
+    least as strict."""
     program = analysis.program
     if not analysis.in_record(process, edge):
         raise PreconditionViolated(
@@ -665,8 +675,10 @@ def race_witness(analysis: RaceAnalysis, process: int, edge: Pair) -> ViewSet:
     witness, _ = _least_replay(program, base, None)
     if witness is None:
         raise InternalInvariant(f"no replay reverses the record edge {edge}")
-    _check_strongly_causal(witness, program)
-    orders = {j: order_rows(witness[j], program) for j in procs}
+    rows, holds = strongly_causal_rows(witness, program)
+    if not holds:
+        raise _not_strongly_causal(witness, program, "completion is not strongly causal")
+    orders = dict(zip(witness.processes(), rows))
     masks = program.variable_masks
     if [row & m for row, m in zip(orders[process], masks)] == analysis.dro_rows(process):
         raise InternalInvariant("witness reproduces the original data-race order")

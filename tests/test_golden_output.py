@@ -4,7 +4,9 @@ Each case runs `causalrnr` in a scratch directory holding the bundled
 fixtures, so that the paths the reports print are stable, and compares
 its exit code, standard output and standard error with one stored file.
 The cases pin what a change to the engines must keep: `gen` and `fuzz`
-output, the records of all three kinds, and the `verify` verdicts and
+output, the `check` verdicts and violations of every bundled fixture
+under all three consistency models, with and without `--exists`, the
+records of all three kinds, and the `verify` verdicts and
 counterexamples in both fidelity modes under both consistency models, on
 every minimal record and on each such record with its first edge
 dropped.
@@ -30,6 +32,7 @@ GOLDEN = Path(__file__).resolve().with_name("golden")
 RECORD_KINDS = (("view-offline", ()), ("view-online", ("--online",)), ("race", ("--model2",)))
 VERIFIED_KINDS = (("view-offline", "--model1"), ("race", "--model2"))
 CONSISTENCIES = ("causal", "strong-causal")
+CHECKED = ("causal", "strong-causal", "cache")
 # `gen` runs whose output is pinned and then verified like a fixture's
 GENERATED = (
     ("gen-seed-1", ["gen", "--seed", "1"]),
@@ -47,6 +50,24 @@ def run(argv: list[str]) -> str:
     if err.getvalue():
         text += f"--- stderr\n{err.getvalue()}"
     return text
+
+
+def check_cases(names: list[str]) -> list[tuple[str, list[str]]]:
+    """`check` of each fixture's views under every model, and `check
+    --exists` under the two models that search for an explanation."""
+    out = []
+    for name in names:
+        for consistency in CHECKED:
+            out.append((
+                f"check-{name}-{consistency}",
+                ["check", f"{name}.txt", "--consistency", consistency],
+            ))
+        for consistency in CONSISTENCIES:
+            out.append((
+                f"check-{name}-{consistency}-exists",
+                ["check", f"{name}.txt", "--consistency", consistency, "--exists"],
+            ))
+    return out
 
 
 def record_cases(names: list[str]) -> list[tuple[str, list[str]]]:
@@ -114,6 +135,7 @@ def cases(workdir: Path) -> list[tuple[str, list[str]]]:
             "fuzz", "--seed", "7", "--iterations", "40", "--processes", "3",
             "--ops-per-process", "4", "--variables", "2", "--write-ratio", "0.5",
         ]),
+        *check_cases(list(fixtures.names())),
         *record_cases(names),
         *verify_cases(write_records(workdir, names)),
     ]

@@ -29,6 +29,7 @@ from causalrnr.model import (
     ViewSet,
     data_race_order,
     derive_writes_to,
+    order_rows,
 )
 from causalrnr.race_record import RaceAnalysis, minimal_race_record, naive_causal_race_record
 from causalrnr.records import Record
@@ -517,6 +518,12 @@ class TestNecessityWitnessRace:
         assert oracle.certifies(witness, parsed.program, reduced, STRONG_CAUSAL)
 
 
+def unchecked_rows(views, program):
+    """A stand-in for `strongly_causal_rows` that builds the same rows
+    and passes every set."""
+    return [order_rows(v, program) for v in views.views], True
+
+
 class TestWitnessCertifiedOnce:
     """Each witness is checked for strong causality once and then for the
     reduced record; both checks still reject what they must."""
@@ -547,9 +554,9 @@ class TestWitnessCertifiedOnce:
         breaking = parsed.views.replace(View(2, ("w1", "w2"))).replace(View(1, ("w2", "w1")))
         monkeypatch.setattr(oracle, "_least_replay", self.completing_to(breaking))
         # no strongly causal set with process 2's flip breaks the record
-        # here, so the strong-causality check is passed over to reach
-        # the mask test
-        monkeypatch.setattr(oracle, "_check_strongly_causal", lambda views, program: None)
+        # here, so the rows test passes the views' own order rows on
+        # unchecked to reach the mask test
+        monkeypatch.setattr(oracle, "strongly_causal_rows", unchecked_rows)
         with pytest.raises(InternalInvariant, match="does not certify the reduced record"):
             oracle.race_witness(analysis, 2, ("w2", "w1"))
 
@@ -560,6 +567,42 @@ class TestWitnessCertifiedOnce:
         record = Record.of({1: {("a", "b")}})
         with pytest.raises(InternalInvariant, match="swapped views are not strongly causal"):
             oracle.view_witness(views, execution, record, 1, ("a", "b"))
+
+    def test_witnesses_reject_views_that_keep_program_order_but_break_sco(
+        self, monkeypatch
+    ):
+        # two writers on x; process 1 placing its own write a after b adds
+        # the SCO edge (b, a), which process 2's view, placing a first,
+        # contradicts, and the SCO edge (a, b) of process 2 contradicts
+        # process 1's view in turn
+        program = Program.of({1: [Operation(WRITE, 1, "x", "a")],
+                              2: [Operation(WRITE, 2, "x", "b")]})
+        execution = Execution(program, {})
+        original = ViewSet.of([View(1, ("a", "b")), View(2, ("a", "b"))])
+        breaking = ViewSet.of([View(1, ("b", "a")), View(2, ("a", "b"))])
+        assert check_strong_causal(original, execution) is None
+        for view in breaking.views:
+            po = program.process_index(view.process).po_rows
+            assert all(not p & ~o for p, o in zip(po, order_rows(view, program)))
+        bad = "view of process 1 must order a before b but orders them the other way"
+        assert str(check_strong_causal(breaking, execution)) == bad
+
+        with pytest.raises(InternalInvariant) as swapped:
+            oracle.view_witness(original, execution, Record.of({1: {("a", "b")}}), 1, ("a", "b"))
+        assert str(swapped.value) == f"swapped views are not strongly causal: {bad}"
+
+        analysis = RaceAnalysis(original, program)
+        assert analysis.in_record(2, ("a", "b"))
+        monkeypatch.setattr(oracle, "_least_replay", self.completing_to(breaking))
+        with pytest.raises(InternalInvariant) as raced:
+            oracle.race_witness(analysis, 2, ("a", "b"))
+        assert str(raced.value) == f"completion is not strongly causal: {bad}"
+
+        partials = {i: Relation(program.universe_of(i), program.process_index(i).po_pairs)
+                    for i in program.processes}
+        with pytest.raises(InternalInvariant) as completed:
+            oracle.extend_to_views(partials, program)
+        assert str(completed.value) == f"completion is not strongly causal: {bad}"
 
     def test_view_witness_rejects_a_reversed_record_edge(self, corpus):
         parsed = corpus["indirect-order"]

@@ -4,9 +4,13 @@
 it closes the base order with each view's program order and reports the
 first violated pair in sorted order.  The row-based `check_causal` and
 `check_strong_causal` must return the same `Violation`, field for field,
-on consistent view sets and on copies with one adjacent pair swapped in
+on consistent view sets, on copies with one adjacent pair swapped in
 one view, which produce read-validity, order and cyclic-requirement
-violations.
+violations, and on copies that list one view's reads out of program
+order: the view reversed, or two adjacent pairs swapped in it.  A single
+swap changes the writes before at most one read, so only these copies
+hold views with two invalid reads, where the checks must report the
+first in view order.
 """
 
 from collections import Counter
@@ -17,6 +21,7 @@ from causalrnr.model import (
     Violation,
     check_universe,
     derive_writes_to,
+    read_sources,
     validate_view,
 )
 from causalrnr.relations import Relation, has_cycle, union_closed
@@ -85,16 +90,43 @@ def _swapped(views):
             yield views.replace(View(view.process, flipped))
 
 
+def _reordered(views):
+    """Each view reversed, and each view with two disjoint adjacent pairs
+    swapped."""
+    for view in views.views:
+        seq = view.sequence
+        yield views.replace(View(view.process, seq[::-1]))
+        for j in range(len(seq) - 1):
+            for k in range(j + 2, len(seq) - 1):
+                flipped = list(seq)
+                flipped[j], flipped[j + 1] = seq[j + 1], seq[j]
+                flipped[k], flipped[k + 1] = seq[k + 1], seq[k]
+                yield views.replace(View(view.process, tuple(flipped)))
+
+
 def _cases():
     for execution, views in small_generated(count=60, max_total_ops=8):
         yield execution, views
         for candidate in _swapped(views):
             yield execution, candidate
             yield derive_writes_to(candidate, execution.program), candidate
+        for candidate in _reordered(views):
+            yield execution, candidate
+
+
+def _invalid_reads(views, execution):
+    """Per view, the reads it makes return another write than the
+    execution's, in view order."""
+    program = execution.program
+    return [
+        [r for r, s in read_sources(view, program) if execution.writes_to.get(r) != s]
+        for view in views.views
+    ]
 
 
 def test_row_checks_match_relation_reference(corpus):
     fixtures = [(p.execution, p.views) for p in corpus.values() if p.views is not None]
+    fixtures += [(e, c) for e, views in fixtures for c in _reordered(views)]
     cases = list(_cases()) + fixtures
     seen = Counter()
     for execution, views in cases:
@@ -106,6 +138,11 @@ def test_row_checks_match_relation_reference(corpus):
         for check, base in checks:
             expected = reference_check_against(views, execution, base)
             assert check(views, execution) == expected
+            invalid = next((reads for reads in _invalid_reads(views, execution) if reads), [])
+            if len(invalid) > 1:
+                seen["two invalid reads"] += 1
+                # the first in view order is not the least id
+                seen["out of id order"] += invalid[0] != min(invalid)
             if expected is None:
                 seen["none"] += 1
             elif expected.kind == "order":
@@ -113,4 +150,7 @@ def test_row_checks_match_relation_reference(corpus):
                 seen["cyclic" if cyclic else "order"] += 1
             else:
                 seen[expected.kind] += 1
-    assert set(seen) == {"none", "read-validity", "order", "cyclic"}, seen
+    assert set(seen) == {
+        "none", "read-validity", "order", "cyclic", "two invalid reads", "out of id order"
+    }, seen
+    assert seen["out of id order"], seen
