@@ -6,6 +6,14 @@ it is necessary; the online record has exactly its closed form, contains
 the offline record, and is good; the race record is good and every edge
 necessary both by witness construction and by enumeration; and the
 structural observations relating the intermediate relations hold.
+
+The stages share per-fixture state: one `oracle.Goodness` answers the
+goodness verdicts (the view record with each edge dropped, the online
+record, the race record and the race record with each edge dropped), so
+what depends on the views alone is computed once per fixture, and one
+`RaceAnalysis` serves the race record, its witnesses and the
+observations.  The one-shot `oracle.is_good_view_record` and
+`oracle.is_good_race_record` take the same path with a fresh state.
 """
 
 from __future__ import annotations
@@ -60,15 +68,16 @@ def run_battery(execution: Execution, views: ViewSet, *, max_ops: int | None = N
         _fail("fixture", "strongly causal fixture fails the causal check")
     stats.stages.append("fixture")
 
-    offline, sco = _view_record_stage(execution, views, stats, max_ops)
-    _online_record_stage(execution, views, offline, stats, max_ops)
+    goodness = oracle.Goodness(views, execution.program)
+    offline, sco = _view_record_stage(execution, views, goodness, stats, max_ops)
+    _online_record_stage(execution, views, goodness, offline, stats, max_ops)
     analysis = RaceAnalysis(views, execution.program)
-    _race_record_stage(execution, views, analysis, stats, max_ops)
+    _race_record_stage(analysis, goodness, stats, max_ops)
     _observation_stage(execution, views, analysis, sco, stats)
     return stats
 
 
-def _view_record_stage(execution, views, stats, max_ops):
+def _view_record_stage(execution, views, goodness, stats, max_ops):
     """Returns the offline record and the SCO, which the later stages share."""
     program = execution.program
     record = minimal_view_record(views, execution)
@@ -103,8 +112,8 @@ def _view_record_stage(execution, views, stats, max_ops):
 
     # necessity of every edge
     for i, edge in record.all_edges():
-        verdict = oracle.is_good_view_record(
-            views, program, record.drop(i, edge), STRONG_CAUSAL, max_ops=max_ops
+        verdict = goodness.verdict(
+            record.drop(i, edge), "views", STRONG_CAUSAL, max_ops=max_ops
         )
         if verdict.good:
             _fail("view-record", f"record without {edge} (process {i}) is still good")
@@ -123,7 +132,7 @@ def _view_record_stage(execution, views, stats, max_ops):
     return record, sco
 
 
-def _online_record_stage(execution, views, offline, stats, max_ops):
+def _online_record_stage(execution, views, goodness, offline, stats, max_ops):
     program = execution.program
     online = online_record_from_views(views, execution)
     po = program.po_pairs
@@ -148,20 +157,16 @@ def _online_record_stage(execution, views, offline, stats, max_ops):
                 "online-record",
                 f"online-only edges of process {i} are not all indirectly enforced",
             )
-    verdict = oracle.is_good_view_record(
-        views, program, online, STRONG_CAUSAL, max_ops=max_ops
-    )
+    verdict = goodness.verdict(online, "views", STRONG_CAUSAL, max_ops=max_ops)
     if not verdict.good:
         _fail("online-record", "online record is not good")
     stats.stages.append("online-record")
 
 
-def _race_record_stage(execution, views, analysis, stats, max_ops):
-    program = execution.program
+def _race_record_stage(analysis, goodness, stats, max_ops):
+    program = analysis.program
     record = analysis.record()
-    verdict = oracle.is_good_race_record(
-        views, program, record, STRONG_CAUSAL, max_ops=max_ops
-    )
+    verdict = goodness.verdict(record, "dro", STRONG_CAUSAL, max_ops=max_ops)
     if not verdict.good:
         dros = {
             i: sorted(data_race_order(verdict.counterexample[i], program).pairs)
@@ -172,9 +177,8 @@ def _race_record_stage(execution, views, analysis, stats, max_ops):
         _fail("race-record", "original views do not certify their own record")
 
     for i, edge in record.all_edges():
-        reduced = record.drop(i, edge)
-        verdict = oracle.is_good_race_record(
-            views, program, reduced, STRONG_CAUSAL, max_ops=max_ops
+        verdict = goodness.verdict(
+            record.drop(i, edge), "dro", STRONG_CAUSAL, max_ops=max_ops
         )
         if verdict.good:
             _fail("race-record", f"record without {edge} (process {i}) is still good")

@@ -299,8 +299,13 @@ class ViewSet:
     def __getitem__(self, process: int) -> View:
         return self.by_process[process]
 
-    def processes(self) -> tuple[int, ...]:
+    @cached_property
+    def _processes(self) -> tuple[int, ...]:
         return tuple(v.process for v in self.views)
+
+    def processes(self) -> tuple[int, ...]:
+        """The views' processes, in view order, built once per set."""
+        return self._processes
 
     def replace(self, view: View) -> "ViewSet":
         kept = [v for v in self.views if v.process != view.process]

@@ -36,6 +36,15 @@ counts the certifying sets walked under the causal model and the
 fixpoints computed under the strong model, where the enumeration cap
 and the placement budget do not apply.
 
+The verdicts on one view set share what depends on the views alone: a
+`Goodness`, built from the views and the program, caches the record-
+independent half of `certifies` per model, the adjacent pairs per kind,
+and each process's closed base under its record edges, so a record
+with one edge dropped closes one process's base again.  The battery
+shares one per fixture, as it shares one `RaceAnalysis`.
+`is_good_view_record` and `is_good_race_record` are one-shot wrappers
+that build one per verdict, so every verdict takes one path.
+
 `extend_to_views` and the two necessity witnesses are the constructive
 side: they build, from a record with one edge dropped, a certifying view
 set that provably differs from the original.  `_least_replay` is their
@@ -107,11 +116,7 @@ def certifies(candidate: ViewSet, program: Program, record: Record, model: str) 
     """Whether `candidate` certifies a replay of the record under the
     model: it holds one view per process over its universe, each view
     extends its process's record edges (`_extends`), and each view's
-    order rows hold its program order and the model's order.  That order
-    is the SCO the owners' views place on their own writes under the
-    strong model, tested by `consistency.strongly_causal_rows`, the rows
-    test that also checks every witness, and the WO of the reads the
-    views derive under the causal model.
+    order rows hold its program order and the model's order (`_holds`).
 
     Nothing else needs checking.  The execution a view set explains is
     the one its views derive (`derive_writes_to`): each read returns the
@@ -125,17 +130,31 @@ def certifies(candidate: ViewSet, program: Program, record: Record, model: str) 
     over its universe, and ValueError for a view of an unknown process,
     a record that names a process the program lacks, or a record edge
     that escapes its process's universe."""
-    if model not in (CAUSAL, STRONG_CAUSAL):
-        raise ValueError(f"unsupported replay model {model!r}")
+    _check_model(model)
     check_complete(candidate, program)
     _check_record_processes(program, record)
+    holds = _holds(candidate, program, model)
+    return _extends(candidate, program, record) and holds
+
+
+def _check_model(model: str) -> None:
+    if model not in (CAUSAL, STRONG_CAUSAL):
+        raise ValueError(f"unsupported replay model {model!r}")
+
+
+def _holds(candidate: ViewSet, program: Program, model: str) -> bool:
+    """The record-independent half of `certifies`, for a complete set:
+    whether each view's order rows hold its program order plus the
+    model's order.  That order is the SCO the owners' views place on
+    their own writes under the strong model, tested by
+    `consistency.strongly_causal_rows`, the rows test that also checks
+    every witness, and the WO of the reads the views derive under the
+    causal model.  Every view's rows are built, and so checked
+    (`order_rows`), before any is tested."""
     if model == STRONG_CAUSAL:
-        _, holds = strongly_causal_rows(candidate, program)
-        return _extends(candidate, program, record) and holds
+        return strongly_causal_rows(candidate, program)[1]
     views = candidate.views
     orders = [order_rows(v, program) for v in views]
-    if not _extends(candidate, program, record):
-        return False
     sources = [(r, s) for v in views for r, s in read_sources(v, program) if s is not None]
     wo = write_read_write_rows(program, sources)
     return all(
@@ -158,38 +177,60 @@ def _extends(candidate: ViewSet, program: Program, record: Record) -> bool:
     return True
 
 
-def _base_rows(program: Program, record: Record) -> dict[int, list[int]] | None:
+def _base_rows(
+    program: Program,
+    record: Record,
+    bases: dict[tuple[int, frozenset[Pair]], list[int] | None] | None = None,
+) -> dict[int, list[int]] | None:
     """Per process, program order plus its record edges, validated and
-    closed once per query, as rows over the program index; None when some
-    process's record is cyclic, so that no replay extends it.  Every
+    closed (`_process_base`), as rows over the program index; None when
+    some process's record is cyclic, so that no replay extends it.  Every
     process is validated, in process order, before a cycle is reported.
+    `bases`, when given, keeps each process's result under (process, its
+    record edges), so a record that shares a process's edges with an
+    earlier one reuses that process's rows; callers must not change them."""
+    _check_record_processes(program, record)
+    if bases is None:
+        bases = {}
+    base = {}
+    looped = False
+    for i in sorted(program.processes):
+        edges = record.edges(i)
+        key = (i, edges)
+        if key not in bases:
+            bases[key] = _process_base(program, i, edges)
+        rows = bases[key]
+        looped = looped or rows is None
+        base[i] = rows
+    return None if looped else base
+
+
+def _process_base(program: Program, process: int, edges: frozenset[Pair]) -> list[int] | None:
+    """Program order of `process` plus its record `edges`, closed, or None
+    when they hold a cycle; every edge is validated in sorted order.
 
     Program order's rows are closed already, so each record edge that
     they do not imply yet is added with `kernels.close_with`.  The rows
     are acyclic until an edge closes a cycle, which then shows as a self
     bit at that edge's source."""
-    _check_record_processes(program, record)
     index = program.index
-    base = {}
+    pi = program.process_index(process)
+    mask = pi.universe_mask
+    rows = pi.po_rows
     looped = False
-    for i in sorted(program.processes):
-        pi = program.process_index(i)
-        mask = pi.universe_mask
-        rows = pi.po_rows
-        for a, b in sorted(record.edges(i)):
-            ka, kb = index.get(a, -1), index.get(b, -1)
-            if a == b:
-                problem = f"self-loop ({a}, {b}) is not representable"
-            elif min(ka, kb) < 0 or not mask >> ka & mask >> kb & 1:
-                problem = f"pair ({a}, {b}) escapes the universe"
-            else:
-                if not looped and not rows[ka] >> kb & 1:
-                    rows = kernels.close_with(rows, ka, 1 << kb)
-                    looped = bool(rows[ka] >> ka & 1)
-                continue
-            raise ValueError(f"record for process {i} is malformed: {problem}")
-        base[i] = list(rows)
-    return None if looped else base
+    for a, b in sorted(edges):
+        ka, kb = index.get(a, -1), index.get(b, -1)
+        if a == b:
+            problem = f"self-loop ({a}, {b}) is not representable"
+        elif min(ka, kb) < 0 or not mask >> ka & mask >> kb & 1:
+            problem = f"pair ({a}, {b}) escapes the universe"
+        else:
+            if not looped and not rows[ka] >> kb & 1:
+                rows = kernels.close_with(rows, ka, 1 << kb)
+                looped = bool(rows[ka] >> ka & 1)
+            continue
+        raise ValueError(f"record for process {process} is malformed: {problem}")
+    return None if looped else list(rows)
 
 
 def _check_record_processes(program: Program, record: Record) -> None:
@@ -426,40 +467,84 @@ def _least_replay(
     return ViewSet._ordered(tuple(views)), queries
 
 
-def _goodness(
-    views: ViewSet,
-    program: Program,
-    record: Record,
-    model: str,
-    kind: str,
-    *,
-    max_ops: int | None,
-    node_budget: int | None,
-) -> Verdict:
-    strong = model == STRONG_CAUSAL
-    if not strong:
-        _check_cap(program, max_ops)
-    base = _base_rows(program, record)
-    original = certifies(views, program, record, model)
-    if base is None:
-        return Verdict(True, None, original, 0)
-    pairs = _adjacent_pairs(views, program, kind)
-    if strong:
-        counterexample, queries = _least_replay(program, base, pairs)
-        return Verdict(counterexample is None, counterexample, original, queries)
-    # a leaf lists its views in process order, and differs iff one of
-    # them reverses a pair
-    ids = program.all_ops
-    slot = {i: k for k, i in enumerate(sorted(program.processes))}
-    reversals = [(slot[i], ids[a], ids[b]) for i, a, b in pairs]
-    budget = NodeBudget(node_budget)
-    seen = 0
-    for leaf in iter_view_sets(program, model, base, budget, reads_given=False):
-        seen += 1
-        placed = leaf.views
-        if any(placed[k].positions[b] < placed[k].positions[a] for k, a, b in reversals):
-            return Verdict(False, leaf, original, seen)
-    return Verdict(True, None, original, seen)
+class Goodness:
+    """The goodness verdicts of records against one view set.
+
+    Every verdict on a view set shares work that depends on the views
+    alone, and `Goodness` does it once, on first use: the record-
+    independent half of `certifies` per model (`_holds`), the pairs a
+    replay must reverse to differ per kind (`_adjacent_pairs`), and each
+    process's closed base, kept under (process, its record edges)
+    (`_base_rows`), so a record with one edge dropped closes one
+    process's base again, not all of them.  The fuzz battery builds one
+    per fixture, in the way it shares one `RaceAnalysis`;
+    `is_good_view_record` and `is_good_race_record` are one-shot
+    wrappers that build one per verdict.  The cached rows and pairs are
+    read-only: `_least_replay` and `saturate` copy a row list before
+    they change it.
+
+    Each verdict validates its record first (ValueError), and then the
+    views, on the first verdict under each model (`UniverseMismatch`),
+    as the one-shot wrappers do."""
+
+    def __init__(self, views: ViewSet, program: Program):
+        self.views = views
+        self.program = program
+        self._holds: dict[str, bool] = {}
+        self._pairs: dict[str, list[tuple[int, int, int]]] = {}
+        self._bases: dict[tuple[int, frozenset[Pair]], list[int] | None] = {}
+
+    def verdict(
+        self,
+        record: Record,
+        kind: str,
+        model: str = STRONG_CAUSAL,
+        *,
+        max_ops: int | None = None,
+        node_budget: int | None = DEFAULT_NODE_BUDGET,
+    ) -> Verdict:
+        """Whether the record is good: whether every certifying replay
+        view set equals the original views (kind "views", as
+        `is_good_view_record`) or reproduces each process's data-race
+        order (kind "dro", as `is_good_race_record`)."""
+        if kind not in ("views", "dro"):
+            raise ValueError(f"unsupported verdict kind {kind!r}")
+        program = self.program
+        strong = model == STRONG_CAUSAL
+        if not strong:
+            _check_cap(program, max_ops)
+        base = _base_rows(program, record, self._bases)
+        original = self._certifies(record, model)
+        if base is None:
+            return Verdict(True, None, original, 0)
+        pairs = self._pairs.get(kind)
+        if pairs is None:
+            pairs = self._pairs[kind] = _adjacent_pairs(self.views, program, kind)
+        if strong:
+            counterexample, queries = _least_replay(program, base, pairs)
+            return Verdict(counterexample is None, counterexample, original, queries)
+        # a leaf lists its views in process order, and differs iff one of
+        # them reverses a pair
+        ids = program.all_ops
+        slot = {i: k for k, i in enumerate(sorted(program.processes))}
+        reversals = [(slot[i], ids[a], ids[b]) for i, a, b in pairs]
+        budget = NodeBudget(node_budget)
+        seen = 0
+        for leaf in iter_view_sets(program, model, base, budget, reads_given=False):
+            seen += 1
+            placed = leaf.views
+            if any(placed[k].positions[b] < placed[k].positions[a] for k, a, b in reversals):
+                return Verdict(False, leaf, original, seen)
+        return Verdict(True, None, original, seen)
+
+    def _certifies(self, record: Record, model: str) -> bool:
+        """`certifies` of the original views, for a validated record."""
+        _check_model(model)
+        holds = self._holds.get(model)
+        if holds is None:
+            check_complete(self.views, self.program)
+            holds = self._holds[model] = _holds(self.views, self.program, model)
+        return _extends(self.views, self.program, record) and holds
 
 
 def is_good_view_record(
@@ -471,10 +556,11 @@ def is_good_view_record(
     max_ops: int | None = None,
     node_budget: int | None = DEFAULT_NODE_BUDGET,
 ) -> Verdict:
-    """Good iff every certifying replay view set equals the original views."""
-    return _goodness(
-        views, program, record, model, "views",
-        max_ops=max_ops, node_budget=node_budget,
+    """Good iff every certifying replay view set equals the original
+    views.  One-shot: for many records against one view set, share a
+    `Goodness`."""
+    return Goodness(views, program).verdict(
+        record, "views", model, max_ops=max_ops, node_budget=node_budget
     )
 
 
@@ -488,10 +574,10 @@ def is_good_race_record(
     node_budget: int | None = DEFAULT_NODE_BUDGET,
 ) -> Verdict:
     """Good iff every certifying replay view set reproduces each process's
-    data-race order."""
-    return _goodness(
-        views, program, record, model, "dro",
-        max_ops=max_ops, node_budget=node_budget,
+    data-race order.  One-shot: for many records against one view set,
+    share a `Goodness`."""
+    return Goodness(views, program).verdict(
+        record, "dro", model, max_ops=max_ops, node_budget=node_budget
     )
 
 
@@ -598,8 +684,10 @@ def view_witness(
     (`strongly_causal_rows`), then extend the record without `edge`:
     together, what `certifies` tests.  An edge of `record` that
     is not two consecutive operations of the view raises
-    `PreconditionViolated`: no minimal view record holds one."""
+    `PreconditionViolated`: no minimal view record holds one, and a view
+    set without a view of each process `UniverseMismatch`."""
     program = execution.program
+    check_complete(views, program)
     if edge not in record.edges(process):
         raise PreconditionViolated(
             f"edge {edge} is not a required record edge of process {process}"

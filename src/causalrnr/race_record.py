@@ -51,6 +51,7 @@ from causalrnr.model import (
     Program,
     ViewSet,
     WRITE,
+    check_complete,
     data_race_order,
     data_race_rows,
     write_read_write_order,
@@ -100,10 +101,12 @@ class RaceAnalysis:
     Next to each process's candidate record it caches that record closed
     with program order (`witness_base_rows`), the process's base in every
     race witness of another process's edge, so an analysis shared by all
-    witnesses of a fixture closes each such base once.
+    witnesses of a fixture closes each such base once.  A view set
+    without a view of each process raises `UniverseMismatch`.
     """
 
     def __init__(self, views: ViewSet, program: Program):
+        check_complete(views, program)
         self.views = views
         self.program = program
         self._dro: dict[int, list[int]] = {}

@@ -32,11 +32,9 @@ class Record:
                 yield p, pair
 
     def drop(self, process: int, edge: Pair) -> "Record":
-        return Record.of(
-            {
-                p: (e - {edge} if p == process else e)
-                for p, e in self.per_process
-            }
+        # the processes stay in order, and the other edge sets are shared
+        return Record(
+            tuple((p, e - {edge} if p == process else e) for p, e in self.per_process)
         )
 
     def size(self) -> int:

@@ -135,6 +135,12 @@ def cases(workdir: Path) -> list[tuple[str, list[str]]]:
             "fuzz", "--seed", "7", "--iterations", "40", "--processes", "3",
             "--ops-per-process", "4", "--variables", "2", "--write-ratio", "0.5",
         ]),
+        # four processes, up to 8 operations: more views for each verdict
+        # to share
+        ("fuzz-seed-11-p4", [
+            "fuzz", "--seed", "11", "--iterations", "30", "--processes", "4",
+            "--ops-per-process", "2", "--variables", "2", "--write-ratio", "0.6",
+        ]),
         *check_cases(list(fixtures.names())),
         *record_cases(names),
         *verify_cases(write_records(workdir, names)),
