@@ -4,38 +4,36 @@ One call exercises, against the brute-force oracle, everything the record
 constructions promise: the offline view record is good and every edge of
 it is necessary; the online record has exactly its closed form, contains
 the offline record, and is good; the race record is good and every edge
-necessary both by witness construction and by enumeration; and the
+necessary both by witness construction and by the oracle's verdict; and the
 structural observations relating the intermediate relations hold.
 
-The stages share per-fixture state: one `oracle.Goodness` answers the
-goodness verdicts (the view record with each edge dropped, the online
-record, the race record and the race record with each edge dropped), so
-what depends on the views alone is computed once per fixture, and one
-`RaceAnalysis` serves the race record, its witnesses and the
-observations.  The one-shot `oracle.is_good_view_record` and
-`oracle.is_good_race_record` take the same path with a fresh state.
+The stages share per-fixture state.  One `oracle.Goodness` answers the
+goodness verdicts: the view and race records, each also with every edge
+dropped in turn, and the online record.  The dropped-edge verdicts go
+through `Goodness.without_edge`, which on a good record that the
+original views certify places one replay with the edge reversed instead
+of searching for a difference.  One `view_record.guaranteed_rows` gives
+the original views' strong causal order and each process's guaranteed
+rows to the view and online stages, so the views' order rows are built
+once for both.  One `RaceAnalysis` serves the race record, its witnesses
+and the observations, which are mask tests on its rows: the strong write
+order, the obligation graphs and the flip cascades' levels, with the
+collision test asked only for races whose first cascade level lies in
+the strong write order.  The one-shot `oracle.is_good_view_record` and
+`oracle.is_good_race_record` take the same verdict path with a fresh
+state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from causalrnr import oracle
-from causalrnr.consistency import (
-    STRONG_CAUSAL,
-    check_causal,
-    check_strong_causal,
-    strong_causal_order,
-)
-from causalrnr.model import Execution, ViewSet, WRITE, data_race_order, derive_writes_to
+from causalrnr import kernels, oracle
+from causalrnr.consistency import STRONG_CAUSAL, check_causal, check_strong_causal, sco_rows
+from causalrnr.model import Execution, ViewSet, data_race_order, derive_writes_to, order_rows
 from causalrnr.race_record import RaceAnalysis
-from causalrnr.relations import Relation, transitive_closure
-from causalrnr.view_record import (
-    indirectly_enforced,
-    minimal_view_record,
-    online_record_from_views,
-    sco_from_others,
-)
+from causalrnr.relations import Relation
+from causalrnr.view_record import guaranteed_rows, minimal_view_record, online_record_from_views
 
 
 class BatteryFailure(AssertionError):
@@ -69,36 +67,32 @@ def run_battery(execution: Execution, views: ViewSet, *, max_ops: int | None = N
     stats.stages.append("fixture")
 
     goodness = oracle.Goodness(views, execution.program)
-    offline, sco = _view_record_stage(execution, views, goodness, stats, max_ops)
-    _online_record_stage(execution, views, goodness, offline, stats, max_ops)
+    sco, guaranteed = guaranteed_rows(views, execution.program)
+    offline = _view_record_stage(execution, views, goodness, sco, guaranteed, stats, max_ops)
+    _online_record_stage(execution, views, goodness, guaranteed, offline, stats, max_ops)
     analysis = RaceAnalysis(views, execution.program)
     _race_record_stage(analysis, goodness, stats, max_ops)
     _observation_stage(execution, views, analysis, sco, stats)
     return stats
 
 
-def _view_record_stage(execution, views, goodness, stats, max_ops):
-    """Returns the offline record and the SCO, which the later stages share."""
+def _view_record_stage(execution, views, goodness, sco, guaranteed, stats, max_ops):
+    """Returns the offline record, which the online stage compares with."""
     program = execution.program
     record = minimal_view_record(views, execution)
-    sco = strong_causal_order(views, program)
 
     # goodness, and the replay-preservation assertions on every certifying set
-    kept = {
-        view.process: indirectly_enforced(views, program, view.process).pairs
-        for view in views.views
-    }
     seen = 0
     for candidate in oracle.enumerate_certifying(
         program, record, STRONG_CAUSAL, max_ops=max_ops
     ):
         seen += 1
-        sco_replay = strong_causal_order(candidate, program)
-        if not sco.pairs <= sco_replay.pairs:
+        orders = {v.process: order_rows(v, program) for v in candidate.views}
+        if any(s & ~r for s, r in zip(sco, sco_rows(program, orders.items()))):
             _fail("view-record", "a certifying replay lost a strong causal ordering")
         for view in views.views:
-            pos = candidate[view.process].positions
-            if any(pos[a] > pos[b] for a, b in kept[view.process]):
+            _, _, kept = guaranteed[view.process]
+            if any(k & ~r for k, r in zip(kept, orders[view.process])):
                 _fail(
                     "view-record",
                     f"a certifying replay reversed an indirectly enforced pair "
@@ -109,11 +103,16 @@ def _view_record_stage(execution, views, goodness, stats, max_ops):
     if seen != 1:
         _fail("view-record", f"expected exactly one certifying replay, saw {seen}")
     stats.certifying_seen += seen
+    verdict = goodness.verdict(record, "views", STRONG_CAUSAL, max_ops=max_ops)
+    if not verdict.good:
+        _fail("view-record", "the oracle finds a differing replay of the offline record")
+    if not verdict.original_certifies:
+        _fail("view-record", "original views do not certify their own record")
 
     # necessity of every edge
     for i, edge in record.all_edges():
-        verdict = goodness.verdict(
-            record.drop(i, edge), "views", STRONG_CAUSAL, max_ops=max_ops
+        verdict = goodness.without_edge(
+            record, i, edge, "views", STRONG_CAUSAL, max_ops=max_ops
         )
         if verdict.good:
             _fail("view-record", f"record without {edge} (process {i}) is still good")
@@ -129,18 +128,20 @@ def _view_record_stage(execution, views, goodness, stats, max_ops):
             _fail("view-record", "necessity witness equals the original views")
         stats.view_edges_checked += 1
     stats.stages.append("view-record")
-    return record, sco
+    return record
 
 
-def _online_record_stage(execution, views, goodness, offline, stats, max_ops):
+def _online_record_stage(execution, views, goodness, guaranteed, offline, stats, max_ops):
     program = execution.program
+    index = program.index
     online = online_record_from_views(views, execution)
-    po = program.po_pairs
     for view in views.views:
         i = view.process
-        sco_i = sco_from_others(views, program, i).pairs
+        po, foreign_sco, indirect = guaranteed[i]
         expected = frozenset(
-            e for e in view.reduction_pairs() if e not in po and e not in sco_i
+            (a, b)
+            for a, b in view.reduction_pairs()
+            if not (po[index[a]] | foreign_sco[index[a]]) >> index[b] & 1
         )
         if online.edges(i) != expected:
             _fail(
@@ -151,8 +152,7 @@ def _online_record_stage(execution, views, goodness, offline, stats, max_ops):
         if not offline.edges(i) <= online.edges(i):
             _fail("online-record", f"online record of process {i} misses offline edges")
         extra = online.edges(i) - offline.edges(i)
-        covered = indirectly_enforced(views, program, i).pairs
-        if not extra <= covered:
+        if any(not indirect[index[a]] >> index[b] & 1 for a, b in extra):
             _fail(
                 "online-record",
                 f"online-only edges of process {i} are not all indirectly enforced",
@@ -177,8 +177,8 @@ def _race_record_stage(analysis, goodness, stats, max_ops):
         _fail("race-record", "original views do not certify their own record")
 
     for i, edge in record.all_edges():
-        verdict = goodness.verdict(
-            record.drop(i, edge), "dro", STRONG_CAUSAL, max_ops=max_ops
+        verdict = goodness.without_edge(
+            record, i, edge, "dro", STRONG_CAUSAL, max_ops=max_ops
         )
         if verdict.good:
             _fail("race-record", f"record without {edge} (process {i}) is still good")
@@ -193,68 +193,67 @@ def _race_record_stage(analysis, goodness, stats, max_ops):
 
 def _observation_stage(execution, views, analysis, sco, stats):
     program = execution.program
-    swo = analysis.strong_write_order()
+    ids = program.all_ops
+    writes = program.writes_mask
+    swo = analysis.swo_rows()
 
-    if not swo.relation.pairs <= sco.pairs:
+    if any(s & ~c for s, c in zip(swo, sco)):
         _fail("observations", "strong write order escapes strong causal order")
-    for pair, level in swo.level:
+    for pair, level in analysis.strong_write_order().level:
         if level < 1:
             _fail("observations", f"edge {pair} has level {level}")
 
-    writes = program.writes
     for view in views.views:
         i = view.process
-        obligation = analysis.obligation(i)
-        if not swo.relation.pairs <= obligation.pairs:
+        obligation = analysis.obligation_rows(i)
+        if any(s & ~o for s, o in zip(swo, obligation)):
             _fail("observations", f"obligation graph of {i} misses strong write order")
         # membership equivalence for pairs ending at this process's writes
-        for a in writes:
-            for b in writes:
-                if a == b or program.proc_of(b) != i:
-                    continue
-                in_obligation = (a, b) in obligation.pairs
-                in_swo = (a, b) in swo.relation.pairs
-                if in_obligation != in_swo:
-                    _fail(
-                        "observations",
-                        f"obligation/strong-write-order disagree on ({a}, {b})",
-                    )
+        own = program.process_index(i).own_writes_mask
+        for a in program.write_positions:
+            differ = (obligation[a] ^ swo[a]) & own & ~(1 << a)
+            if differ:
+                b = (differ & -differ).bit_length() - 1
+                _fail(
+                    "observations",
+                    f"obligation/strong-write-order disagree on ({ids[a]}, {ids[b]})",
+                )
 
     # cascade levels are monotone and stay inside strong-write-order reach
-    swo_reach = transitive_closure(swo.relation)
+    reach = kernels.closure_rows(swo)
     for view in views.views:
         i = view.process
-        for o1, o2 in sorted(analysis.dro(i).pairs):
-            if program.ops[o2].kind != WRITE:
-                continue
-            cascade = analysis.flip_cascade(i, o1, o2)
-            for earlier, later in zip(cascade.levels, cascade.levels[1:]):
-                if not earlier <= later:
-                    _fail("observations", "cascade levels are not monotone")
-            if program.ops[o1].kind == WRITE:
-                for w3, w4 in cascade.union:
-                    if o1 != w4 and (o1, w4) not in swo_reach.pairs:
+        for o1, later in enumerate(analysis.dro_rows(i)):
+            later &= writes
+            while later:
+                low = later & -later
+                later ^= low
+                first, second = ids[o1], ids[low.bit_length() - 1]
+                levels = analysis.cascade_levels(i, first, second)
+                for earlier, after in zip(levels, levels[1:]):
+                    if any(e & ~a for e, a in zip(earlier, after)):
+                        _fail("observations", "cascade levels are not monotone")
+                if writes >> o1 & 1 and levels:
+                    for w3, row in enumerate(levels[-1]):
+                        stray = row & ~reach[o1] & ~(1 << o1)
+                        if stray:
+                            w4 = (stray & -stray).bit_length() - 1
+                            _fail(
+                                "observations",
+                                f"cascade pair ({ids[w3]}, {ids[w4]}) not "
+                                f"strong-write-order reachable from {first}",
+                            )
+                if levels and not any(c & ~s for c, s in zip(levels[0], swo)):
+                    if analysis.collides(i, first, second):
                         _fail(
                             "observations",
-                            f"cascade pair ({w3}, {w4}) not strong-write-order "
-                            f"reachable from {o1}",
+                            f"pair ({first}, {second}) marked redundant despite a "
+                            f"forced-order cascade",
                         )
-            if cascade.levels and cascade.levels[0] <= swo.relation.pairs:
-                if (o1, o2) in analysis.indirectly_enforced(i):
-                    _fail(
-                        "observations",
-                        f"pair ({o1}, {o2}) marked redundant despite a "
-                        f"forced-order cascade",
-                    )
 
     # completion smoke: extending program order alone must succeed
     partials = {
-        i: transitive_closure(
-            Relation(
-                program.universe_of(i),
-                program.process_index(i).po_pairs,
-            )
-        )
+        i: Relation(program.universe_of(i), program.process_index(i).po_pairs)
         for i in program.processes
     }
     completed = oracle.extend_to_views(partials, program)

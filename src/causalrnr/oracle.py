@@ -43,7 +43,13 @@ and each process's closed base under its record edges, so a record
 with one edge dropped closes one process's base again.  The battery
 shares one per fixture, as it shares one `RaceAnalysis`.
 `is_good_view_record` and `is_good_race_record` are one-shot wrappers
-that build one per verdict, so every verdict takes one path.
+that build one per verdict, so every verdict takes one path.  The one
+other route is `Goodness.without_edge`, the verdict on a record with
+one edge dropped: when the record is good and the original views
+certify it, the dropped record's differing replays are exactly those
+that reverse the edge, so the least one is placed by `_least_replay`
+with the edge reversed and no pair to reverse (its docstring gives the
+argument); any other record falls back to the verdict.
 
 `extend_to_views` and the two necessity witnesses are the constructive
 side: they build, from a record with one edge dropped, a certifying view
@@ -481,7 +487,10 @@ class Goodness:
     `is_good_view_record` and `is_good_race_record` are one-shot
     wrappers that build one per verdict.  The cached rows and pairs are
     read-only: `_least_replay` and `saturate` copy a row list before
-    they change it.
+    they change it.  `without_edge` answers the verdict on a record with
+    one edge dropped, and keeps, per record and kind, whether the
+    record's own strong verdict is good and certified by the original
+    views, which decides its route.
 
     Each verdict validates its record first (ValueError), and then the
     views, on the first verdict under each model (`UniverseMismatch`),
@@ -493,6 +502,7 @@ class Goodness:
         self._holds: dict[str, bool] = {}
         self._pairs: dict[str, list[tuple[int, int, int]]] = {}
         self._bases: dict[tuple[int, frozenset[Pair]], list[int] | None] = {}
+        self._certified: dict[tuple[Record, str], bool] = {}
 
     def verdict(
         self,
@@ -536,6 +546,77 @@ class Goodness:
             if any(placed[k].positions[b] < placed[k].positions[a] for k, a, b in reversals):
                 return Verdict(False, leaf, original, seen)
         return Verdict(True, None, original, seen)
+
+    def without_edge(
+        self,
+        record: Record,
+        process: int,
+        edge: Pair,
+        kind: str,
+        model: str = STRONG_CAUSAL,
+        *,
+        max_ops: int | None = None,
+        node_budget: int | None = DEFAULT_NODE_BUDGET,
+    ) -> Verdict:
+        """The verdict on the record with `edge` of `process` dropped:
+        `verdict(record.drop(process, edge), ...)`, with the same `good`,
+        `counterexample` and `original_certifies`; `enumerated` counts
+        the fixpoints of the route taken.  An edge that is not in
+        `record.edges(process)` raises `PreconditionViolated`.
+
+        Under the strong model, when the record's own verdict (computed
+        once per record and kind) is good and the original views certify
+        the record, and, for kind "dro", `edge` = (a, b) joins two
+        operations on one variable, the answer is one replay with the
+        edge reversed.  A certifying replay of the record without the
+        edge either orders a before b, and then extends the record, so
+        it does not differ (the record is good), or orders b before a,
+        and then differs: the original views certify the record, so they
+        order a before b, and for kind "dro" a and b share a variable,
+        so the replay's data-race order of `process` differs too.  The
+        differing replays are therefore exactly the certifying replays
+        of the record with the edge reversed, and the least of them is
+        the least replay above that record's bases (`_least_replay`,
+        with no pair to reverse); a cyclic base or fixpoint leaves none,
+        and the dropped record is good.  The original views certify the
+        record, so they certify it without the edge.  Any other record
+        or edge, and the causal model, take `verdict` on the dropped
+        record."""
+        if edge not in record.edges(process):
+            raise PreconditionViolated(
+                f"edge {edge} is not a record edge of process {process}"
+            )
+        program = self.program
+        index = program.index
+        a, b = edge
+        if (
+            model != STRONG_CAUSAL
+            or not self._certified_good(record, kind)
+            or kind == "dro" and not program.variable_masks[index[a]] >> index[b] & 1
+        ):
+            return self.verdict(
+                record.drop(process, edge), kind, model, max_ops=max_ops, node_budget=node_budget
+            )
+        reversed_ = Record(
+            tuple(
+                (i, edges - {edge} | {(b, a)} if i == process else edges)
+                for i, edges in record.per_process
+            )
+        )
+        base = _base_rows(program, reversed_, self._bases)
+        if base is None:
+            return Verdict(True, None, True, 0)
+        counterexample, queries = _least_replay(program, base, None)
+        return Verdict(counterexample is None, counterexample, True, queries)
+
+    def _certified_good(self, record: Record, kind: str) -> bool:
+        """Whether the strong verdict on the record is good and the
+        original views certify it, computed once per record and kind."""
+        key = (record, kind)
+        if key not in self._certified:
+            verdict = self.verdict(record, kind)
+            self._certified[key] = verdict.good and verdict.original_certifies
+        return self._certified[key]
 
     def _certifies(self, record: Record, model: str) -> bool:
         """`certifies` of the original views, for a validated record."""

@@ -36,16 +36,29 @@ cascade onto those closed rows too; only the owner's collision test,
 whose graph loses the flipped pair and is no longer closed, closes from
 scratch.  Id pairs and `Relation`s are built only for its public
 results: `obligation`, `strong_write_order`, `swo_from_others`,
-`flip_cascade`, `indirectly_enforced` and the `Record`s.
+`flip_cascade`, `indirectly_enforced` and the `Record`s.  Callers that
+work on rows read `swo_rows`, `obligation_rows`, `dro_rows`,
+`cascade_levels` and the one-pair collision test `collides`, as the
+fuzz battery's observations do.  `obligation`, `dro`,
+`indirectly_enforced`, `flip_cascade`, `cascade_levels` and `collides`
+raise ValueError for a process or an operation the program lacks;
+`in_record` and `candidate_rows`, which record construction and the
+witnesses run per edge, add no such check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from causalrnr import kernels
 from causalrnr.consistency import check_strong_causal, cyclic
-from causalrnr.errors import CyclicInput, InternalInvariant, NotStronglyCausal
+from causalrnr.errors import (
+    CyclicInput,
+    InternalInvariant,
+    NotStronglyCausal,
+    PreconditionViolated,
+)
 from causalrnr.model import (
     Execution,
     Program,
@@ -69,7 +82,18 @@ class WriteOrderLevels:
     level: tuple[tuple[Pair, int], ...]
 
     def level_of(self, edge: Pair) -> int:
-        return dict(self.level)[edge]
+        """The level `edge` appeared at; an edge outside the strong write
+        order raises `PreconditionViolated`."""
+        try:
+            return self._levels[edge]
+        except KeyError:
+            raise PreconditionViolated(
+                f"edge {edge} is not in the strong write order"
+            ) from None
+
+    @cached_property
+    def _levels(self) -> dict[Pair, int]:
+        return dict(self.level)
 
 
 @dataclass(frozen=True)
@@ -133,6 +157,19 @@ class RaceAnalysis:
             self.program.pairs_of(self.dro_rows(process)),
         )
 
+    def _check_process(self, process: int) -> None:
+        """Raises ValueError for a process the program lacks, at the
+        public entry points that take one."""
+        self.program.process_index(process)
+
+    def _check_pair(self, process: int, first: str, second: str) -> None:
+        """`_check_process`, and ValueError for an operation the program
+        lacks."""
+        self._check_process(process)
+        for op in (first, second):
+            if op not in self.program.index:
+                raise ValueError(f"unknown operation {op}")
+
     def _base_rows(self, process: int) -> list[int]:
         po = self.program.process_index(process).po_rows
         return [d | p for d, p in zip(self.dro_rows(process), po)]
@@ -183,6 +220,13 @@ class RaceAnalysis:
                 Relation(program.writes, program.pairs_of(self._swo_rows)), tuple(level)
             )
         return self._swo
+
+    def swo_rows(self) -> list[int]:
+        """The strong write order as rows over the program index: row w
+        holds the writes it forces after w.  Callers must not change
+        the rows."""
+        self._solve()
+        return self._swo_rows
 
     def _foreign_swo_rows(self, process: int) -> list[int]:
         self._solve()
@@ -235,11 +279,18 @@ class RaceAnalysis:
         return self._targets[process]
 
     def flip_cascade(self, process: int, first: str, second: str) -> FlipCascade:
-        program = self.program
         levels = tuple(
-            program.pairs_of(rows) for rows in self._cascade(process, first, second)
+            self.program.pairs_of(rows)
+            for rows in self.cascade_levels(process, first, second)
         )
         return FlipCascade(process, (first, second), levels)
+
+    def cascade_levels(self, process: int, first: str, second: str) -> tuple[list[int], ...]:
+        """The flip cascade's levels as rows over the program index, the
+        rows of `flip_cascade`'s levels; callers must not change them.
+        An unknown process or operation raises ValueError."""
+        self._check_pair(process, first, second)
+        return self._cascade(process, first, second)
 
     def cascade_rows(self, process: int, first: str, second: str) -> list[int]:
         """The flip cascade's union as rows over the program index."""
@@ -320,9 +371,19 @@ class RaceAnalysis:
         self._collisions[key] = found
         return found
 
+    def collides(self, process: int, first: str, second: str) -> bool:
+        """Whether reversing the race (first, second) of `process` makes
+        its flip cascade collide with some obligation graph: the test
+        `indirectly_enforced` applies to each race of `process` that ends
+        at a write.  An unknown process or operation raises ValueError."""
+        self._check_pair(process, first, second)
+        index = self.program.index
+        return self._collides(process, index[first], index[second])
+
     def indirectly_enforced(self, process: int) -> frozenset[Pair]:
         if process in self._indirect:
             return self._indirect[process]
+        self._check_process(process)
         i = process
         program = self.program
         ids = program.all_ops

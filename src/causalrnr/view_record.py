@@ -11,8 +11,11 @@ The offline record runs on bitmask rows over the program index: each
 view's order rows and the strong causal order are built once, shared
 with the strong causality check that guards the record, and one
 helper gives, per process, the rows of the three guaranteed parts.
-`sco_from_others` and `indirectly_enforced` are `Relation` views of the
-same helper, so membership has one definition.
+`guaranteed_rows` builds the order rows and the SCO once for a view set
+and applies the same helper to every process: the fuzz battery reads
+it once per fixture, and `sco_from_others` and `indirectly_enforced`
+are `Relation` views of one process's part, so membership has one
+definition.
 
 The online recorder sees operations one at a time and cannot decide the
 third-party case, so it keeps those edges: its record per process is the
@@ -59,9 +62,23 @@ def _guaranteed(
     return pi.po_rows, foreign_sco, indirect
 
 
-def _guaranteed_in(views: ViewSet, program: Program, process: int):
+def guaranteed_rows(
+    views: ViewSet, program: Program
+) -> tuple[list[int], dict[int, tuple[list[int], list[int], list[int]]]]:
+    """The strong causal order of the views, and per process the
+    orderings a replay keeps without a record edge (program order,
+    foreign SCO and indirectly enforced pairs, `_guaranteed`), all as
+    rows over the program index, from one build of every view's order
+    rows.  `sco_from_others` and `indirectly_enforced` read one process's
+    part; for every process of one view set, call this once."""
     orders = {v.process: order_rows(v, program) for v in views.views}
-    return _guaranteed(program, orders, sco_rows(program, orders.items()), process)
+    sco = sco_rows(program, orders.items())
+    return sco, {i: _guaranteed(program, orders, sco, i) for i in orders}
+
+
+def _guaranteed_in(views: ViewSet, program: Program, process: int):
+    program.process_index(process)  # an unknown process raises ValueError
+    return guaranteed_rows(views, program)[1][process]
 
 
 def sco_from_others(views: ViewSet, program: Program, process: int) -> Relation:

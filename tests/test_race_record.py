@@ -4,7 +4,7 @@ flip cascades, redundancy, the minimal record and the naive scheme."""
 import pytest
 
 from causalrnr.consistency import check_strong_causal, strong_causal_order
-from causalrnr.errors import NotStronglyCausal
+from causalrnr.errors import NotStronglyCausal, PreconditionViolated
 from causalrnr.model import Operation, Program, View, ViewSet, Execution, data_race_order
 from causalrnr.race_record import (
     RaceAnalysis,
@@ -66,6 +66,12 @@ class TestStrongWriteOrder:
         swo = strong_write_order(parsed.views, parsed.program)
         assert swo.relation.pairs == {("w2", "w1")}
         assert swo.level_of(("w2", "w1")) == 1
+
+    def test_level_of_an_edge_outside_the_order_is_a_precondition(self, corpus):
+        parsed = corpus["write-race"]
+        swo = strong_write_order(parsed.views, parsed.program)
+        with pytest.raises(PreconditionViolated, match=r"edge \('w1', 'w2'\) is not in"):
+            swo.level_of(("w1", "w2"))
 
     def test_matches_unrolled_oracle(self, corpus, generated_corpus):
         cases = [(c.execution, c.views) for c in corpus.values() if c.views]
@@ -215,6 +221,32 @@ class TestIndirectlyEnforcedRaces:
                     cascade = analysis.flip_cascade(i, o1, o2)
                     if cascade.levels and cascade.levels[0] <= swo:
                         assert (o1, o2) not in covered
+
+
+class TestUnknownInput:
+    """Every public entry point that takes a process or an operation
+    raises ValueError for one the program lacks, as `obligation` does."""
+
+    CALLS = {
+        "obligation": lambda a, views, program: a.obligation(9),
+        "dro": lambda a, views, program: a.dro(9),
+        "indirectly_enforced": lambda a, views, program: a.indirectly_enforced(9),
+        "flip_cascade process": lambda a, views, program: a.flip_cascade(9, "w1", "w2"),
+        "flip_cascade operation": lambda a, views, program: a.flip_cascade(1, "w9", "w1"),
+        "cascade_levels": lambda a, views, program: a.cascade_levels(1, "w1", "w9"),
+        "collides": lambda a, views, program: a.collides(9, "w1", "w2"),
+        "module flip_cascade": lambda a, views, program: flip_cascade(
+            views, program, 1, "w9", "w1"
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_unknown_process_or_operation(self, corpus, name):
+        parsed = corpus["write-race"]
+        analysis = RaceAnalysis(parsed.views, parsed.program)
+        with pytest.raises(ValueError, match=r"unknown (process 9|operation w9)") as raised:
+            self.CALLS[name](analysis, parsed.views, parsed.program)
+        assert type(raised.value) is ValueError
 
 
 class TestMinimalRaceRecord:
