@@ -175,6 +175,10 @@ def good_dropped_edge(monkeypatch):
     )
 
 
+def witness_keeps_the_race(monkeypatch):
+    monkeypatch.setattr(oracle, "race_witness", lambda analysis, i, edge: analysis.views)
+
+
 def online_misses_an_offline_edge(monkeypatch):
     original = battery.online_record_from_views
 
@@ -196,6 +200,7 @@ CORRUPTIONS = {
         lambda m: after_race_stage(m, every_race_collides), "observations"),
     "good-dropped-edge": (good_dropped_edge, "view-record"),
     "online-misses-offline": (online_misses_an_offline_edge, "online-record"),
+    "witness-keeps-race": (witness_keeps_the_race, "race-record"),
 }
 
 

@@ -141,6 +141,12 @@ def cases(workdir: Path) -> list[tuple[str, list[str]]]:
             "fuzz", "--seed", "11", "--iterations", "30", "--processes", "4",
             "--ops-per-process", "2", "--variables", "2", "--write-ratio", "0.6",
         ]),
+        # 29-35 operations, past the enumeration cap of 10 that the
+        # battery's queries do not have
+        ("fuzz-seed-3-p4-large", [
+            "fuzz", "--seed", "3", "--iterations", "4", "--processes", "4",
+            "--ops-per-process", "15", "--variables", "3", "--write-ratio", "0.5",
+        ]),
         *check_cases(list(fixtures.names())),
         *record_cases(names),
         *verify_cases(write_records(workdir, names)),
