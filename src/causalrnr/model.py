@@ -308,8 +308,14 @@ class ViewSet:
         return self._processes
 
     def replace(self, view: View) -> "ViewSet":
-        kept = [v for v in self.views if v.process != view.process]
-        return ViewSet.of(kept + [view])
+        """The set with `view` in place of its process's view, or added
+        when the set has none; a replaced view keeps its place, so the
+        views stay in process order without a sort."""
+        views = self.views
+        for k, v in enumerate(views):
+            if v.process == view.process:
+                return ViewSet._ordered(views[:k] + (view,) + views[k + 1 :])
+        return ViewSet.of(views + (view,))
 
     def sort_key(self) -> tuple:
         return tuple(v.sequence for v in self.views)

@@ -73,8 +73,11 @@ swaps its edge in its owner's view.  Each witness is checked on its
 order rows, built once: for strong causality by the rows test that
 `certifies` runs (`consistency.strongly_causal_rows`; its reads return
 what its views make them return, so none is derived or checked), then
-for extending the reduced record.  The full checker runs only on a
-witness that fails the rows test, to word the error.
+for extending the reduced record.  The one-shot witnesses start from
+the rows of the strong-causality check that guards them, and the view
+witness derives its two changed rows from the originals' (`_swap`).
+The full checker runs only on a witness that fails the rows test, to
+word the error.
 """
 
 from __future__ import annotations
@@ -87,6 +90,7 @@ from causalrnr.consistency import (
     CAUSAL,
     STRONG_CAUSAL,
     _check_cap,
+    _strong_causal_check,
     check_strong_causal,
     cyclic,
     iter_view_sets,
@@ -113,9 +117,9 @@ from causalrnr.model import (
 )
 from causalrnr.race_record import RaceAnalysis
 from causalrnr.records import Record
-from causalrnr.relations import Pair, Relation, transitive_closure
+from causalrnr.relations import Pair, Relation, is_pair, transitive_closure
 from causalrnr.search import NodeBudget
-from causalrnr.view_record import minimal_view_record
+from causalrnr.view_record import required_edges
 
 DEFAULT_NODE_BUDGET = 20_000_000
 
@@ -888,15 +892,32 @@ def necessity_witness_view_record(
 ) -> ViewSet:
     """A strongly causal replay certifying the record without `edge` whose
     views differ from the originals: the edge's endpoints swapped in its
-    owner's view.  The minimal view record is rebuilt first, on rows, so
-    views that are not strongly causal raise `NotStronglyCausal`.
+    owner's view.  Views that are not strongly causal raise
+    `NotStronglyCausal`.
 
-    A one-shot convenience: every call rebuilds the fixture's state (the
-    strong-causality check and the minimal view record).  For many edges
-    of one fixture, build the record once and call `view_witness` per
-    edge."""
-    record = minimal_view_record(views, execution)
-    return view_witness(views, execution, record, process, edge)
+    A call runs the strong-causality check once and works on its rows:
+    the edge must be one of its owner's required edges
+    (`view_record.required_edges`), and the swap is tested on rows
+    derived from them (`_swap`).  The other views are the originals, and
+    the owner's other required edges are consecutive pairs the swap
+    keeps in order, so only those are tested against the reduced record.
+    For many edges of one fixture, call `view_witness` on one minimal
+    view record."""
+    bad, rows, sco = _strong_causal_check(views, execution)
+    if bad is not None:
+        raise NotStronglyCausal(str(bad))
+    program = execution.program
+    required = frozenset()
+    if process in views.processes():
+        orders = dict(zip(views.processes(), rows))
+        required = required_edges(program, orders, sco, views[process])
+    if not is_pair(edge) or edge not in required:
+        raise _not_required(process, edge)
+    witness, mine = _swap(views, program, process, edge, rows)
+    index = program.index
+    if any(not mine[index[a]] >> index[b] & 1 for a, b in required - {edge}):
+        raise InternalInvariant("swapped views do not certify the reduced record")
+    return witness
 
 
 def view_witness(
@@ -904,18 +925,36 @@ def view_witness(
 ) -> ViewSet:
     """`necessity_witness_view_record` for strongly causal views whose
     minimal view record the caller already holds.  The swapped views must
-    pass the rows test for a strongly causal replay
-    (`strongly_causal_rows`), then extend the record without `edge`:
-    together, what `certifies` tests.  An edge of `record` that
-    is not two consecutive operations of the view raises
-    `PreconditionViolated`: no minimal view record holds one, and a view
-    set without a view of each process `UniverseMismatch`."""
+    pass the rows test for a strongly causal replay (`_swap`), then
+    extend the record without `edge`: together, what `certifies` tests.
+    An edge of `record` that is not two consecutive operations of the
+    view raises `PreconditionViolated`: no minimal view record holds
+    one, and a view set without a view of each process
+    `UniverseMismatch`."""
     program = execution.program
     check_complete(views, program)
-    if edge not in record.edges(process):
-        raise PreconditionViolated(
-            f"edge {edge} is not a required record edge of process {process}"
-        )
+    if not is_pair(edge) or edge not in record.edges(process):
+        raise _not_required(process, edge)
+    witness, _ = _swap(views, program, process, edge, None)
+    if not _extends(witness, program, record.drop(process, edge)):
+        raise InternalInvariant("swapped views do not certify the reduced record")
+    return witness
+
+
+def _not_required(process: int, edge: object) -> PreconditionViolated:
+    return PreconditionViolated(f"edge {edge} is not a required record edge of process {process}")
+
+
+def _swap(
+    views: ViewSet, program: Program, process: int, edge: Pair, rows: list[list[int]] | None
+) -> tuple[ViewSet, list[int]]:
+    """The views with `edge`, two consecutive operations a, b of the view
+    of `process`, swapped there (else `PreconditionViolated`), and the
+    swapped view's order rows, which must pass `strongly_causal_rows`'
+    test (else `InternalInvariant`).  Given the original views' `rows`,
+    in view order (built here when None), the swapped ones are derived:
+    only the owner's rows of a and b change, as b now precedes a and all
+    that followed b, and a exactly what followed b."""
     a, b = edge
     view = views[process]
     pos = view.positions
@@ -927,11 +966,20 @@ def view_witness(
     idx = pos[a]
     seq[idx], seq[idx + 1] = b, a
     witness = views.replace(View(process, tuple(seq)))
-    if not strongly_causal_rows(witness, program)[1]:
-        raise _not_strongly_causal(witness, program, "swapped views are not strongly causal")
-    if not _extends(witness, program, record.drop(process, edge)):
-        raise InternalInvariant("swapped views do not certify the reduced record")
-    return witness
+    if rows is None:
+        rows = [order_rows(v, program) for v in views.views]
+    k = views.processes().index(process)
+    ka, kb = program.index[a], program.index[b]
+    old = rows[k]
+    mine = list(old)
+    mine[ka], mine[kb] = old[kb], old[kb] | 1 << ka
+    rows = rows[:k] + [mine] + rows[k + 1 :]
+    pairs = list(zip(views.processes(), rows))
+    sco = sco_rows(program, pairs)
+    for i, order in pairs:
+        if not respects(order, program.process_index(i).po_rows, sco):
+            raise _not_strongly_causal(witness, program, "swapped views are not strongly causal")
+    return witness, rows[k]
 
 
 def necessity_witness_race_record(
@@ -940,14 +988,13 @@ def necessity_witness_race_record(
     """A strongly causal replay certifying the race record without `edge`
     in which `process` resolves that race the other way.
 
-    A one-shot convenience: every call rebuilds the fixture's state (the
-    strong-causality check and a new `RaceAnalysis`).  For many edges of
-    one fixture, share one `RaceAnalysis` and call `race_witness` per
+    A call runs the strong-causality check once and builds a new
+    `RaceAnalysis` on the check's order rows (`RaceAnalysis._checked`),
+    whose strong write order fixpoint, candidate records and the edge's
+    own cascade `race_witness` then computes.  For many edges of one
+    fixture, share one `RaceAnalysis` and call `race_witness` per
     edge."""
-    bad = check_strong_causal(views, execution)
-    if bad is not None:
-        raise NotStronglyCausal(str(bad))
-    return race_witness(RaceAnalysis(views, execution.program), process, edge)
+    return race_witness(RaceAnalysis._checked(views, execution), process, edge)
 
 
 def race_witness(analysis: RaceAnalysis, process: int, edge: Pair) -> ViewSet:
@@ -970,9 +1017,7 @@ def race_witness(analysis: RaceAnalysis, process: int, edge: Pair) -> ViewSet:
     least as strict."""
     program = analysis.program
     if not analysis.in_record(process, edge):
-        raise PreconditionViolated(
-            f"edge {edge} is not a required record edge of process {process}"
-        )
+        raise _not_required(process, edge)
     a, b = (program.index[o] for o in edge)
     procs = sorted(program.processes)
     base = {}

@@ -23,6 +23,9 @@ enforced races.  `RaceAnalysis.in_record` decides that membership for
 one edge, building only that edge's cascade, and `RaceAnalysis.record`
 applies the same test to every candidate edge, so membership has one
 definition; a necessity witness needs only its own edge's cascade.
+`minimal_race_record` and the one-shot race witness build their
+analysis with `RaceAnalysis._checked`, behind the strong causality
+check, whose order rows give the data-race orders.
 
 `RaceAnalysis` works on bitmask rows over the index its `Program`
 interns (see `causalrnr.model`), and everything rests on one fixpoint
@@ -52,7 +55,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from causalrnr import kernels
-from causalrnr.consistency import check_strong_causal, cyclic
+from causalrnr.consistency import _strong_causal_check, cyclic
 from causalrnr.errors import (
     CyclicInput,
     InternalInvariant,
@@ -70,7 +73,7 @@ from causalrnr.model import (
     write_read_write_order,
 )
 from causalrnr.records import Record
-from causalrnr.relations import Pair, Relation, transitive_reduction, union_closed
+from causalrnr.relations import Pair, Relation, is_pair, transitive_reduction, union_closed
 
 
 @dataclass(frozen=True)
@@ -145,6 +148,24 @@ class RaceAnalysis:
         self._swo_rows: list[int] = []
         self._levels: list[list[int]] = []
         self._closed: dict[int, list[int]] | None = None
+
+    @classmethod
+    def _checked(cls, views: ViewSet, execution: Execution) -> RaceAnalysis:
+        """The analysis of views that pass the strong causality check,
+        which raises `NotStronglyCausal` otherwise: the constructor of
+        `minimal_race_record` and the one-shot race witness.  Each
+        process's data-race-order rows are the check's order rows masked
+        by variable (what `model.data_race_rows` computes), so no view's
+        order rows are built twice."""
+        bad, orders, _ = _strong_causal_check(views, execution)
+        if bad is not None:
+            raise NotStronglyCausal(str(bad))
+        program = execution.program
+        analysis = cls(views, program)
+        masks = program.variable_masks
+        for i, rows in zip(views.processes(), orders):
+            analysis._dro[i] = [row & m for row, m in zip(rows, masks)]
+        return analysis
 
     def dro_rows(self, process: int) -> list[int]:
         if process not in self._dro:
@@ -417,10 +438,9 @@ class RaceAnalysis:
                     kernels.reduction_rows(obligation), po, self._foreign_swo_rows(process)
                 )
             ]
-            stray = program.pairs_of(
-                [k & ~d for k, d in zip(kept, self.dro_rows(process))]
-            )
-            if stray:
+            dro = self.dro_rows(process)
+            if any(k & ~d for k, d in zip(kept, dro)):
+                stray = program.pairs_of([k & ~d for k, d in zip(kept, dro)])
                 raise InternalInvariant(
                     f"record for process {process} holds non-race edges {sorted(stray)}"
                 )
@@ -441,7 +461,10 @@ class RaceAnalysis:
         edge of the obligation graph's reduction that is neither program
         order nor foreign strong write order, and whose flip cascade does
         not collide.  Only that edge's cascade is built; `record` applies
-        the same test to every edge."""
+        the same test to every edge.  Anything but a pair of operation
+        ids is in no record."""
+        if not is_pair(edge):
+            return False
         index = self.program.index
         a, b = (index.get(o) for o in edge)
         if process not in self.views.by_process or a is None or b is None:
@@ -485,10 +508,7 @@ def indirectly_enforced_races(
 def minimal_race_record(views: ViewSet, execution: Execution) -> Record:
     """The good record with the fewest race edges, per process the
     obligation-graph reduction minus everything already guaranteed."""
-    bad = check_strong_causal(views, execution)
-    if bad is not None:
-        raise NotStronglyCausal(str(bad))
-    return RaceAnalysis(views, execution.program).record()
+    return RaceAnalysis._checked(views, execution).record()
 
 
 def naive_causal_race_record(views: ViewSet, execution: Execution) -> Record:

@@ -44,6 +44,16 @@ from causalrnr.errors import CyclicInput
 Pair = tuple[str, str]
 
 
+def is_pair(edge: object) -> bool:
+    """Whether `edge` is a `Pair`: a tuple of two operation ids."""
+    return (
+        isinstance(edge, tuple)
+        and len(edge) == 2
+        and isinstance(edge[0], str)
+        and isinstance(edge[1], str)
+    )
+
+
 @dataclass(frozen=True)
 class Relation:
     universe: tuple[str, ...]

@@ -11,11 +11,14 @@ The offline record runs on bitmask rows over the program index: each
 view's order rows and the strong causal order are built once, shared
 with the strong causality check that guards the record, and one
 helper gives, per process, the rows of the three guaranteed parts.
-`guaranteed_rows` builds the order rows and the SCO once for a view set
-and applies the same helper to every process: the fuzz battery reads
-it once per fixture, and `sco_from_others` and `indirectly_enforced`
-are `Relation` views of one process's part, so membership has one
-definition.
+`required_edges` reads one view's record edges off those rows:
+`minimal_view_record` maps it over every view, and the one-shot view
+necessity witness applies it to its edge's owner alone, so a required
+edge has one definition.  `guaranteed_rows` builds the order rows and
+the SCO once for a view set and applies the same helper to every
+process: the fuzz battery reads it once per fixture, and
+`sco_from_others` and `indirectly_enforced` are `Relation` views of
+one process's part, so membership has one definition.
 
 The online recorder sees operations one at a time and cannot decide the
 third-party case, so it keeps those edges: its record per process is the
@@ -28,7 +31,7 @@ from typing import Iterable, Sequence
 
 from causalrnr.consistency import _strong_causal_check, sco_rows
 from causalrnr.errors import MalformedStream, NotStronglyCausal
-from causalrnr.model import Execution, Program, ViewSet, order_rows, write_read_write_order
+from causalrnr.model import Execution, Program, View, ViewSet, order_rows, write_read_write_order
 from causalrnr.records import Record
 from causalrnr.relations import Pair, Relation
 
@@ -96,24 +99,32 @@ def indirectly_enforced(views: ViewSet, program: Program, process: int) -> Relat
     return Relation(program.writes, program.pairs_of(indirect))
 
 
+def required_edges(
+    program: Program, orders: dict[int, list[int]], sco: list[int], view: View
+) -> frozenset[Pair]:
+    """The edges of `view` that its minimal view record keeps: its
+    reduction pairs (consecutive operations) that its process's
+    guaranteed rows (`_guaranteed`) do not hold, given every view's
+    order rows `orders` and their SCO `sco`."""
+    index = program.index
+    drop = [p | s | d for p, s, d in zip(*_guaranteed(program, orders, sco, view.process))]
+    return frozenset(
+        (a, b) for a, b in view.reduction_pairs() if not drop[index[a]] >> index[b] & 1
+    )
+
+
 def minimal_view_record(views: ViewSet, execution: Execution) -> Record:
     """The good record with the fewest edges: per process, the view
     reduction minus program order, foreign strong causal order and
-    indirectly enforced pairs."""
+    indirectly enforced pairs (`required_edges`)."""
     bad, rows, sco = _strong_causal_check(views, execution)
     if bad is not None:
         raise NotStronglyCausal(str(bad))
     program = execution.program
-    index = program.index
     orders = dict(zip(views.processes(), rows))
-    out = {}
-    for view in views.views:
-        i = view.process
-        drop = [p | s | d for p, s, d in zip(*_guaranteed(program, orders, sco, i))]
-        out[i] = frozenset(
-            (a, b) for a, b in view.reduction_pairs() if not drop[index[a]] >> index[b] & 1
-        )
-    return Record.of(out)
+    return Record.of(
+        {view.process: required_edges(program, orders, sco, view) for view in views.views}
+    )
 
 
 def naive_causal_view_record(views: ViewSet, execution: Execution) -> Record:

@@ -613,3 +613,45 @@ class TestWitnessCertifiedOnce:
                             for i in record.processes})
         with pytest.raises(InternalInvariant, match="do not certify the reduced record"):
             oracle.view_witness(parsed.views, parsed.execution, record, 2, ("w2", "w1"))
+
+
+# an edge argument that is not a pair of operation ids is in no record
+MALFORMED_EDGES = [("w1",), ("w1", "w2", "w3"), None, ["w2", "w1"], ("w2", ["w1"])]
+
+
+class TestMalformedWitnessEdge:
+    """Every witness entry point rejects an edge argument that is not a
+    pair of operation ids as it rejects an edge outside the record."""
+
+    @staticmethod
+    def entry_points(parsed):
+        views, execution = parsed.views, parsed.execution
+        record = minimal_view_record(views, execution)
+        analysis = RaceAnalysis(views, parsed.program)
+        return {
+            "necessity_witness_view_record": lambda i, e: (
+                oracle.necessity_witness_view_record(views, execution, i, e)
+            ),
+            "view_witness": lambda i, e: oracle.view_witness(views, execution, record, i, e),
+            "necessity_witness_race_record": lambda i, e: (
+                oracle.necessity_witness_race_record(views, execution, i, e)
+            ),
+            "race_witness": lambda i, e: oracle.race_witness(analysis, i, e),
+        }
+
+    @pytest.mark.parametrize("edge", MALFORMED_EDGES, ids=repr)
+    @pytest.mark.parametrize("fixture", ["indirect-order", "race-agreement", "write-race"])
+    def test_rejected_as_not_required(self, corpus, fixture, edge):
+        for name, witness in self.entry_points(corpus[fixture]).items():
+            for process in (1, 2):
+                expected = f"edge {edge} is not a required record edge of process {process}"
+                with pytest.raises(PreconditionViolated) as raised:
+                    witness(process, edge)
+                assert str(raised.value) == expected, name
+
+    @pytest.mark.parametrize("edge", MALFORMED_EDGES, ids=repr)
+    def test_in_record_is_false(self, corpus, edge):
+        parsed = corpus["race-agreement"]
+        analysis = RaceAnalysis(parsed.views, parsed.program)
+        assert analysis.in_record(2, ("w2", "w1"))
+        assert not analysis.in_record(2, edge)
