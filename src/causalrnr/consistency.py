@@ -7,31 +7,32 @@ write's own process observed them in that order; SCO is a function of the
 given view set, so the checker evaluates it once and requires every view
 to respect it.
 
-`iter_view_sets` is the package's one view-set descent: it places one
-view per process with `search.iter_extensions`, pruned while placing, and
-yields every view set over the closed base rows its caller gives that
-respects the model, each a finished `ViewSet` built once from the
-descent's tuple of views, which its callers hand out as it is.  The
-oracle enumerates a record's certifying replays with it, each read
-returning what the views make it return; `find_explanation`, the
-existential form of the checkers, takes its first set with the
-execution's reads given.
+Views are placed by two engines.  `iter_view_sets`, the view-set
+descent, places one view per process with `search.iter_extensions` and
+yields every view set over the caller's closed base rows that respects
+the model, each read returning what its owner's view makes it return;
+the oracle's enumeration and causal verdicts walk it.  `_walk`, the
+fixpoint walk, places positions one at a time on a fixpoint of monotone
+constraints (`saturate`) while it stays acyclic: it lists the strong
+model's certifying replays (`oracle.certifying_replays`), and its first
+leaf is `find_explanation`'s answer, with the reads given, and
+`check_cache`'s, per variable.
 
 The checkers decide on the views' order rows, built once: read validity
 is a mask test per read (`_check_against`), and `strongly_causal_rows`
 is the one rows test for a strongly causal replay, whose reads return
 what its views make them return; the oracle's certification test and
-its witnesses run it.  Two helpers turn
-constraints into placement-time predecessors and vetoes: `read_validity`
-(shared with `check_cache`) and `sco_summary`, the writes that each own
-write of a process may not be placed after.
+its witnesses run it.  `read_validity` turns given reads into successor
+rows and the rules that `close_reads` derives orderings from, and
+`sco_summary` gives the writes that each own write of a process may not
+be placed after, the descent's strong-model vetoes.
 
 `saturate` is the package's one fixpoint of monotone replay constraints.
 It closes each process's rows under the strong causal order the owners'
 rows force on their own writes (the oracle's strong-model verdicts) and,
-with the reads given, under read validity's forced rules (`close_reads`,
-also run per variable by `check_cache`).  `find_explanation` saturates
-its bases before the descent: a cyclic fixpoint settles an execution as
+with the reads given, under read validity's rules (`close_reads`, also
+run per variable by `check_cache`).  `find_explanation` saturates its
+bases before the walk: a cyclic fixpoint settles an execution as
 unexplainable with no placement, and an acyclic one orders most of an
 explanation before anything is placed.
 """
@@ -234,26 +235,18 @@ def _strong_causal_check(
     return _check_against(views, execution, orders, sco), orders, sco
 
 
-def read_validity(
-    program: Program, writes_to, reads
-) -> tuple[list[int], list[tuple[Veto, ...]], tuple[Rule, ...]]:
-    """Read validity of the reads at positions `reads` as placement
-    constraints over the program index: successor rows and vetoes under
-    which each read is placed with its source as the last placed write to
-    its variable, or with none placed if it read the initial value, and
-    the rules `close_reads` derives orderings from.
-
-    A read's source goes before it, and every other write to the variable
-    is vetoed while the source is placed and the read is not; a read of
-    the initial value goes before every write to its variable.  A read
-    with a source and a competing write to its variable has the rule
-    (read, source, competing writes)."""
+def read_validity(program: Program, writes_to, reads) -> tuple[list[int], tuple[Rule, ...]]:
+    """Read validity of the reads at positions `reads` over the program
+    index: successor rows that put each read's source before it, and a
+    read of the initial value before every write to its variable; and
+    for a read with a source and a competing write to its variable, the
+    rule (read, source, competing writes) that `close_reads` applies.  A
+    total order holding both makes each read return its source (`_walk`)."""
     ids = program.all_ops
     index = program.index
     masks = program.variable_masks
     writes = program.writes_mask
     rows = [0] * len(ids)
-    vetoes: list[tuple[Veto, ...]] = [()] * len(ids)
     rules = []
     for r in reads:
         same = masks[r] & writes
@@ -266,12 +259,7 @@ def read_validity(
         competing = same & ~(1 << s)
         if competing:
             rules.append((r, s, competing))
-        veto = (1 << s, 1 << r)
-        while competing:
-            low = competing & -competing
-            vetoes[low.bit_length() - 1] += (veto,)
-            competing ^= low
-    return rows, vetoes, tuple(rules)
+    return rows, tuple(rules)
 
 
 def close_reads(rows: list[int], rules: Sequence[Rule]) -> list[int] | None:
@@ -474,22 +462,13 @@ def iter_view_sets(
     model: str,
     base: Mapping[int, list[int]],
     budget: NodeBudget,
-    *,
-    reads_given: bool,
-    vetoes: Mapping[int, Sequence[tuple[Veto, ...]]] | None = None,
 ) -> Iterator[ViewSet]:
     """Every view set, one view per process, that extends each process's
-    closed `base` rows and respects the model's order, in lexicographic
+    closed `base` rows and respects the model's order, each read
+    returning what its owner's view makes it return, in lexicographic
     order of the per-process sequences.  Each set is built once, as the
     descent's tuple of views in process order (`ViewSet._ordered`), and
     its callers hand it out as it comes.
-
-    `reads_given` says whether the caller fixed the source of every read.
-    If so, the caller closed each process's read validity (`read_validity`)
-    into its base and passes read validity's vetoes in `vetoes`, and
-    under the causal model it closed WO into every base too.  If not, each
-    read returns what its owner's view makes it return, and the causal
-    model's WO is derived from each view as it is placed.
 
     The views are placed process by process with `search.iter_extensions`,
     each under its process's base plus the orderings that the views placed
@@ -498,18 +477,14 @@ def iter_view_sets(
     (`oracle.certifies` and the checkers test exactly these conditions):
 
     * base: every view is placed under it, so it respects program order
-      and whatever the caller closed in (record edges, read validity, WO);
-    * read validity, reads given: each read is placed after its source,
-      and the vetoes stop every other write to its variable in between;
-    * read validity, reads not given: the execution a set explains is the
-      one its views derive (`derive_writes_to`), whose reads return by
-      definition the last preceding write in their owner's view;
-    * causal model, reads not given: each new view is placed under
-      `forced`, so it respects the earlier views' WO contributions, and
-      is kept only if every earlier view respects its own, that is, if
-      its contribution lies inside the row-wise intersection of the
-      earlier views' orders (`_inside`): a pair lies in every order iff
-      it lies in their intersection;
+      and whatever the caller closed in (record edges);
+    * read validity: the execution a set explains is the one its views
+      derive (`derive_writes_to`), whose reads return by definition the
+      last preceding write in their owner's view;
+    * causal model: each new view is placed under `forced`, so it
+      respects the earlier views' WO contributions, and is kept only if
+      its own lies inside the row-wise intersection of the earlier
+      views' orders (`_inside`), that is, if they all respect it;
     * strong model: each new view respects the earlier views' SCO
       contributions through `forced`, and the SCO vetoes stop it from
       adding an SCO edge that an earlier view contradicts;
@@ -529,14 +504,13 @@ def iter_view_sets(
     views' SCO summary (`sco_summary`).  The summary holds exactly the
     SCO vetoes' masks, one per own write, so it determines the vetoes,
     which are built from it only when the search runs.  Within one call
-    a process's base and read validity's vetoes are fixed, so the key
-    determines the extensions; a later node with the same key replays
-    the stored list, in the order it was found, without a placement, so
-    the sets, their order and the first of them are the unmemoised
-    search's.  A list is stored only once its search has run to the end:
-    an early exit of the caller or a `BudgetExceeded` stores nothing.  A
-    key repeats only in another branch of a shallower process, which
-    starts after the list is complete.  The causal model's filter reads
+    a process's base is fixed, so the key determines the extensions; a
+    later node with the same key replays the stored list, in the order
+    it was found, without a placement, so the sets and their order are
+    the unmemoised search's.  A list is stored only once its search has
+    run to the end: an early exit of the caller or a `BudgetExceeded`
+    stores nothing.  A key repeats only in another branch of a shallower
+    process, which starts after the list is complete.  The causal model's filter reads
     the intersection of the earlier views' orders, which the key leaves
     out, so it runs at every node; the intersection is carried down the
     descent as `forced` is.  Each distinct sequence of a process builds
@@ -550,10 +524,8 @@ def iter_view_sets(
     size = len(ids)
     writes = program.write_positions
     strong = model == STRONG_CAUSAL
-    # whether each view forces orderings on the views placed after it
-    contributes = strong or not reads_given
     # whether each view is kept only if the fixed views respect its own
-    filters = contributes and not strong
+    filters = not strong
     memo: dict[tuple, list[Entry]] = {}
     interned: dict[tuple[int, tuple[int, ...]], Entry] = {}
     # `procs` is sorted, so every leaf's tuple is in process order
@@ -561,7 +533,7 @@ def iter_view_sets(
 
     def intern(i: int, seq: tuple[int, ...], last: bool) -> Entry:
         view = View(i, tuple(ids[k] for k in seq))
-        if not contributes or (strong and last):
+        if strong and last:
             item = view, None, None
         else:
             order = None if last else sequence_rows(seq, size)
@@ -583,10 +555,7 @@ def iter_view_sets(
         preds = predecessors(forced, onto=base[i])
         if preds is None:
             return iter(())
-        placing = vetoes[i] if vetoes is not None else None
-        if summary is not None:
-            sco = _sco_vetoes(program, i, summary)
-            placing = sco if placing is None else [v + s for v, s in zip(placing, sco)]
+        placing = None if summary is None else _sco_vetoes(program, i, summary)
         positions = program.process_index(i).positions
         return iter_extensions(positions, preds, placing, budget)
 
@@ -615,17 +584,15 @@ def iter_view_sets(
                 continue
             if last:
                 yield ordered(fixed + (view,))
-            elif not contributes:
-                yield from extend(fixed + (view,), orders, forced, meet)
-            else:
-                grown = forced
-                if contribution:
-                    grown = list(forced)
-                    for k, c in contribution:
-                        grown[k] |= c
-                    grown = tuple(grown)
-                narrowed = tuple([m & o for m, o in zip(meet, order)]) if filters else None
-                yield from extend(fixed + (view,), orders + [order], grown, narrowed)
+                continue
+            grown = forced
+            if contribution:
+                grown = list(forced)
+                for k, c in contribution:
+                    grown[k] |= c
+                grown = tuple(grown)
+            narrowed = tuple([m & o for m, o in zip(meet, order)]) if filters else None
+            yield from extend(fixed + (view,), orders + [order], grown, narrowed)
         if missed:
             memo[key] = found
 
@@ -633,33 +600,156 @@ def iter_view_sets(
     yield from extend((), [], (0,) * size, (-1,) * size if filters else None)
 
 
-def explanation_base(
-    execution: Execution, model: str
-) -> tuple[dict[int, list[int]] | None, dict[int, list[tuple[Veto, ...]]]]:
-    """`find_explanation`'s constraints: each process's base rows, and
-    read validity's vetoes.  The base is program order, read validity
-    and, under the causal model, WO, closed per process and saturated
-    (`saturate`) under read validity's rules and, under the strong model,
-    SCO; None when it holds a cycle, so that nothing explains the
-    execution."""
+def _walk(
+    program: Program,
+    rows: Mapping,
+    groups: Sequence[tuple[object, int]],
+    budget: NodeBudget,
+    *,
+    rules: Mapping[object, Sequence[Rule]] | None = None,
+    lift: bool = True,
+) -> Iterator[tuple[int, ...]]:
+    """Every solution above the fixpoint `rows`, in lexicographic order,
+    as its positions in placement order.  `groups` holds (key, positions
+    mask) pairs, placed in order: process universes, or one variable's
+    positions.  `rows` maps each key to closed rows that `saturate`
+    leaves unchanged under `rules` (per key, or None) and `lift`, with
+    which the groups are the processes.  A solution orders each group
+    totally, holds its rows, is closed under its rules and, with `lift`,
+    respects the SCO that the owners' orders put on their own writes.
+
+    A state is the fixpoint of `rows` plus the placed prefixes, each
+    position preceding the rest of its group.  A group is placed
+    position by position, trying the positions without a remaining
+    predecessor in ascending order.  Placing c gains `gain`, the
+    remaining positions c does not precede yet; it is saturated, and
+    skipped if cyclic, when c is a write that gains an own write under
+    `lift` (new SCO edges) or gains anything in a group with rules.
+    Otherwise only row c grows, which keeps an acyclic fixpoint
+    (`oracle._least_replay` gives the argument).  Each placement spends one unit of `budget`.
+
+    * Every leaf is a solution: it orders each group totally inside an
+      acyclic fixpoint.  Over read validity's rows and rules, a total
+      order closed under the rules makes each read return its source, so
+      no veto is needed: a read r of s follows s, and a competing write
+      before r goes before s, so s is the last write before r; a read of
+      the initial value precedes every write to its variable.
+    * Every solution is reached: every edge `saturate` derives holds in
+      every solution above its input, so a solution's rows hold each
+      state along its placements, which is thus acyclic and leaves its
+      next position without a remaining predecessor.
+    * The first leaf is the least solution: candidates are tried in
+      ascending order, group after group, so the leaves come in
+      lexicographic order of the per-group sequences, each once.
+
+    Without rules an acyclic state completes (`saturate`), so between
+    two leaves the walk retreats and advances at most once through each
+    position, with at most one fixpoint per candidate: polynomial delay
+    (the "flashlight" scheme of Read and Tarjan, Networks 1975).  Read
+    validity's rules are not complete: with them an acyclic state may
+    have no completion, and the walk backtracks out of it."""
+    ruled = [rules is not None and bool(rules[key]) for key, _ in groups]
+    owns = [program.own_writes_masks[key] if lift else 0 for key, _ in groups]
+    writes = program.writes_mask
+    spend = budget.spend
+
+    def frame(slot: int, state: Mapping, remaining: int) -> list | None:
+        # the next unfinished group's frame from `slot` on, if any
+        while not remaining:
+            slot += 1
+            if slot == len(groups):
+                return None
+            remaining = groups[slot][1]
+        mine = state[groups[slot][0]]
+        blocked = 0
+        rest = remaining
+        while rest:
+            low = rest & -rest
+            blocked |= mine[low.bit_length() - 1]
+            rest ^= low
+        return [slot, state, remaining, remaining & ~blocked]
+
+    placed: list[int] = []
+    # per depth: [group slot, state, remaining positions, candidates left]
+    stack = [frame(-1, rows, 0)]
+    if stack[0] is None:
+        yield ()
+        return
+    while stack:
+        top = stack[-1]
+        slot, state, remaining, candidates = top
+        if not candidates:
+            stack.pop()
+            if stack:
+                placed.pop()
+            continue
+        low = candidates & -candidates
+        top[3] = candidates ^ low
+        c = low.bit_length() - 1
+        key = groups[slot][0]
+        mine = state[key]
+        after = remaining ^ low
+        gain = after & ~mine[c]
+        if gain and ruled[slot] or writes & low and gain & owns[slot]:
+            grown = saturate(program, state, {key: ((c, gain),)}, rules=rules, lift=lift)
+            if grown is None:
+                continue
+        elif gain:
+            # only row c of the group gains, by `gain`
+            row = list(mine)
+            row[c] |= gain
+            grown = {**state, key: row}
+        else:
+            grown = state
+        spend()
+        placed.append(c)
+        nxt = frame(slot, grown, after)
+        if nxt is None:
+            yield tuple(placed)
+            placed.pop()
+        else:
+            stack.append(nxt)
+
+
+def _views(program: Program, placed: Sequence[int]) -> ViewSet:
+    """The view set listing `placed` process after process."""
+    ids = program.all_ops
+    views = []
+    start = 0
+    for i in sorted(program.processes):
+        end = start + len(program.process_index(i).positions)
+        views.append(View(i, tuple(ids[k] for k in placed[start:end])))
+        start = end
+    return ViewSet._ordered(tuple(views))
+
+
+def _explanation_rows(execution: Execution, model: str) -> tuple[dict | None, dict]:
+    """`explanation_base`, and read validity's rules per process."""
     program = execution.program
     index = program.index
     if model == CAUSAL:
         wo = write_read_write_rows(program, execution.writes_to.items())
     else:
         wo = [0] * len(program.all_ops)
-    base, vetoes, rules = {}, {}, {}
+    base, rules = {}, {}
     for i in sorted(program.processes):
         reads = [index[o] for o in program.own(i) if not program.is_write(o)]
-        rows, vetoes[i], rules[i] = read_validity(program, execution.writes_to, reads)
+        rows, rules[i] = read_validity(program, execution.writes_to, reads)
         po = program.process_index(i).po_rows
         base[i] = kernels.closure_rows([p | r | w for p, r, w in zip(po, rows, wo)])
         if cyclic(base[i]):
-            return None, vetoes
-    fixpoint = saturate(
-        program, base, {i: () for i in base}, rules=rules, lift=model == STRONG_CAUSAL
-    )
-    return fixpoint, vetoes
+            return None, rules
+    lift = model == STRONG_CAUSAL
+    return saturate(program, base, {i: () for i in base}, rules=rules, lift=lift), rules
+
+
+def explanation_base(execution: Execution, model: str) -> dict[int, list[int]] | None:
+    """`find_explanation`'s base rows per process: program order, read
+    validity and, under the causal model, WO, closed per process and
+    saturated (`saturate`) under read validity's rules and, under the
+    strong model, SCO; None when they hold a cycle, so that nothing
+    explains the execution."""
+    return _explanation_rows(execution, model)[0]
 
 
 def find_explanation(
@@ -673,25 +763,38 @@ def find_explanation(
 
     Exhaustive on the configured budget: `None` means no explaining view
     set exists.  Deterministic: the lexicographically least witness is
-    returned.  An explanation is a replay of the empty record whose reads
-    are the given ones, so this is the first set `iter_view_sets` yields
-    with the reads given, over the saturated bases of `explanation_base`
-    and with read validity's vetoes.  Every edge the saturation derives
-    holds in every explanation, so the explanations, and the first of
-    them, are those of the unsaturated bases; a cyclic fixpoint settles
-    the query with no placement.
+    returned, the first leaf of the fixpoint walk (`_walk`) over the
+    saturated bases of `explanation_base`, with read validity's rules.
+    Every edge the saturation derives holds in every explanation, and a
+    cyclic fixpoint settles the query with no placement.
+
+    The strong model walks every process at once, with SCO lifted.  The
+    causal model walks each process alone: with the reads given, each
+    view's constraints (program order, read validity, WO) are closed
+    into its own base, so the explanations are every combination of
+    per-process solutions, and the least combines the least of each.
     """
     if model not in (CAUSAL, STRONG_CAUSAL):
         raise ValueError(f"find_explanation supports causal/strong_causal, not {model}")
     program = execution.program
     _check_cap(program, max_ops)
-    base, vetoes = explanation_base(execution, model)
+    base, rules = _explanation_rows(execution, model)
     if base is None:
         return None
-    leaves = iter_view_sets(
-        program, model, base, NodeBudget(node_budget), reads_given=True, vetoes=vetoes
-    )
-    return next(leaves, None)
+    budget = NodeBudget(node_budget)
+    strong = model == STRONG_CAUSAL
+    groups = [(i, program.process_index(i).universe_mask) for i in sorted(base)]
+    if strong:
+        walks = [(base, groups)]
+    else:
+        walks = [({i: base[i]}, [(i, mask)]) for i, mask in groups]
+    placed: tuple[int, ...] = ()
+    for rows, walked in walks:
+        first = next(_walk(program, rows, walked, budget, rules=rules, lift=strong), None)
+        if first is None:
+            return None
+        placed += first
+    return _views(program, placed)
 
 
 def check_cache(
@@ -699,28 +802,23 @@ def check_cache(
 ) -> Violation | None:
     """Per-variable sequential consistency: for every variable there must
     be a total order of its operations respecting program order in which
-    every read returns the last preceding write.  Each variable's program
-    order and read validity are closed under read validity's rules
-    (`close_reads`) before the search; a cycle is a violation with no
-    placement."""
+    every read returns the last preceding write: the first leaf of the
+    fixpoint walk (`_walk`) over the variable's positions, with read
+    validity's rules and no SCO.  A cycle in their closure is a
+    violation with no placement."""
     program = execution.program
     budget = NodeBudget(node_budget)
     masks = program.variable_masks
     for x in program.variables:
-        positions = tuple(
-            k for k, o in enumerate(program.all_ops) if program.var_of(o) == x
-        )
+        positions = [k for k, o in enumerate(program.all_ops) if program.var_of(o) == x]
         mask = masks[positions[0]]
         reads = [k for k in positions if not program.writes_mask >> k & 1]
-        rows, vetoes, rules = read_validity(program, execution.writes_to, reads)
+        rows, rules = read_validity(program, execution.writes_to, reads)
         po = [p & mask if mask >> k & 1 else 0 for k, p in enumerate(program.po_rows)]
         closed = kernels.closure_rows([p | r for p, r in zip(po, rows)])
         saturated = None if cyclic(closed) else close_reads(closed, rules)
-        witness = None
-        if saturated is not None:
-            preds = predecessors((), onto=saturated)
-            witness = next(iter_extensions(positions, preds, vetoes, budget), None)
-        if witness is None:
+        walk = _walk(program, {x: saturated}, [(x, mask)], budget, rules={x: rules}, lift=False)
+        if saturated is None or next(walk, None) is None:
             return Violation(
                 kind="cache",
                 variable=x,

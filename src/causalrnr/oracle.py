@@ -4,9 +4,9 @@ A view set certifies a replay of a record when it extends the record
 and respects the model; `certifies` is the one test of that, read off
 the views' order rows (its docstring gives the argument).
 `enumerate_certifying` walks every certifying set with the view-set
-descent it shares with `find_explanation` (`consistency.iter_view_sets`):
-program order and the record edges, closed once per process, are each
-view's base, and the reads return what the views make them return.
+descent (`consistency.iter_view_sets`), which the causal verdicts walk
+too: program order and the record edges, closed once per process, are
+each view's base, and the reads return what the views make them return.
 Every set the descent completes certifies by construction
 (`iter_view_sets` gives the argument), so no candidate is checked
 again, and each is yielded as the descent built it, not rebuilt.  The
@@ -14,10 +14,10 @@ enumeration is independent of the record constructions and of the
 fixpoint below, but capped at 10 operations by default.
 
 `certifying_replays` lists the same strong-model sets, in the same
-order, on that fixpoint, with polynomial delay and no cap; the fuzz
-battery's "exactly one certifying replay" check runs on it, so that
-check and the battery's goodness verdicts are now two uses of one
-fixpoint, not a verdict checked against an independent enumeration.
+order, on that fixpoint (`consistency._walk`), with polynomial delay
+and no cap; the fuzz battery's "exactly one certifying replay" check
+runs on it, so that check and the battery's goodness verdicts are two
+uses of one fixpoint, not a verdict against an independent enumeration.
 Up to 10 operations the tests cross-check the walk against
 `enumerate_certifying`, and that against an unpruned reference; beyond
 that nothing independent checks the fixpoint yet.
@@ -91,6 +91,8 @@ from causalrnr.consistency import (
     STRONG_CAUSAL,
     _check_cap,
     _strong_causal_check,
+    _views,
+    _walk,
     check_strong_causal,
     cyclic,
     iter_view_sets,
@@ -301,7 +303,7 @@ def enumerate_certifying(
     if base is None:
         return
     budget = NodeBudget(node_budget)
-    yield from iter_view_sets(program, model, base, budget, reads_given=False)
+    yield from iter_view_sets(program, model, base, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -501,120 +503,19 @@ def certifying_replays(
     ValueError before anything is yielded, and each placement spends one
     unit of the `NodeBudget`.
 
-    The walk is `_least_replay`'s placement without pairs to reverse,
-    branching on every feasible candidate instead of keeping the first.
-    A state is the fixpoint of the closed bases (`_base_rows`) plus the
-    placed prefixes; processes are placed in order, each position by
-    position, trying the remaining positions without a remaining
-    predecessor in ascending order.  A write that gains an own write of
-    the process as a successor adds SCO edges and gets a fixpoint
-    (`saturate`), and is skipped when that is cyclic; any other
-    candidate grows row c of the process alone, by the remaining
-    positions c does not precede yet, and keeps the state an acyclic
-    fixpoint (`_least_replay` gives both arguments).
-
-    Exactness: feasibility is exact (`_least_replay`), so each kept
-    state admits a certifying replay, and some candidate extends it:
-    every branch reaches a leaf.  A leaf orders every process's universe
-    totally inside an acyclic fixpoint, so its views extend the bases
-    and respect the SCO they define: it certifies.  Conversely every
-    certifying set's order rows are a fixpoint above each state along
-    its own placements, so each of those states is acyclic and the set
-    is reached.  Candidates are tried in ascending order, process by
-    process, so the sets come out in lexicographic order, each once.
-
-    Delay: since no branch dies, between two consecutive sets (and
-    before the first, and after the last) the walk retreats and advances
-    at most once through each of the n positions, testing at most n
-    candidates at each, each with at most one fixpoint: polynomial delay
-    (the "flashlight" scheme of Read and Tarjan, Networks 1975).  The
-    first set is the least one, `_least_replay` on the same bases."""
+    The sets are the leaves of the fixpoint walk (`consistency._walk`,
+    which gives the arguments) above the closed bases (`_base_rows`),
+    with SCO lifted and no rules: no branch dies, so the delay is
+    polynomial, and the first set is `_least_replay`'s."""
     base = _base_rows(program, record)
     if base is None:
         return
     rows = saturate(program, base, {i: () for i in base})
     if rows is None:
         return
-    procs = sorted(program.processes)
-    indexes = [program.process_index(i) for i in procs]
-    universes = [pi.universe_mask for pi in indexes]
-    owns = [pi.own_writes_mask for pi in indexes]
-    sizes = [len(pi.positions) for pi in indexes]
-    ids = program.all_ops
-    writes = program.writes_mask
-    spend = NodeBudget(node_budget).spend
-
-    def ready(mine: list[int], remaining: int) -> int:
-        """The remaining positions without a remaining predecessor."""
-        blocked = 0
-        rest = remaining
-        while rest:
-            low = rest & -rest
-            blocked |= mine[low.bit_length() - 1]
-            rest ^= low
-        return remaining & ~blocked
-
-    def frame(slot: int, state: dict[int, list[int]], remaining: int) -> list | None:
-        """The frame placing the next position of the first unfinished
-        process from `slot` on, or None once every process is placed."""
-        while not remaining:
-            slot += 1
-            if slot == len(procs):
-                return None
-            remaining = universes[slot]
-        return [slot, state, remaining, ready(state[procs[slot]], remaining)]
-
-    placed: list[int] = []
-
-    def leaf() -> ViewSet:
-        views = []
-        start = 0
-        for i, size in zip(procs, sizes):
-            views.append(View(i, tuple(ids[k] for k in placed[start:start + size])))
-            start += size
-        return ViewSet._ordered(tuple(views))
-
-    # per depth: [process slot, state, remaining positions, candidates left]
-    top = frame(-1, rows, 0)
-    if top is None:
-        yield leaf()
-        return
-    stack = [top]
-    while stack:
-        top = stack[-1]
-        slot, state, remaining, candidates = top
-        if not candidates:
-            stack.pop()
-            if stack:
-                placed.pop()
-            continue
-        low = candidates & -candidates
-        top[3] = candidates ^ low
-        c = low.bit_length() - 1
-        i = procs[slot]
-        mine = state[i]
-        after = remaining ^ low
-        gain = after & ~mine[c]
-        if writes & low and gain & owns[slot]:
-            # new SCO edges from c to own writes of i
-            grown = saturate(program, state, {i: ((c, gain),)})
-            if grown is None:
-                continue
-        elif gain:
-            # only row c of process i gains, by `gain`
-            row = list(mine)
-            row[c] |= gain
-            grown = {**state, i: row}
-        else:
-            grown = state
-        spend()
-        placed.append(c)
-        nxt = frame(slot, grown, after)
-        if nxt is None:
-            yield leaf()
-            placed.pop()
-        else:
-            stack.append(nxt)
+    groups = [(i, program.process_index(i).universe_mask) for i in sorted(rows)]
+    for placed in _walk(program, rows, groups, NodeBudget(node_budget)):
+        yield _views(program, placed)
 
 
 class Goodness:
@@ -690,7 +591,7 @@ class Goodness:
         reversals = [(slot[i], ids[a], ids[b]) for i, a, b in pairs]
         budget = NodeBudget(node_budget)
         seen = 0
-        for leaf in iter_view_sets(program, model, base, budget, reads_given=False):
+        for leaf in iter_view_sets(program, model, base, budget):
             seen += 1
             placed = leaf.views
             if any(placed[k].positions[b] < placed[k].positions[a] for k, a, b in reversals):

@@ -6,12 +6,11 @@ toolkit the record constructions build on: transitive closure, the unique
 transitive reduction, closing and plain unions, cycle detection and
 restriction.
 
-The hot paths (the consistency checks, the view-set descent
-`consistency.iter_view_sets` that the oracle and `find_explanation`
-share, with its placement engine `search.iter_extensions`, the race
-analysis of `race_record`, the offline view record of `view_record`,
-and the oracle's totaliser `_least_replay` behind the strong-model
-verdicts, `oracle.extend_to_views` and the necessity witnesses) do not
+The hot paths (the consistency checks, the view-set descent and the
+fixpoint walk of `consistency`, the race analysis of `race_record`, the
+offline view record of `view_record`, and the oracle's totaliser
+`_least_replay` behind the strong-model verdicts,
+`oracle.extend_to_views` and the necessity witnesses) do not
 build `Relation`s: they work on bitmask rows over the index each
 `model.Program` interns once, where bit k stands for the k-th operation
 id in sorted order, and close, cycle-check and reduce them with the

@@ -9,7 +9,7 @@ constraints are masks over the same index:
 * `vetoes[k]`, a tuple of `(need, unless)` mask pairs: position k may not
   be placed while some position of `need` is placed and no position of
   `unless` is.  Vetoes let a caller prune at placement time a prefix that
-  no completion could make acceptable.
+  no completion could make acceptable (the descent's SCO vetoes).
 
 The search is a single-worker depth-first loop over a cursor stack; at
 each depth candidates are tried in ascending position order, so the
@@ -19,10 +19,10 @@ unit of the `NodeBudget`.
 
 `predecessors` turns successor rows into the predecessor masks, closing
 them first, or adding them onto rows already closed.  The view-set
-descent (`consistency.iter_view_sets`) closes each process's fixed
-constraints once and adds each node's orderings onto them
-(`kernels.close_onto`), instead of closing the whole index again at
-every node.
+descent (`consistency.iter_view_sets`), the engine's one caller, closes
+each process's fixed constraints once and adds each node's orderings
+onto them (`kernels.close_onto`), instead of closing the whole index
+again at every node.  The other searches run the fixpoint walk.
 """
 
 from __future__ import annotations

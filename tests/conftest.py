@@ -1,6 +1,6 @@
 import pytest
 
-from causalrnr import fixtures, kernels
+from causalrnr import consistency, fixtures, kernels
 from causalrnr.consistency import (
     CAUSAL,
     STRONG_CAUSAL,
@@ -11,7 +11,8 @@ from causalrnr.consistency import (
 )
 from causalrnr.errors import InternalInvariant
 from causalrnr.generator import GenParams, gen_strong_causal
-from causalrnr.model import Execution, View, ViewSet, derive_writes_to
+from causalrnr.model import Execution, View, ViewSet, derive_writes_to, sequence_rows
+from causalrnr.search import iter_extensions, predecessors
 
 
 @pytest.fixture(scope="session")
@@ -221,6 +222,75 @@ def reference_least_replay(program, base, pairs):
                 )
         views.append(View(i, tuple(ids[k] for k in seq)))
     return ViewSet.of(views), queries
+
+
+def sco_vetoes(program, process, orders):
+    """SCO as vetoes on the view of `process`, from the fixed views' order
+    rows: an own write b is vetoed while any write that some fixed view
+    orders after b is placed."""
+    vetoes = [()] * len(program.all_ops)
+    own = program.process_index(process).own_writes_mask
+    for b in program.write_positions:
+        if own >> b & 1:
+            later = 0
+            for order in orders:
+                later |= order[b]
+            later &= program.writes_mask
+            if later:
+                vetoes[b] = ((later, 0),)
+    return vetoes
+
+
+def _respects(order, contribution):
+    return not any(c & ~o for c, o in zip(contribution, order))
+
+
+def reference_view_sets(program, model, base, budget, *, reads_given=False, vetoes=None):
+    """`consistency.iter_view_sets` without its memo: every node runs its
+    own search.  With `reads_given`, the descent as `find_explanation` once
+    ran it: the caller closed read validity (and, under the causal model,
+    WO) into every base and passes read validity's vetoes, and under the
+    causal model no view constrains the others."""
+    procs = tuple(sorted(program.processes))
+    if not procs:
+        yield ViewSet.of([])
+        return
+    ids = program.all_ops
+    strong = model == STRONG_CAUSAL
+    contributes = strong or not reads_given
+
+    def extend(fixed, orders, forced):
+        i = procs[len(fixed)]
+        preds = predecessors(forced, onto=base[i])
+        if preds is None:
+            return
+        placing = vetoes[i] if vetoes is not None else None
+        if strong and orders:
+            sco = sco_vetoes(program, i, orders)
+            placing = sco if placing is None else [v + s for v, s in zip(placing, sco)]
+        last = len(fixed) == len(procs) - 1
+        positions = program.process_index(i).positions
+        for seq in iter_extensions(positions, preds, placing, budget):
+            view = View(i, tuple(ids[k] for k in seq))
+            if contributes and not strong:
+                contribution = consistency._wo_contribution(program, view)
+                if not all(_respects(o, contribution) for o in orders):
+                    continue
+            if last:
+                yield ViewSet.of(fixed + [view])
+            elif not contributes:
+                yield from extend(fixed + [view], orders, forced)
+            else:
+                order = sequence_rows(seq, len(ids))
+                if strong:
+                    contribution = sco_rows(program, [(i, order)])
+                yield from extend(
+                    fixed + [view],
+                    orders + [order],
+                    [f | c for f, c in zip(forced, contribution)],
+                )
+
+    yield from extend([], [], [0] * len(ids))
 
 
 @pytest.fixture(scope="session")

@@ -51,6 +51,25 @@ class TestCheck:
         )
         assert code == 0 and "result: ok" in out
 
+    def test_cache_violation(self, capsys, tmp_path):
+        # each process reads the other's write after its own: no single
+        # total order of the operations on x satisfies both reads
+        path = tmp_path / "crossing.txt"
+        path.write_text(
+            "process 1: w(x)#a r(x)#c\n"
+            "process 2: w(x)#b r(x)#d\n"
+            "reads: c<-b d<-a\n",
+            encoding="utf-8",
+        )
+        code, out, _ = run(capsys, "check", str(path), "--consistency", "cache")
+        assert code == 1
+        assert out.splitlines() == [
+            "check: cache",
+            "result: violation",
+            "detail: no total order of the operations on x "
+            "respects program order and the recorded read values",
+        ]
+
     def test_check_can_also_emit_dot(self, capsys, fixture_file, tmp_path):
         out_path = tmp_path / "g.dot"
         code, _, _ = run(

@@ -1,12 +1,13 @@
-"""`find_explanation`'s saturated search against the unsaturated one.
+"""`find_explanation`'s fixpoint walk against the unsaturated descent.
 
 `find_explanation` saturates each process's base (`explanation_base`)
-before the descent.  The reference here is the descent as it ran before
-the saturation: `iter_view_sets` over program order, read validity and,
-under the causal model, WO, closed per process, with the same vetoes.
-Every edge the fixpoint derives holds in every explanation, so both must
-return the same view set, the saturated search with no more placements,
-and a cyclic fixpoint must settle the query with none.
+and takes the first leaf of the fixpoint walk over it.  The reference
+here is the search as it ran before both: the view-set descent with the
+reads given (`conftest.reference_view_sets`) over program order, read
+validity and, under the causal model, WO, closed per process, with read
+validity's vetoes.  Every edge the fixpoint derives holds in every
+explanation, so both must return the same view set, the walk with no
+more placements, and a cyclic fixpoint must settle the query with none.
 """
 
 import random
@@ -21,22 +22,40 @@ from causalrnr.consistency import (
     check_strong_causal,
     explanation_base,
     find_explanation,
-    iter_view_sets,
     read_validity,
 )
 from causalrnr.generator import GenParams, gen_strong_causal
-from causalrnr.model import ViewSet, order_rows, write_read_write_rows
+from causalrnr.model import order_rows, write_read_write_rows
 from causalrnr.search import NodeBudget
 
-from conftest import resourced
+from conftest import reference_view_sets, resourced
 
 MODELS = (STRONG_CAUSAL, CAUSAL)
 
 
+def read_vetoes(program, writes_to, reads):
+    """Read validity of the reads at positions `reads` as placement
+    vetoes: every other write to a read's variable is vetoed while the
+    read's source is placed and the read is not."""
+    ids = program.all_ops
+    index = program.index
+    vetoes = [()] * len(ids)
+    for r in reads:
+        source = writes_to.get(ids[r])
+        if source is None:
+            continue
+        s = index[source]
+        competing = program.variable_masks[r] & program.writes_mask & ~(1 << s)
+        for w in range(len(ids)):
+            if competing >> w & 1:
+                vetoes[w] += ((1 << s, 1 << r),)
+    return vetoes
+
+
 def unsaturated_base(execution, model):
-    """`explanation_base` before its fixpoint: program order, read
-    validity and, under the causal model, WO, closed per process, with
-    read validity's vetoes."""
+    """`consistency.explanation_base` before its fixpoint: program order,
+    read validity and, under the causal model, WO, closed per process,
+    with read validity's vetoes."""
     program = execution.program
     index = program.index
     if model == CAUSAL:
@@ -46,20 +65,22 @@ def unsaturated_base(execution, model):
     base, vetoes = {}, {}
     for i in sorted(program.processes):
         reads = [index[o] for o in program.own(i) if not program.is_write(o)]
-        rows, vetoes[i], _ = read_validity(program, execution.writes_to, reads)
+        rows, _ = read_validity(program, execution.writes_to, reads)
+        vetoes[i] = read_vetoes(program, execution.writes_to, reads)
         po = program.process_index(i).po_rows
         base[i] = kernels.closure_rows([p | r | w for p, r, w in zip(po, rows, wo)])
     return base, vetoes
 
 
 def unsaturated_explanation(execution, model, budget):
-    """The first view set of the descent over the unsaturated bases."""
+    """The least explanation as the view-set descent found it before the
+    fixpoint walk: the first view set of `reference_view_sets` with the
+    reads given, over the unsaturated bases and read validity's vetoes."""
     base, vetoes = unsaturated_base(execution, model)
-    leaves = iter_view_sets(
+    leaves = reference_view_sets(
         execution.program, model, base, budget, reads_given=True, vetoes=vetoes
     )
-    found = next(leaves, None)
-    return None if found is None else ViewSet.of(found.views)
+    return next(leaves, None)
 
 
 GRIDS = (
@@ -138,7 +159,7 @@ def test_saturated_edges_hold_in_the_explanation(model):
         if found is None:
             continue
         program = execution.program
-        base, _ = explanation_base(execution, model)
+        base = explanation_base(execution, model)
         for i, rows in base.items():
             order = order_rows(found[i], program)
             assert not any(b & ~o for b, o in zip(rows, order)), (execution, i)
@@ -151,7 +172,7 @@ def test_cyclic_fixpoint_places_nothing(model, budgets):
     # `derived` counts the cycles that cost the unsaturated search placements
     derived = 0
     for execution in EXECUTIONS:
-        base, _ = explanation_base(execution, model)
+        base = explanation_base(execution, model)
         if base is not None:
             continue
         budgets.clear()
