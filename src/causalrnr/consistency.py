@@ -24,8 +24,8 @@ is the one rows test for a strongly causal replay, whose reads return
 what its views make them return; the oracle's certification test and
 its witnesses run it.  `read_validity` turns given reads into successor
 rows and the rules that `close_reads` derives orderings from, and
-`sco_summary` gives the writes that each own write of a process may not
-be placed after, the descent's strong-model vetoes.
+`sco_summary` gives the writes that each own write of a process must
+precede, the edges the descent folds into its strong-model searches.
 
 `saturate` is the package's one fixpoint of monotone replay constraints.
 It closes each process's rows under the strong causal order the owners'
@@ -58,7 +58,7 @@ from causalrnr.model import (
     write_read_write_rows,
 )
 from causalrnr.relations import Relation
-from causalrnr.search import NodeBudget, Veto, iter_extensions, predecessors
+from causalrnr.search import NodeBudget, iter_extensions, predecessors
 
 Rule = tuple[int, int, int]  # (read, source, competing writes mask)
 
@@ -402,8 +402,8 @@ def sco_summary(program: Program, process: int, orders) -> tuple[int, ...]:
     """Strong causal order as seen by the view of `process`, given the
     order rows of fixed views: for each own write b, in `write_positions`
     order, the writes that some fixed view orders after b.  Placing b
-    after one of them would add an SCO edge that view contradicts, so
-    each is a veto on b (`_sco_vetoes`)."""
+    after one of them would add an SCO edge that view contradicts, so b
+    must precede each: the descent folds the edges into its rows."""
     own = program.process_index(process).own_writes_mask
     writes = program.writes_mask
     summary = []
@@ -416,21 +416,6 @@ def sco_summary(program: Program, process: int, orders) -> tuple[int, ...]:
             later |= order[b]
         summary.append(later & writes)
     return tuple(summary)
-
-
-def _sco_vetoes(
-    program: Program, process: int, summary: tuple[int, ...]
-) -> list[tuple[Veto, ...]]:
-    """`sco_summary` as vetoes on the view of `process`: an own write b is
-    vetoed while any write of its summary row is placed."""
-    vetoes: list[tuple[Veto, ...]] = [()] * len(program.all_ops)
-    own = program.process_index(process).own_writes_mask
-    for later in summary:
-        low = own & -own
-        own ^= low
-        if later:
-            vetoes[low.bit_length() - 1] = ((later, 0),)
-    return vetoes
 
 
 def _wo_contribution(program: Program, view: View) -> list[int]:
@@ -486,8 +471,9 @@ def iter_view_sets(
       its own lies inside the row-wise intersection of the earlier
       views' orders (`_inside`), that is, if they all respect it;
     * strong model: each new view respects the earlier views' SCO
-      contributions through `forced`, and the SCO vetoes stop it from
-      adding an SCO edge that an earlier view contradicts;
+      contributions through `forced`, and the edges from each own write
+      to the writes of its SCO summary (`sco_summary`), folded into
+      `forced`, stop it adding an SCO edge that an earlier view contradicts;
     * each view respects its own contribution: a WO edge runs from a
       read's source, which the view places before the read, to a write
       that follows the read in program order; an SCO edge is a pair of
@@ -501,21 +487,25 @@ def iter_view_sets(
 
     Each process's extensions are searched once per distinct key: the
     process, the forced rows and, under the strong model, the earlier
-    views' SCO summary (`sco_summary`).  The summary holds exactly the
-    SCO vetoes' masks, one per own write, so it determines the vetoes,
-    which are built from it only when the search runs.  Within one call
-    a process's base is fixed, so the key determines the extensions; a
-    later node with the same key replays the stored list, in the order
-    it was found, without a placement, so the sets and their order are
-    the unmemoised search's.  A list is stored only once its search has
-    run to the end: an early exit of the caller or a `BudgetExceeded`
-    stores nothing.  A key repeats only in another branch of a shallower
-    process, which starts after the list is complete.  The causal model's filter reads
-    the intersection of the earlier views' orders, which the key leaves
-    out, so it runs at every node; the intersection is carried down the
-    descent as `forced` is.  Each distinct sequence of a process builds
-    its view, order rows and contribution once, the contribution as its
-    nonzero (row, mask) pairs, and the stored lists share them."""
+    views' SCO summary.  A strong miss folds the summary in and looks the
+    process up again under the folded rows, so nodes whose summaries
+    differ but fold to the same rows share one search.  Within one call
+    a process's base is fixed, and the extensions are those of the base
+    closed with the folded rows, which either key determines; a later
+    node with either key replays the stored list, in the order it was
+    found, without a placement, so the sets and their order are the
+    unmemoised search's.  A list is stored under both keys only once its
+    search has run to the end: an early exit of the caller or a
+    `BudgetExceeded` stores nothing.  No other node of a process starts
+    until a node of it has run its list to the end, since the nodes
+    below it are of deeper processes, so no key is looked up while its
+    list is incomplete.  The causal
+    model's filter reads the intersection of the earlier views' orders,
+    which the key leaves out, so it runs at every node; the intersection
+    is carried down the descent as `forced` is.  Each distinct sequence
+    of a process builds its view, order rows and contribution once, the
+    contribution as its nonzero (row, mask) pairs, and the stored lists
+    share them."""
     procs = tuple(sorted(program.processes))
     if not procs:
         yield ViewSet(())
@@ -528,6 +518,9 @@ def iter_view_sets(
     filters = not strong
     memo: dict[tuple, list[Entry]] = {}
     interned: dict[tuple[int, tuple[int, ...]], Entry] = {}
+    # each process's own writes, in `sco_summary` order
+    owns = program.own_writes_masks
+    own_writes = {i: [k for k in writes if owns[i] >> k & 1] for i in procs}
     # `procs` is sorted, so every leaf's tuple is in process order
     ordered = ViewSet._ordered
 
@@ -540,24 +533,13 @@ def iter_view_sets(
             # both contributions order writes only
             if strong:
                 # `sco_rows` of this view alone: its order on its own writes
-                own = program.process_index(i).own_writes_mask
-                pairs = [(k, order[k] & own) for k in writes if order[k] & own]
+                pairs = [(k, order[k] & owns[i]) for k in writes if order[k] & owns[i]]
             else:
                 rows = _wo_contribution(program, view)
                 pairs = [(k, rows[k]) for k in writes if rows[k]]
             item = view, order, tuple(pairs)
         interned[i, seq] = item
         return item
-
-    def search(
-        i: int, forced: tuple[int, ...], summary: tuple[int, ...] | None
-    ) -> Iterator[tuple[int, ...]]:
-        preds = predecessors(forced, onto=base[i])
-        if preds is None:
-            return iter(())
-        placing = None if summary is None else _sco_vetoes(program, i, summary)
-        positions = program.process_index(i).positions
-        return iter_extensions(positions, preds, placing, budget)
 
     def extend(
         fixed: tuple[View, ...],
@@ -570,10 +552,24 @@ def iter_view_sets(
         summary = sco_summary(program, i, orders) if strong and orders else None
         key = (i, forced, summary)
         listed = memo.get(key)
+        if listed is None:
+            keys, rows = [key], forced
+            if summary is not None:
+                # the fold: each own write precedes the writes of its summary row
+                folded = list(forced)
+                for b, later in zip(own_writes[i], summary):
+                    folded[b] |= later
+                rows = tuple(folded)
+                keys.append((i, rows))
+                listed = memo.get(keys[1])
+                if listed is not None:
+                    memo[key] = listed
         missed = listed is None
         if missed:
             found: list[Entry] = []
-            listed = search(i, forced, summary)
+            preds = predecessors(rows, onto=base[i])
+            positions = program.process_index(i).positions
+            listed = () if preds is None else iter_extensions(positions, preds, budget)
         # a miss iterates the search's sequences, a hit the stored entries
         for item in listed:
             if missed:
@@ -594,7 +590,8 @@ def iter_view_sets(
             narrowed = tuple([m & o for m, o in zip(meet, order)]) if filters else None
             yield from extend(fixed + (view,), orders + [order], grown, narrowed)
         if missed:
-            memo[key] = found
+            for stored in keys:
+                memo[stored] = found
 
     # with no fixed view the intersection is every pair: -1 has every bit
     yield from extend((), [], (0,) * size, (-1,) * size if filters else None)
@@ -778,10 +775,10 @@ def find_explanation(
         raise ValueError(f"find_explanation supports causal/strong_causal, not {model}")
     program = execution.program
     _check_cap(program, max_ops)
+    budget = NodeBudget(node_budget)
     base, rules = _explanation_rows(execution, model)
     if base is None:
         return None
-    budget = NodeBudget(node_budget)
     strong = model == STRONG_CAUSAL
     groups = [(i, program.process_index(i).universe_mask) for i in sorted(base)]
     if strong:

@@ -81,10 +81,18 @@ def close_with(closed: Sequence[int], a: int, targets: int) -> list[int]:
 
 def close_onto(closed: Sequence[int], extra: Sequence[int]) -> list[int]:
     """`closure_rows` of closed rows plus the edges of `extra`, added one
-    source row at a time with `close_with`."""
+    source row at a time as `close_with` adds them, on one copy of the
+    rows widened in place."""
     out = list(closed)
     for a, row in enumerate(extra):
-        new = row & ~out[a]
-        if new:
-            out = close_with(out, a, new)
+        gain = rest = row & ~out[a]
+        while rest:
+            low = rest & -rest
+            gain |= out[low.bit_length() - 1]
+            rest ^= low
+        if gain:
+            bit = 1 << a
+            for k, r in enumerate(out):
+                if k == a or r & bit:
+                    out[k] = r | gain
     return out

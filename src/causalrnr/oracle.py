@@ -298,11 +298,11 @@ def enumerate_certifying(
     if model not in (CAUSAL, STRONG_CAUSAL):
         raise ValueError(f"unsupported replay model {model!r}")
     _check_cap(program, max_ops)
+    budget = NodeBudget(node_budget)
     _check_record_processes(program, record)
     base = _relation_base_rows(program, record)
     if base is None:
         return
-    budget = NodeBudget(node_budget)
     yield from iter_view_sets(program, model, base, budget)
 
 
@@ -507,6 +507,7 @@ def certifying_replays(
     which gives the arguments) above the closed bases (`_base_rows`),
     with SCO lifted and no rules: no branch dies, so the delay is
     polynomial, and the first set is `_least_replay`'s."""
+    budget = NodeBudget(node_budget)
     base = _base_rows(program, record)
     if base is None:
         return
@@ -514,7 +515,7 @@ def certifying_replays(
     if rows is None:
         return
     groups = [(i, program.process_index(i).universe_mask) for i in sorted(rows)]
-    for placed in _walk(program, rows, groups, NodeBudget(node_budget)):
+    for placed in _walk(program, rows, groups, budget):
         yield _views(program, placed)
 
 

@@ -3,13 +3,13 @@
 The items to order are bit positions of a program's interned index (see
 `model.Program.index`), given in ascending order; since a position is its
 id's rank in sorted id order, ascending positions are ascending ids.  The
-constraints are masks over the same index:
-
-* `preds[k]`, the positions that must be placed before position k;
-* `vetoes[k]`, a tuple of `(need, unless)` mask pairs: position k may not
-  be placed while some position of `need` is placed and no position of
-  `unless` is.  Vetoes let a caller prune at placement time a prefix that
-  no completion could make acceptable (the descent's SCO vetoes).
+one constraint is `preds[k]`, the mask of positions that must be placed
+before position k.  A caller folds any other precedence into these masks
+first (the descent adds the edges from each own write to the writes of
+its SCO summary), so the search is plain linear-extension enumeration
+(Knuth and Szwarcfiter, IPL 2(6), 1974): over closed, acyclic masks
+within `positions`, as `predecessors` gives them for a process's
+universe, every prefix it places extends to a full ordering.
 
 The search is a single-worker depth-first loop over a cursor stack; at
 each depth candidates are tried in ascending position order, so the
@@ -32,13 +32,14 @@ from typing import Iterator, Optional, Sequence
 from causalrnr import kernels
 from causalrnr.errors import BudgetExceeded
 
-Veto = tuple[int, int]  # (need, unless)
-
 
 class NodeBudget:
-    """Counts DFS placements across a whole search."""
+    """Counts DFS placements across a whole search, allowing `limit` of
+    them (None: any number); any other limit is a usage error."""
 
     def __init__(self, limit: int | None):
+        if limit is not None and (type(limit) is not int or limit < 0):
+            raise ValueError(f"node budget must be None or a non-negative int, not {limit!r}")
         self.limit = limit
         self.explored = 0
 
@@ -53,20 +54,16 @@ class NodeBudget:
 def iter_extensions(
     positions: tuple[int, ...],
     preds: Sequence[int],
-    vetoes: Optional[Sequence[tuple[Veto, ...]]] = None,
     budget: Optional[NodeBudget] = None,
 ) -> Iterator[tuple[int, ...]]:
     """Yield all orderings of `positions` that place every position after
-    its `preds` mask and against none of its `vetoes`, in lexicographic
-    order.  `preds` and `vetoes` are indexed by position."""
+    its `preds` mask, in lexicographic order.  `preds` is indexed by
+    position."""
     n = len(positions)
     if n == 0:
         yield ()
         return
-    candidates = [
-        (k, 1 << k, preds[k], vetoes[k] if vetoes is not None else ())
-        for k in positions
-    ]
+    candidates = [(k, 1 << k, preds[k]) for k in positions]
     spend = budget.spend if budget is not None else None
     placed = 0
     seq: list[int] = []
@@ -74,13 +71,9 @@ def iter_extensions(
     while cursor:
         c = cursor[-1]
         while c < n:
-            k, bit, need, vetoed = candidates[c]
+            k, bit, need = candidates[c]
             c += 1
             if placed & bit or need & ~placed:
-                continue
-            if vetoed and any(
-                placed & v_need and not placed & unless for v_need, unless in vetoed
-            ):
                 continue
             if spend is not None:
                 spend()

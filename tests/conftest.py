@@ -12,7 +12,7 @@ from causalrnr.consistency import (
 from causalrnr.errors import InternalInvariant
 from causalrnr.generator import GenParams, gen_strong_causal
 from causalrnr.model import Execution, View, ViewSet, derive_writes_to, sequence_rows
-from causalrnr.search import iter_extensions, predecessors
+from causalrnr.search import predecessors
 
 
 @pytest.fixture(scope="session")
@@ -224,6 +224,55 @@ def reference_least_replay(program, base, pairs):
     return ViewSet.of(views), queries
 
 
+def reference_extensions(positions, preds, vetoes=None, budget=None):
+    """The placement engine as it ran with vetoes: every ordering of
+    `positions` that places each position after its `preds` mask and
+    against none of its `vetoes`, in lexicographic order.  `vetoes[k]` is
+    a tuple of `(need, unless)` mask pairs: position k may not be placed
+    while some position of `need` is placed and no position of `unless`
+    is.  `search.iter_extensions` is this engine without vetoes; the
+    references that still prune with them run it."""
+    n = len(positions)
+    if n == 0:
+        yield ()
+        return
+    candidates = [
+        (k, 1 << k, preds[k], vetoes[k] if vetoes is not None else ())
+        for k in positions
+    ]
+    spend = budget.spend if budget is not None else None
+    placed = 0
+    seq = []
+    cursor = [0]  # per depth, the index of the next candidate to try
+    while cursor:
+        c = cursor[-1]
+        while c < n:
+            k, bit, need, vetoed = candidates[c]
+            c += 1
+            if placed & bit or need & ~placed:
+                continue
+            if vetoed and any(
+                placed & v_need and not placed & unless for v_need, unless in vetoed
+            ):
+                continue
+            if spend is not None:
+                spend()
+            if len(seq) == n - 1:
+                seq.append(k)
+                yield tuple(seq)
+                seq.pop()
+                continue
+            cursor[-1] = c
+            placed |= bit
+            seq.append(k)
+            cursor.append(0)
+            break
+        else:
+            cursor.pop()
+            if seq:
+                placed ^= 1 << seq.pop()
+
+
 def sco_vetoes(program, process, orders):
     """SCO as vetoes on the view of `process`, from the fixed views' order
     rows: an own write b is vetoed while any write that some fixed view
@@ -270,7 +319,7 @@ def reference_view_sets(program, model, base, budget, *, reads_given=False, veto
             placing = sco if placing is None else [v + s for v, s in zip(placing, sco)]
         last = len(fixed) == len(procs) - 1
         positions = program.process_index(i).positions
-        for seq in iter_extensions(positions, preds, placing, budget):
+        for seq in reference_extensions(positions, preds, placing, budget):
             view = View(i, tuple(ids[k] for k in seq))
             if contributes and not strong:
                 contribution = consistency._wo_contribution(program, view)

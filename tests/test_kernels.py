@@ -83,3 +83,25 @@ def test_large_inputs_fall_back():
     rows[3] = 1 << 0
     assert kernels.has_cycle_rows(rows)
     assert kernels.closure_rows(rows) == dfs_closure(rows)
+
+
+def test_close_onto_matches_closure_with_several_new_sources():
+    rng = random.Random(17)
+    sources = cyclic = 0
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        closed = kernels.closure_rows(random_rows(rng, n, density=0.15))
+        before = list(closed)
+        extra = [0] * n
+        for a in rng.sample(range(n), rng.randint(1, n)):
+            extra[a] = rng.getrandbits(n) & ~(1 << a)
+        union = [c | e for c, e in zip(closed, extra)]
+        expected = kernels.closure_rows(union)
+        assert kernels.close_onto(closed, extra) == expected
+        # the input rows are copied, not widened
+        assert closed == before
+        sources += sum(1 for a in range(n) if extra[a] & ~closed[a]) > 1
+        cyclic += any(expected[i] >> i & 1 for i in range(n))
+    # most inputs add edges from several sources, and some close a cycle,
+    # which shows as self bits as in `closure_rows`
+    assert sources > 150 and 0 < cyclic < 300

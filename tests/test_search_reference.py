@@ -1,11 +1,17 @@
 """The placement engine against brute-force permutations.
 
-The reference lists `itertools.permutations` of the positions (which come
-out in lexicographic order) and keeps those in which every step places a
-position after its predecessor mask and against none of its vetoes.  The
-engine must yield exactly these sequences, in the same order, and spend
-one budget unit per placement: per nonempty prefix all of whose steps
-pass the same test.
+The brute force lists `itertools.permutations` of the positions (which
+come out in lexicographic order) and keeps those in which every step
+places a position after its predecessor mask and, for the veto engine
+kept as a reference (`conftest.reference_extensions`), against none of
+its vetoes.  Each engine must yield exactly these sequences, in the same
+order, and spend one budget unit per placement: per nonempty prefix all
+of whose steps pass the same test.
+
+A veto `(need, 0)` on position k keeps k from following any position of
+`need`, as the edges from k to `need` do: folded into the rows as those
+edges, it must give the veto engine's sequences, in its order, with no
+more placements.
 
 The incremental closure both searches feed it, `kernels.close_onto`,
 must equal Warshall's closure of the union, and `predecessors` over it
@@ -17,14 +23,19 @@ import random
 
 import pytest
 
-from causalrnr import kernels
+from causalrnr import consistency, fixtures, kernels, oracle
 from causalrnr.errors import BudgetExceeded
+from causalrnr.records import Record
 from causalrnr.search import NodeBudget, iter_extensions, predecessors
+
+from conftest import reference_extensions
 
 
 def _allowed(k, placed, preds, vetoes):
     if preds[k] & ~placed:
         return False
+    if vetoes is None:
+        return True
     return not any(placed & need and not placed & unless for need, unless in vetoes[k])
 
 
@@ -37,14 +48,14 @@ def _valid_prefix(seq, preds, vetoes):
     return True
 
 
-def reference_extensions(positions, preds, vetoes):
+def filtered_permutations(positions, preds, vetoes=None):
     return [
         seq for seq in itertools.permutations(positions)
         if _valid_prefix(seq, preds, vetoes)
     ]
 
 
-def reference_placements(positions, preds, vetoes):
+def reference_placements(positions, preds, vetoes=None):
     return sum(
         _valid_prefix(seq, preds, vetoes)
         for t in range(1, len(positions) + 1)
@@ -84,21 +95,79 @@ INSTANCES = [_random_instance(random.Random(seed)) for seed in range(300)]
 def test_engine_matches_filtered_permutations(k):
     positions, preds, vetoes = INSTANCES[k]
     budget = NodeBudget(None)
-    found = list(iter_extensions(positions, preds, vetoes, budget))
-    assert found == reference_extensions(positions, preds, vetoes)
+    found = list(iter_extensions(positions, preds, budget))
+    assert found == filtered_permutations(positions, preds)
+    assert budget.explored == reference_placements(positions, preds)
+    budget = NodeBudget(None)
+    found = list(reference_extensions(positions, preds, vetoes, budget))
+    assert found == filtered_permutations(positions, preds, vetoes)
     assert budget.explored == reference_placements(positions, preds, vetoes)
 
 
 def test_instances_cover_empty_and_unsatisfiable_orders():
-    outcomes = [reference_extensions(*instance) for instance in INSTANCES]
+    for vetoed in (False, True):
+        outcomes = [
+            filtered_permutations(positions, preds, vetoes if vetoed else None)
+            for positions, preds, vetoes in INSTANCES
+        ]
+        assert any(found == [] for found in outcomes)
+        assert any(len(found) > 1 for found in outcomes)
     assert any(instance[0] == () for instance in INSTANCES)
-    assert any(found == [] for found in outcomes)
-    assert any(len(found) > 1 for found in outcomes)
+
+
+def _fold_instance(rng):
+    """`_random_instance`'s predecessors (a few of them cyclic) and
+    `(need, 0)` vetoes over its positions, with the successor rows of
+    both, the vetoes folded in as edges."""
+    positions, preds, _ = _random_instance(rng)
+    mask = sum(1 << k for k in positions)
+    vetoes = [()] * len(preds)
+    rows = [0] * len(preds)
+    for k in positions:
+        for j in positions:
+            if preds[k] >> j & 1:
+                rows[j] |= 1 << k
+        if rng.random() < 0.5:
+            need = rng.getrandbits(len(preds)) & mask & ~(1 << k)
+            vetoes[k] = ((need, 0),)
+            rows[k] |= need
+    return positions, preds, vetoes, rows
+
+
+FOLDS = [_fold_instance(random.Random(seed)) for seed in range(300)]
+
+
+@pytest.mark.parametrize("k", range(len(FOLDS)))
+def test_vetoes_folded_as_edges_give_the_same_sequences(k):
+    positions, preds, vetoes, rows = FOLDS[k]
+    vetoed = NodeBudget(None)
+    expected = list(reference_extensions(positions, preds, vetoes, vetoed))
+    folded = predecessors(rows)
+    if folded is None:
+        # the edges close a cycle: no extension, and nothing to place
+        assert expected == []
+        return
+    budget = NodeBudget(None)
+    assert list(iter_extensions(positions, folded, budget)) == expected
+    assert budget.explored <= vetoed.explored
+
+
+def test_fold_instances_cover_cycles_and_pruned_placements():
+    cycles = pruned = 0
+    for positions, preds, vetoes, rows in FOLDS:
+        folded = predecessors(rows)
+        if folded is None:
+            cycles += 1
+            continue
+        budget = NodeBudget(None)
+        list(iter_extensions(positions, folded, budget))
+        pruned += budget.explored < reference_placements(positions, preds, vetoes)
+    assert cycles and pruned
 
 
 def test_empty_order_has_one_extension():
     budget = NodeBudget(None)
-    assert list(iter_extensions((), [], None, budget)) == [()]
+    assert list(iter_extensions((), [], budget)) == [()]
     assert budget.explored == 0
 
 
@@ -117,8 +186,60 @@ def test_no_constraints_gives_all_permutations_in_order():
 def test_budget_exceeded_counts_the_failing_placement():
     budget = NodeBudget(4)
     with pytest.raises(BudgetExceeded) as info:
-        list(iter_extensions((0, 1, 2), [0] * 3, None, budget))
+        list(iter_extensions((0, 1, 2), [0] * 3, budget))
     assert info.value.explored == 5
+
+
+INVALID_BUDGETS = (-1, True, False, 2.5, "10")
+
+
+@pytest.mark.parametrize("limit", INVALID_BUDGETS)
+def test_invalid_budget_is_a_usage_error(limit):
+    with pytest.raises(ValueError, match="node budget must be None or a non-negative int"):
+        NodeBudget(limit)
+
+
+def test_zero_budget_allows_no_placement_and_none_any():
+    with pytest.raises(BudgetExceeded) as info:
+        list(iter_extensions((0,), [0], NodeBudget(0)))
+    assert info.value.explored == 1
+    budget = NodeBudget(None)
+    assert len(list(iter_extensions((0, 1, 2, 3), [0] * 4, budget))) == 24
+    assert budget.explored == 64
+
+
+def _entry_points(limit):
+    """Each public search over the write-race fixture, with `limit` as
+    its node budget."""
+    parsed = fixtures.load("write-race")
+    program, execution = parsed.program, parsed.execution
+    empty = Record.of({p: frozenset() for p in program.processes})
+    return {
+        "enumerate_certifying": lambda: list(
+            oracle.enumerate_certifying(program, empty, "strong_causal", node_budget=limit)
+        ),
+        "certifying_replays": lambda: list(
+            oracle.certifying_replays(program, empty, node_budget=limit)
+        ),
+        "find_explanation": lambda: consistency.find_explanation(
+            execution, "strong_causal", node_budget=limit
+        ),
+        "check_cache": lambda: consistency.check_cache(execution, node_budget=limit),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_entry_points(None)))
+@pytest.mark.parametrize("limit", INVALID_BUDGETS)
+def test_entry_points_reject_an_invalid_budget(entry, limit):
+    with pytest.raises(ValueError, match="node budget"):
+        _entry_points(limit)[entry]()
+
+
+@pytest.mark.parametrize("entry", sorted(_entry_points(None)))
+def test_entry_points_run_on_a_zero_and_an_unlimited_budget(entry):
+    _entry_points(None)[entry]()
+    with pytest.raises(BudgetExceeded):
+        _entry_points(0)[entry]()
 
 
 class TestPredecessors:

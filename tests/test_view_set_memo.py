@@ -1,9 +1,11 @@
 """The memoised view-set descent against the unmemoised one.
 
 `consistency.iter_view_sets` searches each process's extensions once per
-distinct (process, forced rows, SCO summary) and replays the stored list
-at every later node with the same key.  The reference here is the descent as
-it ran before the memo: one `iter_extensions` search at every node, under
+distinct (process, forced rows, SCO summary), or, under the strong model,
+per distinct (process, forced rows with the summary folded in as edges),
+and replays the stored list at every later node with either key.  The
+reference here is the descent as it ran before the memo and the fold: one
+veto engine search (`conftest.reference_extensions`) at every node, under
 the full SCO veto list built from every fixed order, and each causal
 contribution tested against each fixed order in turn.  Both must yield the
 same leaves, in the same order, the memoised one with no more placements.
@@ -16,9 +18,10 @@ from causalrnr import consistency, oracle
 from causalrnr.consistency import CAUSAL, STRONG_CAUSAL, iter_view_sets
 from causalrnr.errors import BudgetExceeded
 from causalrnr.generator import GenParams, gen_strong_causal
+from causalrnr.model import Operation, Program
 from causalrnr.race_record import minimal_race_record
 from causalrnr.records import Record
-from causalrnr.search import NodeBudget
+from causalrnr.search import NodeBudget, iter_extensions, predecessors
 from causalrnr.view_record import minimal_view_record
 
 from conftest import reference_view_sets, small_generated
@@ -74,6 +77,66 @@ def test_same_leaves_in_the_same_order_with_no_more_placements(model):
         assert memo.explored <= plain.explored
         fewer += memo.explored < plain.explored
     assert fewer
+
+
+def _writes(**ops):
+    """A program from process -> (kind, id) pairs, all on variable x."""
+    return Program.of({
+        int(p[1:]): [Operation(kind, int(p[1:]), "x", op) for kind, op in listed]
+        for p, listed in ops.items()
+    })
+
+
+def test_summaries_that_fold_to_the_same_rows_share_a_search(monkeypatch):
+    """Process 1 writes a, process 2 has no operation and process 3 writes
+    c.  Process 3 meets three (forced rows, summary) keys: no edge and no
+    later write, below the views 1: a c and 2: a c; no edge and a after c,
+    below 1: a c and 2: c a; and the SCO edge c -> a of 1: c a, with a
+    after c, below 1: c a and 2: c a.  The last two fold to the same rows,
+    c before a, so the third node replays the second's search."""
+    program = _writes(p1=[("w", "a")], p2=[], p3=[("w", "c")])
+    empty = Record.of({p: frozenset() for p in program.processes})
+    base = oracle._base_rows(program, empty)
+    searched = []
+    search = consistency.predecessors
+
+    def recording(rows, onto):
+        if onto is base[3]:
+            searched.append(rows)
+        return search(rows, onto=onto)
+
+    monkeypatch.setattr(consistency, "predecessors", recording)
+    budget = NodeBudget(None)
+    found = _leaves(iter_view_sets, program, STRONG_CAUSAL, base, budget)
+    reference = NodeBudget(None)
+    assert found == _leaves(reference_view_sets, program, STRONG_CAUSAL, base, reference)
+    assert len(found) == 4
+    a, c = program.index["a"], program.index["c"]
+    assert searched == [(0, 0), tuple(1 << a if k == c else 0 for k in range(2))]
+    assert budget.explored < reference.explored
+
+
+def test_a_fold_that_closes_a_cycle_with_the_base_places_nothing():
+    """Process 1 reads and its record orders process 2's write b before
+    process 3's write w, while process 2's record orders w before b.  Every
+    view of process 1 puts w in b's SCO summary, so process 2's fold adds
+    b -> w, which closes a cycle with its base: no set, and no placement
+    beyond process 1's own search.  The veto engine places w first and
+    only then finds b vetoed."""
+    program = _writes(p1=[("r", "r")], p2=[("w", "b")], p3=[("w", "w")])
+    record = Record.of({1: {("b", "w")}, 2: {("w", "b")}, 3: set()})
+    base = oracle._base_rows(program, record)
+    budget = NodeBudget(None)
+    assert list(iter_view_sets(program, STRONG_CAUSAL, base, budget)) == []
+    alone = NodeBudget(None)
+    positions = program.process_index(1).positions
+    first = list(iter_extensions(positions, predecessors([0] * 3, onto=base[1]), alone))
+    assert len(first) == 3
+    assert budget.explored == alone.explored
+    reference = NodeBudget(None)
+    assert list(reference_view_sets(program, STRONG_CAUSAL, base, reference)) == []
+    assert reference.explored == alone.explored + len(first)
+    assert list(oracle.enumerate_certifying(program, record, STRONG_CAUSAL)) == []
 
 
 def test_cached_contributions_are_filtered_at_every_node(monkeypatch):
