@@ -16,16 +16,22 @@ fixpoint, which the tests cross-check against the view-set descent
 reverses its edge when its view places the edge's target first, the
 two sharing a variable: one position and one mask test.
 
-The stages share per-fixture state.  One `oracle.Goodness` answers the
-goodness verdicts: the view and race records, each also with every edge
+The stages share per-fixture state.  The fixture's strong-causality
+check builds the original views' order rows and strong causal order
+once, and the later stages start from them: each process's guaranteed
+rows (`view_record._guaranteed`) for the view and online stages, the
+view witnesses' swaps (`oracle._view_witness`), the race analysis's
+data-race orders (`RaceAnalysis._on_rows`), and the original views'
+half of `certifies`, which the check has passed
+(`oracle.Goodness._checked`).  The record constructions under test,
+`minimal_view_record` and `online_record_from_views`, run as any
+caller runs them.  One `oracle.Goodness` answers the goodness
+verdicts: the view and race records, each also with every edge
 dropped in turn, and the online record.  It keeps each record's
 verdict, and the dropped-edge verdicts go through
 `Goodness.without_edge`, which reads the kept verdict and, on a good
 record that the original views certify, places one replay with the
 edge reversed instead of searching for a difference.  One
-`view_record.guaranteed_rows` gives the original views' strong causal
-order and each process's guaranteed rows to the view and online
-stages, so the views' order rows are built once for both.  One
 `RaceAnalysis` serves the race record, its witnesses and the
 observations, which are mask tests on its rows: the strong write order,
 the obligation graphs and the flip cascades' levels, with the collision
@@ -33,6 +39,25 @@ test asked only for races whose first cascade level lies in the strong
 write order.  The one-shot `oracle.is_good_view_record` and
 `oracle.is_good_race_record` take the same verdict path with a fresh
 state.
+
+The stages also share replays.  Every placement the oracle makes for a
+fixture (goodness and dropped-edge verdicts, race witnesses, the
+completion of program order) goes through `oracle._least_replay`, and a
+run keeps its results for the length of the call
+(`oracle._shared_replays`), so each distinct replay is placed once per
+fixture.  A race-record dropped-edge replay equals a view-record one when
+the two reversed records close to the same bases; a race witness equals
+its edge's dropped-edge replay when the candidate race record closes to
+the race record's bases; and the race record's verdict equals an earlier
+verdict when its bases and adjacent pairs do (with one variable, the
+data-race pairs are the views' pairs).  The memo is exact: a placement
+is a pure function of the program, the closed bases and the pairs, and
+its result, a frozen view set and a count, is handed out unchanged, so
+every verdict, counterexample, witness and `Verdict.enumerated` is the
+one an unshared run computes.  It is scoped to one call, set on entry
+and reset on exit, raising or not, so no result outlives the fixture and
+one-shot calls see none.  `BatteryStats.replays_placed` and
+`replays_shared` count the placements made and those the memo answered.
 """
 
 from __future__ import annotations
@@ -40,11 +65,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from causalrnr import kernels, oracle
-from causalrnr.consistency import STRONG_CAUSAL, check_causal, check_strong_causal, sco_rows
+from causalrnr.consistency import (
+    STRONG_CAUSAL,
+    _strong_causal_check,
+    check_causal,
+    check_strong_causal,
+    sco_rows,
+)
 from causalrnr.model import Execution, ViewSet, data_race_order, derive_writes_to, order_rows
 from causalrnr.race_record import RaceAnalysis
 from causalrnr.relations import Relation
-from causalrnr.view_record import guaranteed_rows, minimal_view_record, online_record_from_views
+from causalrnr.view_record import _guaranteed, minimal_view_record, online_record_from_views
 
 
 class BatteryFailure(AssertionError):
@@ -59,6 +90,10 @@ class BatteryStats:
     view_edges_checked: int = 0
     race_edges_checked: int = 0
     certifying_seen: int = 0
+    # `oracle._least_replay` calls that placed a replay, and those that
+    # the run's memo answered with an earlier call's result
+    replays_placed: int = 0
+    replays_shared: int = 0
     stages: list[str] = field(default_factory=list)
 
 
@@ -73,25 +108,31 @@ def run_battery(execution: Execution, views: ViewSet, *, max_ops: int | None = N
     for existing callers but limits nothing."""
     stats = BatteryStats()
 
-    # the fixture itself must be consistent
-    bad = check_strong_causal(views, execution)
+    # the fixture itself must be consistent; the check's order rows and
+    # SCO serve the later stages
+    program = execution.program
+    bad, rows, sco = _strong_causal_check(views, execution)
     if bad is not None:
         _fail("fixture", f"not strongly causal: {bad}")
     if check_causal(views, execution) is not None:
         _fail("fixture", "strongly causal fixture fails the causal check")
     stats.stages.append("fixture")
+    orders = dict(zip(views.processes(), rows))
 
-    goodness = oracle.Goodness(views, execution.program)
-    sco, guaranteed = guaranteed_rows(views, execution.program)
-    offline = _view_record_stage(execution, views, goodness, sco, guaranteed, stats)
-    _online_record_stage(execution, views, goodness, guaranteed, offline, stats)
-    analysis = RaceAnalysis(views, execution.program)
-    _race_record_stage(analysis, goodness, stats)
-    _observation_stage(execution, views, analysis, sco, stats)
+    with oracle._shared_replays(program) as replays:
+        goodness = oracle.Goodness._checked(views, program)
+        guaranteed = {i: _guaranteed(program, orders, sco, i) for i in orders}
+        offline = _view_record_stage(execution, views, goodness, rows, sco, guaranteed, stats)
+        _online_record_stage(execution, views, goodness, guaranteed, offline, stats)
+        analysis = RaceAnalysis._on_rows(views, program, rows)
+        _race_record_stage(analysis, goodness, stats)
+        _observation_stage(execution, views, analysis, sco, stats)
+    stats.replays_placed = replays.placed
+    stats.replays_shared = replays.shared
     return stats
 
 
-def _view_record_stage(execution, views, goodness, sco, guaranteed, stats):
+def _view_record_stage(execution, views, goodness, rows, sco, guaranteed, stats):
     """Returns the offline record, which the online stage compares with."""
     program = execution.program
     record = minimal_view_record(views, execution)
@@ -134,7 +175,7 @@ def _view_record_stage(execution, views, goodness, sco, guaranteed, stats):
                 "view-record",
                 f"counterexample for dropped edge {edge} does not flip it",
             )
-        witness = oracle.view_witness(views, execution, record, i, edge)
+        witness = oracle._view_witness(views, program, record, i, edge, rows)
         if witness.sort_key() == views.sort_key():
             _fail("view-record", "necessity witness equals the original views")
         stats.view_edges_checked += 1

@@ -74,9 +74,12 @@ DEFAULT_NODE_BUDGET = 5_000_000
 
 def enumeration_cap(max_ops: int | None = None) -> int:
     """`max_ops` if given, else `CAUSAL_RNR_MAX_OPS` if set, else the
-    default; a set variable that is not a non-negative integer raises
-    `ValueError` naming it."""
+    default.  A `max_ops` that is not a non-negative int (a `bool`
+    included), or a set variable that is not a non-negative integer,
+    raises `ValueError` naming it."""
     if max_ops is not None:
+        if type(max_ops) is not int or max_ops < 0:
+            raise ValueError(f"max_ops must be None or a non-negative int, not {max_ops!r}")
         return max_ops
     env = os.environ.get(MAX_OPS_ENV)
     if not env:

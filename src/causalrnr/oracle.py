@@ -45,7 +45,8 @@ can reverse one without a cycle; the least counterexample is then
 placed position by position (`_least_replay`).  `Verdict.enumerated`
 counts the certifying sets walked under the causal model and the
 fixpoints computed under the strong model, where the enumeration cap
-and the placement budget do not apply.
+and the placement budget do not apply, though a malformed one is still
+a usage error.
 
 The verdicts on one view set share what depends on the views alone: a
 `Goodness`, built from the views and the program, caches the record-
@@ -61,6 +62,17 @@ certify it, the dropped record's differing replays are exactly those
 that reverse the edge, so the least one is placed by `_least_replay`
 with the edge reversed and no pair to reverse (its docstring gives the
 argument); any other record falls back to the verdict.
+
+The fuzz battery asks many of these queries of one fixture, and several
+ask for the same placement: equal bases with equal pairs.  For the
+length of one battery run (`_shared_replays`, a `ContextVar` set on
+entry and reset on exit), `_least_replay` looks each call up under its
+bases and pairs and returns an earlier call's result, fixpoint count
+included, instead of placing again.  The placement is a pure function of
+the program, the closed bases and the pairs, and its result is a frozen
+view set and a count, so the lookup changes no verdict, counterexample,
+witness or `Verdict.enumerated`.  Outside a run no memo is active, and
+every call places.
 
 `extend_to_views` and the two necessity witnesses are the constructive
 side: they build, from a record with one edge dropped, a certifying view
@@ -82,7 +94,9 @@ word the error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
 from causalrnr import kernels
@@ -95,6 +109,7 @@ from causalrnr.consistency import (
     _walk,
     check_strong_causal,
     cyclic,
+    enumeration_cap,
     iter_view_sets,
     respects,
     saturate,
@@ -256,6 +271,24 @@ def _process_base(program: Program, process: int, edges: frozenset[Pair]) -> lis
     return None if looped else list(rows)
 
 
+def _check_limits(
+    program: Program, model: str, max_ops: int | None, node_budget: int | None
+) -> NodeBudget:
+    """A verdict's placement budget, with both of its limits checked under
+    either model: a `node_budget`, or a `max_ops` other than None, that is
+    not a non-negative int raises ValueError (`NodeBudget`,
+    `enumeration_cap`).  Only the causal model's walk is limited: a
+    program past its enumeration cap raises `BudgetExceeded` here, and
+    the walk spends the budget.  The strong model's fixpoint applies
+    neither limit, so it reads no cap from the environment."""
+    if model == STRONG_CAUSAL:
+        if max_ops is not None:
+            enumeration_cap(max_ops)
+    else:
+        _check_cap(program, max_ops)
+    return NodeBudget(node_budget)
+
+
 def _check_record_processes(program: Program, record: Record) -> None:
     """Raises ValueError for a record that names a process the program
     lacks, whose edges no view could order."""
@@ -335,6 +368,35 @@ def _adjacent_pairs(
     return out
 
 
+@dataclass
+class _SharedReplays:
+    """`_least_replay`'s results on one program, kept while
+    `_shared_replays` is active under their bases and pairs: `placed`
+    counts the replays placed, `shared` those answered from a kept one."""
+
+    program: Program
+    placed: int = 0
+    shared: int = 0
+    results: dict[tuple, tuple[ViewSet | None, int]] = field(default_factory=dict)
+
+
+_REPLAYS: ContextVar[_SharedReplays | None] = ContextVar("causalrnr_replays", default=None)
+
+
+@contextmanager
+def _shared_replays(program: Program) -> Iterator[_SharedReplays]:
+    """Shares `_least_replay`'s results on `program` for the length of the
+    `with` block: the fuzz battery's memo for one fixture.  The memo is
+    reset when the block exits, raising or not, so no result outlives it
+    and a later block starts empty."""
+    memo = _SharedReplays(program)
+    token = _REPLAYS.set(memo)
+    try:
+        yield memo
+    finally:
+        _REPLAYS.reset(token)
+
+
 def _least_replay(
     program: Program,
     base: dict[int, list[int]],
@@ -387,7 +449,39 @@ def _least_replay(
     current state's dict is always a fixpoint's fresh output, but its
     row lists may be shared with the witness and with `base`, so the
     changed row list is copied first, and a new dict is built only for
-    a flip to start from."""
+    a flip to start from.
+
+    While `_shared_replays(program)` is active, a call whose bases and
+    pairs equal an earlier call's in that block returns the earlier
+    result, fixpoint count included, without placing again.  The
+    placement reads nothing but the program, the bases and the pairs, and
+    changes none of them, so equal inputs give equal results; a result is
+    a frozen `ViewSet` (or None) and a count, so handing one to several
+    callers changes no verdict, counterexample, witness or
+    `Verdict.enumerated`."""
+    memo = _REPLAYS.get()
+    if memo is None or memo.program is not program:
+        return _place_least(program, base, pairs)
+    key = (
+        tuple((i, tuple(rows)) for i, rows in sorted(base.items())),
+        None if pairs is None else tuple(pairs),
+    )
+    result = memo.results.get(key)
+    if result is None:
+        result = memo.results[key] = _place_least(program, base, pairs)
+        memo.placed += 1
+    else:
+        memo.shared += 1
+    return result
+
+
+def _place_least(
+    program: Program,
+    base: dict[int, list[int]],
+    pairs: list[tuple[int, int, int]] | None,
+) -> tuple[ViewSet | None, int]:
+    """`_least_replay`'s placement, which its docstring describes, with no
+    memo."""
     queries = 0
 
     def fixpoint(rows, edges):
@@ -540,9 +634,11 @@ class Goodness:
     its route, so the battery's verdict on a record and its dropped-edge
     verdicts place that replay once.
 
-    Each verdict validates its record first (ValueError), and then the
-    views, on the first verdict under each model (`UniverseMismatch`),
-    as the one-shot wrappers do, before the kept verdicts are read."""
+    Each verdict checks its limits first (`_check_limits`: ValueError for
+    a malformed `max_ops` or `node_budget` under either model), then
+    validates its record (ValueError) and the views, on the first verdict
+    under each model (`UniverseMismatch`), as the one-shot wrappers do,
+    before the kept verdicts are read."""
 
     def __init__(self, views: ViewSet, program: Program):
         self.views = views
@@ -551,6 +647,16 @@ class Goodness:
         self._pairs: dict[str, list[tuple[int, int, int]]] = {}
         self._bases: dict[tuple[int, frozenset[Pair]], list[int] | None] = {}
         self._strong: dict[tuple[Record, str], Verdict] = {}
+
+    @classmethod
+    def _checked(cls, views: ViewSet, program: Program) -> Goodness:
+        """The state of views that passed the strong-causality check, as
+        the fuzz battery's fixture has: their order rows hold program
+        order plus their SCO, so the strong model's half of `certifies`
+        holds and is not tested again."""
+        goodness = cls(views, program)
+        goodness._holds[STRONG_CAUSAL] = True
+        return goodness
 
     def verdict(
         self,
@@ -569,8 +675,7 @@ class Goodness:
             raise ValueError(f"unsupported verdict kind {kind!r}")
         program = self.program
         strong = model == STRONG_CAUSAL
-        if not strong:
-            _check_cap(program, max_ops)
+        budget = _check_limits(program, model, max_ops, node_budget)
         base = _base_rows(program, record, self._bases)
         original = self._certifies(record, model)
         if strong and (record, kind) in self._strong:
@@ -590,7 +695,6 @@ class Goodness:
         ids = program.all_ops
         slot = {i: k for k, i in enumerate(sorted(program.processes))}
         reversals = [(slot[i], ids[a], ids[b]) for i, a, b in pairs]
-        budget = NodeBudget(node_budget)
         seen = 0
         for leaf in iter_view_sets(program, model, base, budget):
             seen += 1
@@ -614,7 +718,8 @@ class Goodness:
         `verdict(record.drop(process, edge), ...)`, with the same `good`,
         `counterexample` and `original_certifies`; `enumerated` counts
         the fixpoints of the route taken.  An edge that is not in
-        `record.edges(process)` raises `PreconditionViolated`.
+        `record.edges(process)` raises `PreconditionViolated`; the limits
+        are then checked as `verdict` checks them, on either route.
 
         Under the strong model, when the record's own verdict (computed
         once per record and kind) is good and the original views certify
@@ -639,6 +744,7 @@ class Goodness:
                 f"edge {edge} is not a record edge of process {process}"
             )
         program = self.program
+        _check_limits(program, model, max_ops, node_budget)
         index = program.index
         a, b = edge
         if (
@@ -833,11 +939,24 @@ def view_witness(
     view raises `PreconditionViolated`: no minimal view record holds
     one, and a view set without a view of each process
     `UniverseMismatch`."""
-    program = execution.program
-    check_complete(views, program)
+    check_complete(views, execution.program)
+    return _view_witness(views, execution.program, record, process, edge, None)
+
+
+def _view_witness(
+    views: ViewSet,
+    program: Program,
+    record: Record,
+    process: int,
+    edge: Pair,
+    rows: list[list[int]] | None,
+) -> ViewSet:
+    """`view_witness` for a complete view set whose order rows, in view
+    order, are `rows` (built by `_swap` when None): the fuzz battery
+    hands it the rows of its fixture's strong-causality check."""
     if not is_pair(edge) or edge not in record.edges(process):
         raise _not_required(process, edge)
-    witness, _ = _swap(views, program, process, edge, None)
+    witness, _ = _swap(views, program, process, edge, rows)
     if not _extends(witness, program, record.drop(process, edge)):
         raise InternalInvariant("swapped views do not certify the reduced record")
     return witness

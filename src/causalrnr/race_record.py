@@ -160,7 +160,14 @@ class RaceAnalysis:
         bad, orders, _ = _strong_causal_check(views, execution)
         if bad is not None:
             raise NotStronglyCausal(str(bad))
-        program = execution.program
+        return cls._on_rows(views, execution.program, orders)
+
+    @classmethod
+    def _on_rows(cls, views: ViewSet, program: Program, orders: list[list[int]]) -> RaceAnalysis:
+        """The analysis of views whose order rows, in view order, are
+        `orders`: each process's data-race-order rows are its rows masked
+        by variable.  `_checked` and the fuzz battery hand it the rows of
+        their strong-causality check."""
         analysis = cls(views, program)
         masks = program.variable_masks
         for i, rows in zip(views.processes(), orders):

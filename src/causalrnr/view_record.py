@@ -16,9 +16,10 @@ helper gives, per process, the rows of the three guaranteed parts.
 necessity witness applies it to its edge's owner alone, so a required
 edge has one definition.  `guaranteed_rows` builds the order rows and
 the SCO once for a view set and applies the same helper to every
-process: the fuzz battery reads it once per fixture, and
-`sco_from_others` and `indirectly_enforced` are `Relation` views of
-one process's part, so membership has one definition.
+process; `sco_from_others` and `indirectly_enforced` are `Relation`
+views of one process's part, so membership has one definition.  The
+fuzz battery applies the helper to the rows of its fixture's
+strong-causality check.
 
 The online recorder sees operations one at a time and cannot decide the
 third-party case, so it keeps those edges: its record per process is the
