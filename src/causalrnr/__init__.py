@@ -33,7 +33,6 @@ from causalrnr.consistency import (
 from causalrnr.records import Record
 from causalrnr.relations import (
     Relation,
-    disjoint_union,
     has_cycle,
     restrict,
     transitive_closure,
@@ -59,7 +58,6 @@ __all__ = [
     "check_strong_causal",
     "data_race_order",
     "derive_writes_to",
-    "disjoint_union",
     "find_explanation",
     "has_cycle",
     "restrict",

@@ -48,19 +48,18 @@ def has_cycle_rows(rows: list[int]) -> bool:
 def reduction_rows(closed: list[int]) -> list[int]:
     """Transitive reduction of a transitively closed, acyclic relation.
 
-    An edge (i, j) survives iff no successor of i also reaches j.
+    An edge (i, j) survives iff no successor of i also reaches j.  A
+    successor already in the cover adds nothing to it and is skipped.
     """
-    n = len(closed)
-    out = [0] * n
-    for i in range(n):
-        succ = closed[i]
-        cover = 0
+    out = []
+    for succ in closed:
         rest = succ
         while rest:
-            k = (rest & -rest).bit_length() - 1
-            cover |= closed[k]
-            rest &= rest - 1
-        out[i] = succ & ~cover
+            low = rest & -rest
+            below = closed[low.bit_length() - 1]
+            succ &= ~below
+            rest &= ~(below | low)
+        out.append(succ)
     return out
 
 

@@ -204,9 +204,6 @@ class Program:
         """Program order: the disjoint union of the per-process chains, closed."""
         return self.pairs_of(self.po_rows)
 
-    def po_relation(self) -> Relation:
-        return Relation(self.all_ops, self.po_pairs)
-
     def po_restricted(self, subset: Iterable[str]) -> frozenset[Pair]:
         keep = set(subset)
         return frozenset((a, b) for a, b in self.po_pairs if a in keep and b in keep)
@@ -244,9 +241,6 @@ class View:
     @cached_property
     def positions(self) -> dict[str, int]:
         return {o: i for i, o in enumerate(self.sequence)}
-
-    def order(self) -> Relation:
-        return Relation.total(self.sequence)
 
     def orders(self, a: str, b: str) -> bool:
         pos = self.positions

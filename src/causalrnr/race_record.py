@@ -34,7 +34,8 @@ once, and each strong write order level only adds its new rows onto the
 closed rows (`kernels.close_onto`).  The rows it ends with are the
 closed obligation graphs, since a process's own-write part of SWO adds
 nothing to its own closure; a cycle shows as a self bit in them, so no
-separate cycle check runs.  Cascade levels and collision tests add the
+separate cycle check runs, and a witness base closes in one pass over
+them (`_close_in_order`).  Cascade levels and collision tests add the
 cascade onto those closed rows too; only the owner's collision test,
 whose graph loses the flipped pair and is no longer closed, closes from
 scratch.  Id pairs and `Relation`s are built only for its public
@@ -128,8 +129,8 @@ class RaceAnalysis:
     Next to each process's candidate record it caches that record closed
     with program order (`witness_base_rows`), the process's base in every
     race witness of another process's edge, so an analysis shared by all
-    witnesses of a fixture closes each such base once.  A view set
-    without a view of each process raises `UniverseMismatch`.
+    witnesses of a fixture closes each such base once (`_close_in_order`).
+    A view set without a view of each process raises `UniverseMismatch`.
     """
 
     def __init__(self, views: ViewSet, program: Program):
@@ -256,13 +257,9 @@ class RaceAnalysis:
         self._solve()
         return self._swo_rows
 
-    def _foreign_swo_rows(self, process: int) -> list[int]:
-        self._solve()
-        own = self.program.process_index(process).own_writes_mask
-        return [row & ~own for row in self._swo_rows]
-
     def swo_from_others(self, process: int) -> frozenset[Pair]:
-        return self.program.pairs_of(self._foreign_swo_rows(process))
+        own = self.program.process_index(process).own_writes_mask
+        return self.program.pairs_of([row & ~own for row in self.swo_rows()])
 
     def _closed_rows(self, process: int) -> list[int]:
         """The process's closed rows at the fixpoint, self bits kept: a
@@ -435,21 +432,20 @@ class RaceAnalysis:
         extends these rows extends the minimal record."""
         if process not in self._candidates:
             program = self.program
-            if cyclic(self._closed_rows(process)):
+            closed = self._closed_rows(process)
+            if cyclic(closed):
                 raise CyclicInput("transitive reduction requires an acyclic relation")
-            obligation = self.obligation_rows(process)
-            po = program.process_index(process).po_rows
+            index = program.process_index(process)
+            own = index.own_writes_mask
             kept = [
-                r & ~p & ~s
-                for r, p, s in zip(
-                    kernels.reduction_rows(obligation), po, self._foreign_swo_rows(process)
-                )
+                r & ~p & ~(s & ~own)
+                for r, p, s in zip(kernels.reduction_rows(closed), index.po_rows, self._swo_rows)
             ]
-            dro = self.dro_rows(process)
-            if any(k & ~d for k, d in zip(kept, dro)):
-                stray = program.pairs_of([k & ~d for k, d in zip(kept, dro)])
+            stray = [k & ~d for k, d in zip(kept, self.dro_rows(process))]
+            if any(stray):
                 raise InternalInvariant(
-                    f"record for process {process} holds non-race edges {sorted(stray)}"
+                    f"record for process {process} holds non-race edges "
+                    f"{sorted(program.pairs_of(stray))}"
                 )
             self._candidates[process] = kept
         return self._candidates[process]
@@ -460,7 +456,9 @@ class RaceAnalysis:
         (`oracle.race_witness`).  Callers must not change the rows."""
         if process not in self._witness_bases:
             po = self.program.process_index(process).po_rows
-            self._witness_bases[process] = kernels.close_onto(po, self.candidate_rows(process))
+            self._witness_bases[process] = _close_in_order(
+                self._closed_rows(process), po, self.candidate_rows(process)
+            )
         return self._witness_bases[process]
 
     def in_record(self, process: int, edge: Pair) -> bool:
@@ -494,8 +492,20 @@ def strong_write_order(views: ViewSet, program: Program) -> WriteOrderLevels:
     return RaceAnalysis(views, program).strong_write_order()
 
 
-def obligation_graph(views: ViewSet, program: Program, process: int) -> Relation:
-    return RaceAnalysis(views, program).obligation(process)
+def _close_in_order(closed: list[int], po: tuple[int, ...], extra: list[int]) -> list[int]:
+    """`kernels.close_onto(po, extra)` inside closed acyclic rows `closed`, in
+    one pass in ascending successor count: a successor's row lies inside its
+    predecessor's and lacks itself, so each row comes after its successors."""
+    out = [0] * len(closed)
+    for _, k in sorted((row.bit_count(), k) for k, row in enumerate(closed) if row):
+        reach = rest = po[k] | extra[k]
+        while rest:
+            low = rest & -rest
+            below = out[low.bit_length() - 1]
+            reach |= below
+            rest &= ~(below | low)
+        out[k] = reach
+    return out
 
 
 def flip_cascade(

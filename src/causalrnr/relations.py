@@ -148,13 +148,6 @@ def union_closed(*relations: Relation) -> Relation:
     return transitive_closure(Relation(tuple(universe), pairs))
 
 
-def disjoint_union(*relations: Relation) -> Relation:
-    """Plain edge union, no closure."""
-    universe = sorted(set().union(*(r.universe for r in relations)))
-    pairs = frozenset().union(*(r.pairs for r in relations))
-    return Relation(tuple(universe), pairs)
-
-
 def restrict(r: Relation, subset: Iterable[str]) -> Relation:
     keep = set(subset)
     stray = keep - set(r.universe)

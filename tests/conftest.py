@@ -12,6 +12,7 @@ from causalrnr.consistency import (
 from causalrnr.errors import InternalInvariant
 from causalrnr.generator import GenParams, gen_strong_causal
 from causalrnr.model import Execution, View, ViewSet, derive_writes_to, sequence_rows
+from causalrnr.relations import Relation
 from causalrnr.search import predecessors
 
 
@@ -372,3 +373,13 @@ def record_generated():
                 found += 1
             seed += 1
     return out
+
+
+# A relation helper that only the tests use, as a plain reference.
+
+
+def disjoint_union(*relations):
+    """Plain edge union, no closure."""
+    universe = sorted(set().union(*(r.universe for r in relations)))
+    pairs = frozenset().union(*(r.pairs for r in relations))
+    return Relation(tuple(universe), pairs)

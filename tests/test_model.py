@@ -14,6 +14,7 @@ from causalrnr.model import (
     validate_view,
     write_read_write_order,
 )
+from causalrnr.relations import Relation
 
 
 def single_var_program():
@@ -46,7 +47,7 @@ class TestDataRaceOrder:
     def test_single_variable_view_is_whole_order(self):
         program = single_var_program()
         view = View(1, ("w2", "w1", "r1"))
-        assert data_race_order(view, program).pairs == view.order().pairs
+        assert data_race_order(view, program).pairs == Relation.total(view.sequence).pairs
 
     def test_keeps_per_variable_pairs_only(self, corpus):
         parsed = corpus["separation"]
@@ -65,7 +66,7 @@ class TestDataRaceOrder:
                 continue
             for view in parsed.views.views:
                 dro = data_race_order(view, parsed.program)
-                assert dro.pairs <= view.order().pairs
+                assert dro.pairs <= Relation.total(view.sequence).pairs
                 for a in view.sequence:
                     for b in view.sequence:
                         if a < b and parsed.program.var_of(a) == parsed.program.var_of(b):

@@ -348,7 +348,7 @@ class TestExtendToViews:
     def test_identity_on_total_orders(self, corpus):
         parsed = corpus["indirect-order"]
         partials = {
-            v.process: v.order() for v in parsed.views.views
+            v.process: Relation.total(v.sequence) for v in parsed.views.views
         }
         completed = oracle.extend_to_views(partials, parsed.program)
         assert completed.sort_key() == parsed.views.sort_key()

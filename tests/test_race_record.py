@@ -12,7 +12,6 @@ from causalrnr.race_record import (
     indirectly_enforced_races,
     minimal_race_record,
     naive_causal_race_record,
-    obligation_graph,
     strong_write_order,
 )
 
@@ -140,7 +139,7 @@ class TestObligationGraph:
             }
         )
         views = ViewSet.of([View(1, ("a", "b", "c"))])
-        graph = obligation_graph(views, program, 1)
+        graph = RaceAnalysis(views, program).obligation(1)
         assert graph.pairs == {("a", "b"), ("a", "c"), ("b", "c")}
 
 

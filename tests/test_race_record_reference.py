@@ -25,13 +25,12 @@ from causalrnr.race_record import FlipCascade, RaceAnalysis, WriteOrderLevels
 from causalrnr.records import Record
 from causalrnr.relations import (
     Relation,
-    disjoint_union,
     has_cycle,
     transitive_closure,
     transitive_reduction,
 )
 
-from conftest import record_generated
+from conftest import disjoint_union, record_generated
 
 GENERATED = record_generated()
 

@@ -11,13 +11,14 @@ from causalrnr.errors import CyclicInput
 from causalrnr.model import write_read_write_order
 from causalrnr.relations import (
     Relation,
-    disjoint_union,
     has_cycle,
     restrict,
     transitive_closure,
     transitive_reduction,
     union_closed,
 )
+
+from conftest import disjoint_union
 
 ABC = ("a", "b", "c")
 
@@ -47,7 +48,7 @@ class TestClosure:
     def test_view_reduction_closes_back_to_full_order(self, corpus):
         # reduction edges of a total order close back to the full order
         view = corpus["separation"].views[2]
-        full = view.order()
+        full = Relation.total(view.sequence)
         reduced = rel(full.universe, *zip(view.sequence, view.sequence[1:]))
         assert transitive_closure(reduced) == full
         n = len(view.sequence)
@@ -146,7 +147,7 @@ class TestUnions:
     def test_wo_with_po_reaches_across_processes(self, corpus):
         parsed = corpus["separation"]
         wo = write_read_write_order(parsed.execution)
-        po = parsed.program.po_relation()
+        po = Relation(parsed.program.all_ops, parsed.program.po_pairs)
         merged = union_closed(wo, po)
         assert ("w2y", "r21x") in merged.pairs  # via the write-read-write edge
 
@@ -176,7 +177,7 @@ class TestCycleAndRestrict:
 
     def test_restrict_po_to_writes(self, corpus):
         program = corpus["separation"].program
-        kept = restrict(program.po_relation(), program.writes)
+        kept = restrict(Relation(program.all_ops, program.po_pairs), program.writes)
         assert kept.pairs == {("w1x", "w1y"), ("w2x", "w2y")}
 
     def test_restrict_to_empty(self):
@@ -196,5 +197,5 @@ class TestCycleAndRestrict:
         by_hand = set()
         for var in program.variables:
             ops_on_var = [o for o in view.sequence if program.var_of(o) == var]
-            by_hand |= set(restrict(view.order(), ops_on_var).pairs)
+            by_hand |= set(restrict(Relation.total(view.sequence), ops_on_var).pairs)
         assert data_race_order(view, program).pairs == frozenset(by_hand)
