@@ -7,16 +7,19 @@ write's own process observed them in that order; SCO is a function of the
 given view set, so the checker evaluates it once and requires every view
 to respect it.
 
-Views are placed by two engines.  `iter_view_sets`, the view-set
-descent, places one view per process with `search.iter_extensions` and
-yields every view set over the caller's closed base rows that respects
-the model, each read returning what its owner's view makes it return;
-the oracle's enumeration and causal verdicts walk it.  `_walk`, the
-fixpoint walk, places positions one at a time on a fixpoint of monotone
-constraints (`saturate`) while it stays acyclic: it lists the strong
-model's certifying replays (`oracle.certifying_replays`), and its first
-leaf is `find_explanation`'s answer, with the reads given, and
-`check_cache`'s, per variable.
+Views are placed by two engines, both on closed successor rows, each
+trying the ready positions (those no remaining position reaches) in
+ascending order.  `iter_view_sets`, the view-set descent, places one
+view per process with `search.iter_extensions`, on the caller's closed
+base rows closed with the orderings the earlier views force, and yields
+every view set that respects the model, each read returning what its
+owner's view makes it return; the oracle's enumeration and causal
+verdicts walk it.  `_walk`, the fixpoint walk, places positions one at a
+time on a fixpoint of monotone constraints (`saturate`) while it stays
+acyclic: it lists the strong model's certifying replays
+(`oracle.certifying_replays`), and its first leaf is
+`find_explanation`'s answer, with the reads given, and `check_cache`'s,
+per variable.
 
 The checkers decide on the views' order rows, built once: read validity
 is a mask test per read (`_check_against`), and `strongly_causal_rows`
@@ -58,7 +61,7 @@ from causalrnr.model import (
     write_read_write_rows,
 )
 from causalrnr.relations import Relation
-from causalrnr.search import NodeBudget, iter_extensions, predecessors
+from causalrnr.search import NodeBudget, iter_extensions
 
 Rule = tuple[int, int, int]  # (read, source, competing writes mask)
 
@@ -459,8 +462,9 @@ def iter_view_sets(
     its callers hand it out as it comes.
 
     The views are placed process by process with `search.iter_extensions`,
-    each under its process's base plus the orderings that the views placed
-    before it force (`predecessors(forced, onto=base[i])`).  Each yielded
+    each on its process's base closed with the orderings that the views
+    placed before it force (`kernels.close_onto(base[i], forced)`); a
+    closure with a cycle has no extension and is not searched.  Each yielded
     set is a replay by construction, so no caller checks it again
     (`oracle.certifies` and the checkers test exactly these conditions):
 
@@ -570,9 +574,9 @@ def iter_view_sets(
         missed = listed is None
         if missed:
             found: list[Entry] = []
-            preds = predecessors(rows, onto=base[i])
-            positions = program.process_index(i).positions
-            listed = () if preds is None else iter_extensions(positions, preds, budget)
+            closed = kernels.close_onto(base[i], rows)
+            universe = program.process_index(i).universe_mask
+            listed = () if cyclic(closed) else iter_extensions(universe, closed, budget)
         # a miss iterates the search's sequences, a hit the stored entries
         for item in listed:
             if missed:
@@ -717,7 +721,7 @@ def _views(program: Program, placed: Sequence[int]) -> ViewSet:
     views = []
     start = 0
     for i in sorted(program.processes):
-        end = start + len(program.process_index(i).positions)
+        end = start + len(program.process_index(i).universe)
         views.append(View(i, tuple(ids[k] for k in placed[start:end])))
         start = end
     return ViewSet._ordered(tuple(views))

@@ -12,12 +12,12 @@ per process.
 A `Program` interns its operation ids once: `Program.index` gives each id
 a bit position, its rank in sorted id order, so ascending bits list ids in
 sorted order.  Per process it caches the own operations, the universe
-(own operations plus all writes) with its ascending positions and its
-mask, the own-write mask and program order restricted to the universe,
-as pairs and as rows.  A row over the index is an int whose bit j is set
-when operation j is related to the row's operation.  `order_rows` turns a
-view into such rows, checking its universe; `sequence_rows` does the same
-unchecked for a tuple of positions a search placed; `data_race_rows`
+(own operations plus all writes) and its mask, the own-write mask and
+program order restricted to the universe, as pairs and as rows.  A row
+over the index is an int whose bit j is set when operation j is related
+to the row's operation.  `order_rows` turns a view into such rows,
+checking its universe; `sequence_rows` does the same unchecked for a
+tuple of positions a search placed; `data_race_rows`
 keeps their same-variable part (the DRO), using `Program.variable_masks`;
 `write_read_write_rows` builds WO as rows.  `check_complete` checks that
 a view set has a view of every process.  The consistency checks, both
@@ -58,7 +58,6 @@ class ProcessIndex:
     """One process's part of a program's interned index."""
 
     universe: tuple[str, ...]  # own operations plus all writes, sorted
-    positions: tuple[int, ...]  # the universe's bit positions, ascending
     universe_mask: int
     own_writes_mask: int
     po_pairs: frozenset[Pair]  # program order restricted to the universe
@@ -148,7 +147,6 @@ class Program:
             )
             out[pid] = ProcessIndex(
                 universe=universe,
-                positions=tuple(self.index[o] for o in universe),
                 universe_mask=mask,
                 own_writes_mask=sum(
                     1 << self.index[op.id] for op in ops if op.kind == WRITE

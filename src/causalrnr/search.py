@@ -1,35 +1,37 @@
 """Backtracking enumeration of linear extensions over bit positions.
 
-The items to order are bit positions of a program's interned index (see
-`model.Program.index`), given in ascending order; since a position is its
-id's rank in sorted id order, ascending positions are ascending ids.  The
-one constraint is `preds[k]`, the mask of positions that must be placed
-before position k.  A caller folds any other precedence into these masks
-first (the descent adds the edges from each own write to the writes of
-its SCO summary), so the search is plain linear-extension enumeration
-(Knuth and Szwarcfiter, IPL 2(6), 1974): over closed, acyclic masks
-within `positions`, as `predecessors` gives them for a process's
-universe, every prefix it places extends to a full ordering.
+The items to order are the bit positions of a mask `universe` over a
+program's interned index (see `model.Program.index`); since a position
+is its id's rank in sorted id order, ascending positions are ascending
+ids.  The one constraint is a relation given as closed, acyclic
+successor rows (bit j of row k: k goes before j), the representation
+every search in the package places positions on.  A caller folds any
+other precedence into the rows first (the descent adds the edges from
+each own write to the writes of its SCO summary), so the search is plain
+linear-extension enumeration (Knuth and Szwarcfiter, IPL 2(6), 1974).
 
-The search is a single-worker depth-first loop over a cursor stack; at
-each depth candidates are tried in ascending position order, so the
+The search is a single-worker depth-first loop over a stack of frames.
+A frame's candidates are its ready set: the remaining positions that no
+remaining position reaches, as in Kahn's topological sort (CACM 5(11),
+1962); over closed, acyclic rows every prefix placed that way extends to
+a full ordering.  Candidates are tried in ascending bit order, so the
 extensions come out in lexicographic order and every enumeration in the
 package is deterministic and reproducible.  Each placement spends one
 unit of the `NodeBudget`.
 
-`predecessors` turns successor rows into the predecessor masks, closing
-them first, or adding them onto rows already closed.  The view-set
-descent (`consistency.iter_view_sets`), the engine's one caller, closes
-each process's fixed constraints once and adds each node's orderings
-onto them (`kernels.close_onto`), instead of closing the whole index
-again at every node.  The other searches run the fixpoint walk.
+The view-set descent (`consistency.iter_view_sets`), the engine's one
+caller, closes each process's fixed constraints once and adds each
+node's orderings onto them (`kernels.close_onto`), instead of closing
+the whole index again at every node; it skips a cyclic closure, which
+has no extension.  The fixpoint walk (`consistency._walk`) and the least
+replay (`oracle._least_replay`) read the same ready sets off their own
+closed rows.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
-from causalrnr import kernels
 from causalrnr.errors import BudgetExceeded
 
 
@@ -51,66 +53,55 @@ class NodeBudget:
             )
 
 
+def _ready(rows: Sequence[int], remaining: int) -> int:
+    """The positions of `remaining` that no position of it reaches.  A
+    position some earlier one reaches adds nothing to the blocked mask:
+    over closed rows its row lies inside the earlier one's."""
+    blocked = 0
+    rest = remaining
+    while rest:
+        low = rest & -rest
+        blocked |= rows[low.bit_length() - 1]
+        rest &= ~(blocked | low)
+    return remaining & ~blocked
+
+
 def iter_extensions(
-    positions: tuple[int, ...],
-    preds: Sequence[int],
-    budget: Optional[NodeBudget] = None,
+    universe: int, rows: Sequence[int], budget: NodeBudget
 ) -> Iterator[tuple[int, ...]]:
-    """Yield all orderings of `positions` that place every position after
-    its `preds` mask, in lexicographic order.  `preds` is indexed by
-    position."""
-    n = len(positions)
-    if n == 0:
+    """Yield all orderings of the positions in the mask `universe` that
+    respect the closed, acyclic successor rows `rows`, indexed by
+    position, in lexicographic order, spending one unit of `budget` per
+    placement."""
+    if not universe:
         yield ()
         return
-    candidates = [(k, 1 << k, preds[k]) for k in positions]
-    spend = budget.spend if budget is not None else None
-    placed = 0
+    spend = budget.spend
     seq: list[int] = []
-    cursor = [0]  # per depth, the index of the next candidate to try
-    while cursor:
-        c = cursor[-1]
-        while c < n:
-            k, bit, need = candidates[c]
-            c += 1
-            if placed & bit or need & ~placed:
-                continue
-            if spend is not None:
-                spend()
-            if len(seq) == n - 1:
-                seq.append(k)
-                yield tuple(seq)
-                seq.pop()
-                continue
-            cursor[-1] = c
-            placed |= bit
-            seq.append(k)
-            cursor.append(0)
-            break
-        else:
-            cursor.pop()
+    # per depth: [remaining positions, candidates left]
+    stack = [[universe, _ready(rows, universe)]]
+    while stack:
+        top = stack[-1]
+        remaining, candidates = top
+        if not candidates:
+            stack.pop()
             if seq:
-                placed ^= 1 << seq.pop()
-
-
-def predecessors(
-    rows: Sequence[int], onto: Optional[Sequence[int]] = None
-) -> list[int] | None:
-    """Predecessor masks for `iter_extensions` from successor rows over
-    the index (bit j of row k: k goes before j), closed first, or added
-    onto `onto`, rows already closed; None when the result holds a cycle,
-    which shows as a self bit of the closure."""
-    if onto is None:
-        closed = kernels.closure_rows(list(rows))
-    else:
-        closed = kernels.close_onto(onto, rows)
-    preds = [0] * len(closed)
-    for j, row in enumerate(closed):
-        if row >> j & 1:
-            return None
-        bit = 1 << j
-        while row:
-            low = row & -row
-            preds[low.bit_length() - 1] |= bit
-            row ^= low
-    return preds
+                seq.pop()
+            continue
+        low = candidates & -candidates
+        top[1] = candidates ^ low
+        spend()
+        seq.append(low.bit_length() - 1)
+        rest = remaining ^ low
+        if rest & (rest - 1):
+            stack.append([rest, _ready(rows, rest)])
+            continue
+        if rest:
+            # the one position left is ready: place it without a frame
+            spend()
+            seq.append(rest.bit_length() - 1)
+            yield tuple(seq)
+            seq.pop()
+        else:
+            yield tuple(seq)
+        seq.pop()

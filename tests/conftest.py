@@ -13,7 +13,6 @@ from causalrnr.errors import InternalInvariant
 from causalrnr.generator import GenParams, gen_strong_causal
 from causalrnr.model import Execution, View, ViewSet, derive_writes_to, sequence_rows
 from causalrnr.relations import Relation
-from causalrnr.search import predecessors
 
 
 @pytest.fixture(scope="session")
@@ -225,14 +224,43 @@ def reference_least_replay(program, base, pairs):
     return ViewSet.of(views), queries
 
 
+def mask_positions(mask):
+    """The bit positions of `mask`, ascending."""
+    return tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
+
+
+def predecessors(rows, onto=None):
+    """Predecessor masks for `reference_extensions` from successor rows
+    over the index (bit j of row k: k goes before j), closed first, or
+    added onto `onto`, rows already closed; None when the result holds a
+    cycle, which shows as a self bit of the closure.  The transposition
+    keeps the reference on predecessor masks, a formulation independent
+    of the package's successor-row search."""
+    if onto is None:
+        closed = kernels.closure_rows(list(rows))
+    else:
+        closed = kernels.close_onto(onto, rows)
+    preds = [0] * len(closed)
+    for j, row in enumerate(closed):
+        if row >> j & 1:
+            return None
+        bit = 1 << j
+        while row:
+            low = row & -row
+            preds[low.bit_length() - 1] |= bit
+            row ^= low
+    return preds
+
+
 def reference_extensions(positions, preds, vetoes=None, budget=None):
     """The placement engine as it ran with vetoes: every ordering of
     `positions` that places each position after its `preds` mask and
     against none of its `vetoes`, in lexicographic order.  `vetoes[k]` is
     a tuple of `(need, unless)` mask pairs: position k may not be placed
     while some position of `need` is placed and no position of `unless`
-    is.  `search.iter_extensions` is this engine without vetoes; the
-    references that still prune with them run it."""
+    is.  Without vetoes it gives `search.iter_extensions`' sequences on
+    the closed successor rows the masks transpose; the references that
+    still prune with vetoes run it."""
     n = len(positions)
     if n == 0:
         yield ()
@@ -319,7 +347,7 @@ def reference_view_sets(program, model, base, budget, *, reads_given=False, veto
             sco = sco_vetoes(program, i, orders)
             placing = sco if placing is None else [v + s for v, s in zip(placing, sco)]
         last = len(fixed) == len(procs) - 1
-        positions = program.process_index(i).positions
+        positions = mask_positions(program.process_index(i).universe_mask)
         for seq in reference_extensions(positions, preds, placing, budget):
             view = View(i, tuple(ids[k] for k in seq))
             if contributes and not strong:

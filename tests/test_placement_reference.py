@@ -23,6 +23,7 @@ from causalrnr.records import Record
 from causalrnr.view_record import minimal_view_record
 
 from conftest import (
+    mask_positions,
     record_generated,
     reference_least_replay,
     reference_saturate,
@@ -127,10 +128,11 @@ def saturate_inputs():
         if state is None:
             continue
         i = rng.choice(sorted(state))
+        positions = mask_positions(program.process_index(i).universe_mask)
         free = [
             (a, b)
-            for a in program.process_index(i).positions
-            for b in program.process_index(i).positions
+            for a in positions
+            for b in positions
             if a != b and not (state[i][a] >> b | state[i][b] >> a) & 1
         ]
         if free:

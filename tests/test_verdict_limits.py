@@ -6,13 +6,18 @@ before anything is decided, under the strong model, which applies
 neither limit, as under the causal one.  `enumeration_cap` rejects an
 explicit `max_ops` in the way it rejects `CAUSAL_RNR_MAX_OPS`, so the
 other capped queries reject it too.
+
+The model is checked before either limit: an unsupported one is a
+ValueError that names it, even on a program past the causal enumeration
+cap.
 """
 
 import pytest
 
 from causalrnr import consistency, fixtures, oracle
-from causalrnr.consistency import CAUSAL, STRONG_CAUSAL, enumeration_cap
+from causalrnr.consistency import CAUSAL, DEFAULT_MAX_OPS, STRONG_CAUSAL, enumeration_cap
 from causalrnr.errors import BudgetExceeded
+from causalrnr.generator import GenParams, gen_strong_causal
 from causalrnr.records import Record
 from causalrnr.view_record import minimal_view_record
 
@@ -25,8 +30,14 @@ def _verdicts(model, **limits):
     """Each verdict entry point on the write-race fixture under `model`,
     with `limits` as keyword arguments."""
     parsed = fixtures.load("write-race")
-    views, program = parsed.views, parsed.program
-    record = minimal_view_record(views, parsed.execution)
+    return _entries(parsed.views, parsed.execution, model, **limits)
+
+
+def _entries(views, execution, model, **limits):
+    """Each verdict entry point on `views` and their minimal view record
+    under `model`, with `limits` as keyword arguments."""
+    program = execution.program
+    record = minimal_view_record(views, execution)
     process, edge = next(record.all_edges())
     goodness = oracle.Goodness(views, program)
     return {
@@ -78,6 +89,15 @@ def test_the_strong_model_reads_no_cap_from_the_environment(monkeypatch):
     assert _verdicts(STRONG_CAUSAL)["verdict"]().good
     with pytest.raises(ValueError, match="CAUSAL_RNR_MAX_OPS"):
         _verdicts(CAUSAL)["verdict"]()
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("model", ("bogus", "cache"))
+def test_an_unsupported_model_is_named_before_the_cap(entry, model):
+    execution, views = gen_strong_causal(GenParams(6, 4, 5, 2, 0.5))
+    assert len(execution.program.all_ops) > DEFAULT_MAX_OPS
+    with pytest.raises(ValueError, match=f"unsupported replay model '{model}'"):
+        _entries(views, execution, model)[entry]()
 
 
 @pytest.mark.parametrize("limit", INVALID_CAPS)

@@ -21,7 +21,7 @@ from causalrnr.generator import GenParams, gen_strong_causal
 from causalrnr.model import Operation, Program
 from causalrnr.race_record import minimal_race_record
 from causalrnr.records import Record
-from causalrnr.search import NodeBudget, iter_extensions, predecessors
+from causalrnr.search import NodeBudget, iter_extensions
 from causalrnr.view_record import minimal_view_record
 
 from conftest import reference_view_sets, small_generated
@@ -98,21 +98,24 @@ def test_summaries_that_fold_to_the_same_rows_share_a_search(monkeypatch):
     empty = Record.of({p: frozenset() for p in program.processes})
     base = oracle._base_rows(program, empty)
     searched = []
-    search = consistency.predecessors
+    search = consistency.iter_extensions
 
-    def recording(rows, onto):
-        if onto is base[3]:
-            searched.append(rows)
-        return search(rows, onto=onto)
+    def recording(universe, rows, budget):
+        searched.append(tuple(rows))
+        return search(universe, rows, budget)
 
-    monkeypatch.setattr(consistency, "predecessors", recording)
+    monkeypatch.setattr(consistency, "iter_extensions", recording)
     budget = NodeBudget(None)
     found = _leaves(iter_view_sets, program, STRONG_CAUSAL, base, budget)
     reference = NodeBudget(None)
     assert found == _leaves(reference_view_sets, program, STRONG_CAUSAL, base, reference)
     assert len(found) == 4
     a, c = program.index["a"], program.index["c"]
-    assert searched == [(0, 0), tuple(1 << a if k == c else 0 for k in range(2))]
+    unordered, c_first = (0, 0), tuple(1 << a if k == c else 0 for k in range(2))
+    # every universe is {a, c}: the searches are of process 1, of process 2
+    # below 1: a c, of process 3 at its first two nodes, and of process 2
+    # below 1: c a; process 3's third node searches nothing
+    assert searched == [unordered, unordered, unordered, c_first, c_first]
     assert budget.explored < reference.explored
 
 
@@ -129,14 +132,51 @@ def test_a_fold_that_closes_a_cycle_with_the_base_places_nothing():
     budget = NodeBudget(None)
     assert list(iter_view_sets(program, STRONG_CAUSAL, base, budget)) == []
     alone = NodeBudget(None)
-    positions = program.process_index(1).positions
-    first = list(iter_extensions(positions, predecessors([0] * 3, onto=base[1]), alone))
+    first = list(iter_extensions(program.process_index(1).universe_mask, base[1], alone))
     assert len(first) == 3
     assert budget.explored == alone.explored
     reference = NodeBudget(None)
     assert list(reference_view_sets(program, STRONG_CAUSAL, base, reference)) == []
     assert reference.explored == alone.explored + len(first)
     assert list(oracle.enumerate_certifying(program, record, STRONG_CAUSAL)) == []
+
+
+def test_forced_rows_that_close_a_cycle_with_the_base_place_nothing(monkeypatch):
+    """Process 1 writes a, process 2 reads r and its record orders a
+    before process 3's write w.  The view 1: w a gives SCO w -> a, which
+    process 2's node takes as forced rows: with its base they close a
+    cycle, so that node searches nothing and yields no set.  The other
+    view, 1: a w, forces nothing, and its node is searched as usual."""
+    program = Program.of({
+        1: [Operation("w", 1, "x", "a")],
+        2: [Operation("r", 2, "x", "r")],
+        3: [Operation("w", 3, "x", "w")],
+    })
+    record = Record.of({1: set(), 2: {("a", "w")}, 3: set()})
+    base = oracle._base_rows(program, record)
+    outcomes, searched = [], []
+    check, search = consistency.cyclic, consistency.iter_extensions
+
+    def checking(rows):
+        outcomes.append(check(rows))
+        return outcomes[-1]
+
+    def searching(universe, rows, budget):
+        searched.append((universe, tuple(rows)))
+        return search(universe, rows, budget)
+
+    monkeypatch.setattr(consistency, "cyclic", checking)
+    monkeypatch.setattr(consistency, "iter_extensions", searching)
+    budget = NodeBudget(None)
+    found = _leaves(iter_view_sets, program, STRONG_CAUSAL, base, budget)
+    assert found == _leaves(reference_view_sets, program, STRONG_CAUSAL, base, NodeBudget(None))
+    assert found and all(views[0][1] == ("a", "w") for views in found)
+    assert outcomes.count(True) == 1 and len(searched) == outcomes.count(False)
+    # every placement is one of the searches run on an acyclic closure
+    alone = NodeBudget(None)
+    for universe, rows in searched:
+        list(search(universe, rows, alone))
+    assert budget.explored == alone.explored
 
 
 def test_cached_contributions_are_filtered_at_every_node(monkeypatch):

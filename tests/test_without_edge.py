@@ -121,7 +121,8 @@ def test_an_absent_edge_is_rejected(corpus):
     record = minimal_view_record(parsed.views, parsed.execution)
     goodness = oracle.Goodness(parsed.views, parsed.program)
     process, (a, b) = next(record.all_edges())
-    for edge in ((b, a), ("w1", "zz")):
+    # a list or a single id is no pair: rejected, not a bare TypeError
+    for edge in ((b, a), ("w1", "zz"), [a, b], [b, a], (a,)):
         with pytest.raises(PreconditionViolated, match="is not a record edge of process"):
             goodness.without_edge(record, process, edge, "views")
     with pytest.raises(PreconditionViolated):
