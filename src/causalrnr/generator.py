@@ -5,7 +5,9 @@ keeps a replica of every variable, applies its own writes immediately
 (writers commit locally before propagating), and delivers remote writes
 only after all of their observed predecessors.  That delivery rule makes
 every generated execution strongly causal by construction; the checker
-re-verifies it anyway.
+re-verifies it anyway.  As in causal broadcast, a write waits at each
+process on a count of its observed writes not yet applied there: its
+exec sets the counts, and an apply updates the applying process's only.
 
 The PRNG is `random.Random` (Mersenne Twister); identical parameters give
 byte-identical output.  All distributions here are artifact choices with
@@ -15,6 +17,7 @@ no external meaning.
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass
 
 from causalrnr.model import (
@@ -40,6 +43,14 @@ class GenParams:
     write_ratio: float = 0.6
 
     def __post_init__(self):
+        # a None seed would draw from OS entropy, and a float count fails
+        # deep inside `random`: both are usage errors here
+        for name in ("seed", "processes", "ops_per_process", "variables"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, not {value!r}")
+        if type(self.write_ratio) not in (int, float):
+            raise ValueError(f"write_ratio must be a real number, not {self.write_ratio!r}")
         if self.processes < 1:
             raise ValueError("need at least one process")
         if self.ops_per_process < 0:
@@ -88,45 +99,69 @@ def gen_program(params: GenParams) -> Program:
 
 
 def simulate(params: GenParams) -> SimTrace:
+    """Draw the program, then take one uniformly drawn move per step until
+    none is left.  A write becomes deliverable at another process when its
+    count of observed writes not applied there reaches zero.  Move k is
+    the k-th of the deliveries by (process, id), then the execs by
+    process: the order in which `("deliver", p, w)` and `("exec", p, o)`
+    tuples sort, so each draw picks the move a sorted list of them gave."""
     rng = random.Random(params.seed)
     program = _draw_program(rng, params)
     procs = sorted(program.processes)
+    bit = {w: 1 << i for i, w in enumerate(program.writes)}
 
+    own = {p: program.own(p) for p in procs}
     next_op = {p: 0 for p in procs}
     view: dict[int, list[str]] = {p: [] for p in procs}
-    applied: dict[int, set[str]] = {p: set() for p in procs}
-    # each executed write with its process and the writes it observed
-    observed_before: dict[str, tuple[int, frozenset[str]]] = {}
+    seen: dict[int, list[str]] = {p: [] for p in procs}  # applied writes
+    applied = {p: 0 for p in procs}  # the same, as a mask
+    ready: dict[int, list[str]] = {p: [] for p in procs}  # sorted by id
+    missing: dict[int, dict[str, int]] = {p: {} for p in procs}
+    observers: dict[str, list[str]] = {w: [] for w in bit}
+    runnable = [p for p in procs if own[p]]
+    deliverable = 0
     events: list[tuple] = []
 
-    while True:
-        moves: list[tuple] = []
-        for p in procs:
-            own = program.own(p)
-            for w, (src, before) in observed_before.items():
-                if src != p and w not in applied[p] and before <= applied[p]:
-                    moves.append(("deliver", p, w))
-            if next_op[p] < len(own):
-                moves.append(("exec", p, own[next_op[p]]))
-        if not moves:
-            break
-        # the draw depends on this order alone, not on the scan's
-        moves.sort()
-        move = moves[rng.randrange(len(moves))]
-        events.append(move)
-        if move[0] == "exec":
-            _, p, o = move
-            next_op[p] += 1
-            if program.is_write(o):
-                observed_before[o] = (
-                    p, frozenset(q for q in view[p] if program.is_write(q))
-                )
-                applied[p].add(o)
-            view[p].append(o)
+    while deliverable or runnable:
+        k = rng.randrange(deliverable + len(runnable))
+        if k < deliverable:
+            for p in procs:
+                if k < len(ready[p]):
+                    break
+                k -= len(ready[p])
+            op = ready[p].pop(k)
+            deliverable -= 1
+            events.append(("deliver", p, op))
+            counts = missing[p]
+            for o in observers[op]:
+                if o in counts:  # not p's own write
+                    counts[o] -= 1
+                    if not counts[o]:
+                        insort(ready[p], o)
+                        deliverable += 1
         else:
-            _, p, w = move
-            applied[p].add(w)
-            view[p].append(w)
+            k -= deliverable
+            p = runnable[k]
+            op = own[p][next_op[p]]
+            next_op[p] += 1
+            if next_op[p] == len(own[p]):
+                del runnable[k]
+            events.append(("exec", p, op))
+            if op in bit:
+                for w in seen[p]:
+                    observers[w].append(op)
+                for q in procs:
+                    if q != p:
+                        count = (applied[p] & ~applied[q]).bit_count()
+                        if count:
+                            missing[q][op] = count
+                        else:
+                            insort(ready[q], op)
+                            deliverable += 1
+        view[p].append(op)
+        if op in bit:
+            seen[p].append(op)
+            applied[p] |= bit[op]
 
     views = ViewSet.of([View(p, tuple(view[p])) for p in procs])
     # each read returns the last write its process had applied, which is

@@ -33,6 +33,41 @@ class TestGenProgram:
         assert found >= 1
 
 
+class TestGenParamsValidation:
+    # each of these was accepted, or failed deep inside `random`, before
+    # the parameters were type-checked
+
+    def test_none_seed_is_rejected(self):
+        # random.Random(None) seeds from OS entropy: not reproducible
+        with pytest.raises(ValueError, match="seed"):
+            GenParams(seed=None, processes=2, ops_per_process=2, variables=1)
+
+    def test_float_processes_is_rejected(self):
+        with pytest.raises(ValueError, match="processes"):
+            GenParams(seed=1, processes=2.0, ops_per_process=2, variables=1)
+
+    def test_fractional_ops_per_process_is_rejected(self):
+        with pytest.raises(ValueError, match="ops_per_process"):
+            GenParams(seed=1, processes=2, ops_per_process=3.5, variables=1)
+
+    def test_bool_variables_is_rejected(self):
+        with pytest.raises(ValueError, match="variables"):
+            GenParams(seed=1, processes=2, ops_per_process=2, variables=True)
+
+    def test_string_write_ratio_is_rejected(self):
+        with pytest.raises(ValueError, match="write_ratio"):
+            GenParams(seed=1, processes=2, ops_per_process=2, variables=1,
+                      write_ratio="0.5")
+
+    def test_int_write_ratio_is_accepted(self):
+        params = GenParams(seed=1, processes=2, ops_per_process=2, variables=1,
+                           write_ratio=1)
+        assert gen_program(params).all_ops == gen_program(
+            GenParams(seed=1, processes=2, ops_per_process=2, variables=1,
+                      write_ratio=1.0)
+        ).all_ops
+
+
 class TestGenStrongCausal:
     def test_single_process_view_is_program_order(self):
         execution, views = gen_strong_causal(
@@ -124,6 +159,16 @@ GEN_OUTPUT_SHA256 = (
     (("--seed", "2024", "--processes", "6", "--ops-per-process", "5",
       "--variables", "1"),
      "32593947c7f25e365ce4e611a649c7f9087816069d5f52be7e16c9d6f86ba397"),
+    # past 30 operations: up to 256 at 16 processes, and one process alone
+    (("--seed", "5", "--processes", "16", "--ops-per-process", "16",
+      "--variables", "4"),
+     "bfc599e9979aadd371f350f90548618b7a68955eb5b19859385712ec0755e013"),
+    (("--seed", "2", "--processes", "10", "--ops-per-process", "10",
+      "--variables", "3", "--write-ratio", "0.5"),
+     "72a94806f92822ba39e0550f856e34044efac7987dc4eee04ee39ab6eb2aa274"),
+    (("--seed", "3", "--processes", "1", "--ops-per-process", "6",
+      "--variables", "2"),
+     "9c72395bd9bf121de417bcb9540ddb9ed7b2589ac28b3f4517c77b1c58239d29"),
 )
 
 
