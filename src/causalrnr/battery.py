@@ -16,16 +16,12 @@ fixpoint, which the tests cross-check against the view-set descent
 reverses its edge when its view places the edge's target first, the
 two sharing a variable: one position and one mask test.
 
-The stages share per-fixture state.  The fixture's strong-causality
-check builds the original views' order rows and strong causal order
-once, and the later stages start from them: each process's guaranteed
-rows (`view_record._guaranteed`) for the view and online stages, the
-view witnesses' swaps (`oracle._view_witness`), the race analysis's
-data-race orders (`RaceAnalysis._on_rows`), and the original views'
-half of `certifies`, which the check has passed
-(`oracle.Goodness._checked`).  The record constructions under test,
-`minimal_view_record` and `online_record_from_views`, run as any
-caller runs them.  One `oracle.Goodness` answers the goodness
+The stages share per-fixture state through the entry points users call.
+The fixture's view set keeps its order rows (`ViewSet.order_rows`): the
+strong-causality check builds them, and every later stage reads them.
+`view_record.guaranteed_rows` gives the strong causal order and each
+process's guaranteed rows, which the view and online stages test
+against.  One `oracle.Goodness` answers the goodness
 verdicts: the view and race records, each also with every edge
 dropped in turn, and the online record.  It keeps each record's
 verdict, and the dropped-edge verdicts go through
@@ -65,17 +61,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from causalrnr import kernels, oracle
-from causalrnr.consistency import (
-    STRONG_CAUSAL,
-    _strong_causal_check,
-    check_causal,
-    check_strong_causal,
-    sco_rows,
-)
-from causalrnr.model import Execution, ViewSet, data_race_order, derive_writes_to, order_rows
+from causalrnr.consistency import STRONG_CAUSAL, check_causal, check_strong_causal, sco_rows
+from causalrnr.model import Execution, ViewSet, data_race_order, derive_writes_to
 from causalrnr.race_record import RaceAnalysis
 from causalrnr.relations import Relation
-from causalrnr.view_record import _guaranteed, minimal_view_record, online_record_from_views
+from causalrnr.view_record import guaranteed_rows, minimal_view_record, online_record_from_views
 
 
 class BatteryFailure(AssertionError):
@@ -108,23 +98,21 @@ def run_battery(execution: Execution, views: ViewSet, *, max_ops: int | None = N
     for existing callers but limits nothing."""
     stats = BatteryStats()
 
-    # the fixture itself must be consistent; the check's order rows and
-    # SCO serve the later stages
+    # the fixture itself must be consistent
     program = execution.program
-    bad, rows, sco = _strong_causal_check(views, execution)
+    bad = check_strong_causal(views, execution)
     if bad is not None:
         _fail("fixture", f"not strongly causal: {bad}")
     if check_causal(views, execution) is not None:
         _fail("fixture", "strongly causal fixture fails the causal check")
     stats.stages.append("fixture")
-    orders = dict(zip(views.processes(), rows))
 
     with oracle._shared_replays(program) as replays:
-        goodness = oracle.Goodness._checked(views, program)
-        guaranteed = {i: _guaranteed(program, orders, sco, i) for i in orders}
-        offline = _view_record_stage(execution, views, goodness, rows, sco, guaranteed, stats)
+        goodness = oracle.Goodness(views, program)
+        sco, guaranteed = guaranteed_rows(views, program)
+        offline = _view_record_stage(execution, views, goodness, sco, guaranteed, stats)
         _online_record_stage(execution, views, goodness, guaranteed, offline, stats)
-        analysis = RaceAnalysis._on_rows(views, program, rows)
+        analysis = RaceAnalysis(views, program)
         _race_record_stage(analysis, goodness, stats)
         _observation_stage(execution, views, analysis, sco, stats)
     stats.replays_placed = replays.placed
@@ -132,7 +120,7 @@ def run_battery(execution: Execution, views: ViewSet, *, max_ops: int | None = N
     return stats
 
 
-def _view_record_stage(execution, views, goodness, rows, sco, guaranteed, stats):
+def _view_record_stage(execution, views, goodness, sco, guaranteed, stats):
     """Returns the offline record, which the online stage compares with."""
     program = execution.program
     record = minimal_view_record(views, execution)
@@ -141,7 +129,7 @@ def _view_record_stage(execution, views, goodness, rows, sco, guaranteed, stats)
     seen = 0
     for candidate in oracle.certifying_replays(program, record):
         seen += 1
-        orders = {v.process: order_rows(v, program) for v in candidate.views}
+        orders = dict(zip(candidate.processes(), candidate.order_rows(program)))
         if any(s & ~r for s, r in zip(sco, sco_rows(program, orders.items()))):
             _fail("view-record", "a certifying replay lost a strong causal ordering")
         for view in views.views:
@@ -175,7 +163,7 @@ def _view_record_stage(execution, views, goodness, rows, sco, guaranteed, stats)
                 "view-record",
                 f"counterexample for dropped edge {edge} does not flip it",
             )
-        witness = oracle._view_witness(views, program, record, i, edge, rows)
+        witness = oracle.view_witness(views, execution, record, i, edge)
         if witness.sort_key() == views.sort_key():
             _fail("view-record", "necessity witness equals the original views")
         stats.view_edges_checked += 1

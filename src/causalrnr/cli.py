@@ -21,7 +21,6 @@ from causalrnr.consistency import (
     check_cache,
     check_causal,
     check_strong_causal,
-    enumeration_cap,
     find_explanation,
 )
 from causalrnr.errors import BudgetExceeded, CausalRnrError
@@ -63,10 +62,8 @@ def _count(text: str) -> int:
     return value
 
 
-def _add_common(
-    parser: argparse.ArgumentParser,
-    help_text: str = "enumeration cap (default 10, env CAUSAL_RNR_MAX_OPS)",
-) -> None:
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    help_text = "enumeration cap (default 10, env CAUSAL_RNR_MAX_OPS)"
     parser.add_argument("--max-ops", type=_count, default=None, help=help_text)
 
 
@@ -179,8 +176,6 @@ def cmd_gen(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    # the battery's queries have no cap, but a bad one is a usage error
-    enumeration_cap(args.max_ops)
     base = GenParams(
         seed=args.seed,
         processes=args.processes,
@@ -301,8 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ops-per-process", type=int, default=2)
     p.add_argument("--variables", type=int, default=2)
     p.add_argument("--write-ratio", type=float, default=0.6)
-    _add_common(p, "validated like the other commands' enumeration cap, but the "
-                   "battery's queries have none, so it does not apply to fuzz")
     p.set_defaults(func=cmd_fuzz)
 
     p = sub.add_parser("dot", help="export a fixture as a DOT graph")

@@ -21,11 +21,12 @@ acyclic: it lists the strong model's certifying replays
 `find_explanation`'s answer, with the reads given, and `check_cache`'s,
 per variable.
 
-The checkers decide on the views' order rows, built once: read validity
-is a mask test per read (`_check_against`), and `strongly_causal_rows`
-is the one rows test for a strongly causal replay, whose reads return
-what its views make them return; the oracle's certification test and
-its witnesses run it.  `read_validity` turns given reads into successor
+The checkers decide order on the views' order rows, which the view set
+keeps (`ViewSet.order_rows`), and read validity by the one last-write
+scan (`model.read_violation`).  `strongly_causal_rows` is the one rows
+test for a strongly causal replay, whose reads return what its views
+make them return; the oracle's certification test and its witnesses
+run it.  `read_validity` turns given reads into successor
 rows and the rules that `close_reads` derives orderings from, and
 `sco_summary` gives the writes that each own write of a process must
 precede, the edges the descent folds into its strong-model searches.
@@ -54,7 +55,6 @@ from causalrnr.model import (
     ViewSet,
     Violation,
     check_complete,
-    order_rows,
     read_sources,
     read_violation,
     sequence_rows,
@@ -129,18 +129,18 @@ def respects(order: list[int], po, base) -> bool:
     return True
 
 
-def strongly_causal_rows(views: ViewSet, program: Program) -> tuple[list[list[int]], bool]:
+def strongly_causal_rows(views: ViewSet, program: Program) -> tuple[tuple[list[int], ...], bool]:
     """The order rows of a replay's views, in view order, and whether each
     holds its process's program order plus the SCO that the rows define
     (`sco_rows`): whether the replay is strongly causal.  Each read of a
     replay returns what its owner's view makes it return, so read
     validity holds by construction, and this is `check_strong_causal` on
     the execution the views derive, with no execution built.  Every
-    view's rows are built, and so checked (`order_rows`), before any is
-    tested; the caller checks that the set is complete."""
-    pairs = [(v.process, order_rows(v, program)) for v in views.views]
+    view's rows are built, and so checked (`ViewSet.order_rows`), before
+    any is tested; the caller checks that the set is complete."""
+    orders = views.order_rows(program)
+    pairs = list(zip(views.processes(), orders))
     sco = sco_rows(program, pairs)
-    orders = [order for _, order in pairs]
     for i, order in pairs:
         if not respects(order, program.process_index(i).po_rows, sco):
             return orders, False
@@ -150,44 +150,22 @@ def strongly_causal_rows(views: ViewSet, program: Program) -> tuple[list[list[in
 def strong_causal_order(views: ViewSet, program: Program) -> Relation:
     """SCO: (w1, w2) for writes ordered w1 before w2 by the view of w2's
     own process.  Raw membership; no closure beyond it."""
-    orders = [(v.process, order_rows(v, program)) for v in views.views]
+    orders = zip(views.processes(), views.order_rows(program))
     return Relation(program.writes, program.pairs_of(sco_rows(program, orders)))
 
 
-def _check_against(
-    views: ViewSet, execution: Execution, orders: list[list[int]], base: list[int]
-) -> Violation | None:
-    """The first violation of `views` (with `orders` their order rows)
-    against the base order `base` closed with each view's program order.
-
-    Read validity is a mask test on the rows.  Let `before` be the writes
-    to an own read r's variable that r's view places before it.  The
-    read returns the write s iff s is in `before` and no write of
-    `before` follows s, and the initial value iff `before` is empty.
-    Only a view that fails this test is scanned (`read_violation`), to
-    name its first invalid read in view order, so the violation reported
-    is the scan's.  Order violations name the least violated pair in
-    sorted id order."""
+def _check_against(views: ViewSet, execution: Execution, base: list[int]) -> Violation | None:
+    """The first violation of `views` against the base order `base`
+    closed with each view's program order.  A read violation is the
+    first invalid read, in view order, of the first view that has one
+    (`read_violation`).  Order violations, tested on the views' order
+    rows, name the least violated pair in sorted id order."""
     program = execution.program
-    index = program.index
-    masks = program.variable_masks
-    writes = program.writes_mask
-    sources = {index[r]: index[w] for r, w in execution.writes_to.items()}
-    for view, order in zip(views.views, orders):
-        # every write lies in each universe, so the rest are own reads
-        reads = program.process_index(view.process).universe_mask & ~writes
-        while reads:
-            low = reads & -reads
-            reads ^= low
-            r = low.bit_length() - 1
-            before = masks[r] & writes & ~order[r]
-            s = sources.get(r)
-            if s is None:
-                valid = not before
-            else:
-                valid = before >> s & 1 and not order[s] & before
-            if not valid:
-                return read_violation(view, execution)
+    orders = views.order_rows(program)
+    for view in views.views:
+        bad = read_violation(view, execution)
+        if bad is not None:
+            return bad
     ids = program.all_ops
     for view, order in zip(views.views, orders):
         po = program.process_index(view.process).po_rows
@@ -219,9 +197,8 @@ def check_causal(views: ViewSet, execution: Execution) -> Violation | None:
     operations."""
     program = execution.program
     check_complete(views, program)
-    orders = [order_rows(v, program) for v in views.views]
     wo = write_read_write_rows(program, execution.writes_to.items())
-    return _check_against(views, execution, orders, wo)
+    return _check_against(views, execution, wo)
 
 
 def check_strong_causal(views: ViewSet, execution: Execution) -> Violation | None:
@@ -231,14 +208,13 @@ def check_strong_causal(views: ViewSet, execution: Execution) -> Violation | Non
 
 def _strong_causal_check(
     views: ViewSet, execution: Execution
-) -> tuple[Violation | None, list[list[int]], list[int]]:
-    """`check_strong_causal`'s verdict with the rows it was reached on:
-    the views' order rows, in view order, and the SCO rows."""
+) -> tuple[Violation | None, list[int]]:
+    """`check_strong_causal`'s verdict with the SCO rows it was reached
+    on; the views' order rows are `views.order_rows(program)`."""
     program = execution.program
     check_complete(views, program)
-    orders = [order_rows(v, program) for v in views.views]
-    sco = sco_rows(program, zip(views.processes(), orders))
-    return _check_against(views, execution, orders, sco), orders, sco
+    sco = sco_rows(program, zip(views.processes(), views.order_rows(program)))
+    return _check_against(views, execution, sco), sco
 
 
 def read_validity(program: Program, writes_to, reads) -> tuple[list[int], tuple[Rule, ...]]:

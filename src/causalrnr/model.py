@@ -19,7 +19,9 @@ to the row's operation.  `order_rows` turns a view into such rows,
 checking its universe; `sequence_rows` does the same unchecked for a
 tuple of positions a search placed; `data_race_rows`
 keeps their same-variable part (the DRO), using `Program.variable_masks`;
-`write_read_write_rows` builds WO as rows.  `check_complete` checks that
+`write_read_write_rows` builds WO as rows.  `ViewSet.order_rows` keeps
+every view's rows for one program, so the checks, records and witnesses
+on one view set build them once.  `check_complete` checks that
 a view set has a view of every process.  The consistency checks, both
 searches (which place positions, see `search`), the oracle's
 certification test and completion and the race analysis work on these
@@ -311,6 +313,16 @@ class ViewSet:
 
     def sort_key(self) -> tuple:
         return tuple(v.sequence for v in self.views)
+
+    def order_rows(self, program: Program) -> tuple[list[int], ...]:
+        """Each view's `order_rows`, in view order: built on the first
+        call and kept for that `program` object.  Callers must not
+        change them."""
+        kept = self.__dict__.get("_order_rows")
+        if kept is None or kept[0] is not program:
+            kept = (program, tuple(order_rows(v, program) for v in self.views))
+            self.__dict__["_order_rows"] = kept
+        return kept[1]
 
 
 @dataclass(frozen=True)

@@ -87,9 +87,10 @@ swaps its edge in its owner's view.  Each witness is checked on its
 order rows, built once: for strong causality by the rows test that
 `certifies` runs (`consistency.strongly_causal_rows`; its reads return
 what its views make them return, so none is derived or checked), then
-for extending the reduced record.  The one-shot witnesses start from
-the rows of the strong-causality check that guards them, and the view
-witness derives its two changed rows from the originals' (`_swap`).
+for extending the reduced record.  The witnesses start from the
+original views' order rows, which the view set keeps
+(`ViewSet.order_rows`), and the view witness derives its two changed
+rows from them (`_swap`).
 The full checker runs only on a witness that fails the rows test, to
 word the error.
 """
@@ -130,7 +131,6 @@ from causalrnr.model import (
     ViewSet,
     check_complete,
     derive_writes_to,
-    order_rows,
     read_sources,
     write_read_write_rows,
 )
@@ -190,11 +190,11 @@ def _holds(candidate: ViewSet, program: Program, model: str) -> bool:
     `consistency.strongly_causal_rows`, the rows test that also checks
     every witness, and the WO of the reads the views derive under the
     causal model.  Every view's rows are built, and so checked
-    (`order_rows`), before any is tested."""
+    (`ViewSet.order_rows`), before any is tested."""
     if model == STRONG_CAUSAL:
         return strongly_causal_rows(candidate, program)[1]
     views = candidate.views
-    orders = [order_rows(v, program) for v in views]
+    orders = candidate.order_rows(program)
     sources = [(r, s) for v in views for r, s in read_sources(v, program) if s is not None]
     wo = write_read_write_rows(program, sources)
     return all(
@@ -650,16 +650,6 @@ class Goodness:
         self._bases: dict[tuple[int, frozenset[Pair]], list[int] | None] = {}
         self._strong: dict[tuple[Record, str], Verdict] = {}
 
-    @classmethod
-    def _checked(cls, views: ViewSet, program: Program) -> Goodness:
-        """The state of views that passed the strong-causality check, as
-        the fuzz battery's fixture has: their order rows hold program
-        order plus their SCO, so the strong model's half of `certifies`
-        holds and is not tested again."""
-        goodness = cls(views, program)
-        goodness._holds[STRONG_CAUSAL] = True
-        return goodness
-
     def verdict(
         self,
         record: Record,
@@ -905,25 +895,25 @@ def necessity_witness_view_record(
     owner's view.  Views that are not strongly causal raise
     `NotStronglyCausal`.
 
-    A call runs the strong-causality check once and works on its rows:
-    the edge must be one of its owner's required edges
+    A call runs the strong-causality check once and works on the views'
+    order rows: the edge must be one of its owner's required edges
     (`view_record.required_edges`), and the swap is tested on rows
     derived from them (`_swap`).  The other views are the originals, and
     the owner's other required edges are consecutive pairs the swap
     keeps in order, so only those are tested against the reduced record.
     For many edges of one fixture, call `view_witness` on one minimal
     view record."""
-    bad, rows, sco = _strong_causal_check(views, execution)
+    bad, sco = _strong_causal_check(views, execution)
     if bad is not None:
         raise NotStronglyCausal(str(bad))
     program = execution.program
     required = frozenset()
     if process in views.processes():
-        orders = dict(zip(views.processes(), rows))
+        orders = dict(zip(views.processes(), views.order_rows(program)))
         required = required_edges(program, orders, sco, views[process])
     if not is_pair(edge) or edge not in required:
         raise _not_required(process, edge)
-    witness, mine = _swap(views, program, process, edge, rows)
+    witness, mine = _swap(views, program, process, edge)
     index = program.index
     if any(not mine[index[a]] >> index[b] & 1 for a, b in required - {edge}):
         raise InternalInvariant("swapped views do not certify the reduced record")
@@ -941,24 +931,11 @@ def view_witness(
     view raises `PreconditionViolated`: no minimal view record holds
     one, and a view set without a view of each process
     `UniverseMismatch`."""
-    check_complete(views, execution.program)
-    return _view_witness(views, execution.program, record, process, edge, None)
-
-
-def _view_witness(
-    views: ViewSet,
-    program: Program,
-    record: Record,
-    process: int,
-    edge: Pair,
-    rows: list[list[int]] | None,
-) -> ViewSet:
-    """`view_witness` for a complete view set whose order rows, in view
-    order, are `rows` (built by `_swap` when None): the fuzz battery
-    hands it the rows of its fixture's strong-causality check."""
+    program = execution.program
+    check_complete(views, program)
     if not is_pair(edge) or edge not in record.edges(process):
         raise _not_required(process, edge)
-    witness, _ = _swap(views, program, process, edge, rows)
+    witness, _ = _swap(views, program, process, edge)
     if not _extends(witness, program, record.drop(process, edge)):
         raise InternalInvariant("swapped views do not certify the reduced record")
     return witness
@@ -968,16 +945,13 @@ def _not_required(process: int, edge: object) -> PreconditionViolated:
     return PreconditionViolated(f"edge {edge} is not a required record edge of process {process}")
 
 
-def _swap(
-    views: ViewSet, program: Program, process: int, edge: Pair, rows: list[list[int]] | None
-) -> tuple[ViewSet, list[int]]:
+def _swap(views: ViewSet, program: Program, process: int, edge: Pair) -> tuple[ViewSet, list[int]]:
     """The views with `edge`, two consecutive operations a, b of the view
     of `process`, swapped there (else `PreconditionViolated`), and the
     swapped view's order rows, which must pass `strongly_causal_rows`'
-    test (else `InternalInvariant`).  Given the original views' `rows`,
-    in view order (built here when None), the swapped ones are derived:
-    only the owner's rows of a and b change, as b now precedes a and all
-    that followed b, and a exactly what followed b."""
+    test (else `InternalInvariant`).  They are derived from the original
+    views' order rows: only the owner's rows of a and b change, as b now
+    precedes a and all that followed b, and a exactly what followed b."""
     a, b = edge
     view = views[process]
     pos = view.positions
@@ -989,14 +963,13 @@ def _swap(
     idx = pos[a]
     seq[idx], seq[idx + 1] = b, a
     witness = views.replace(View(process, tuple(seq)))
-    if rows is None:
-        rows = [order_rows(v, program) for v in views.views]
+    rows = views.order_rows(program)
     k = views.processes().index(process)
     ka, kb = program.index[a], program.index[b]
     old = rows[k]
     mine = list(old)
     mine[ka], mine[kb] = old[kb], old[kb] | 1 << ka
-    rows = rows[:k] + [mine] + rows[k + 1 :]
+    rows = rows[:k] + (mine,) + rows[k + 1 :]
     pairs = list(zip(views.processes(), rows))
     sco = sco_rows(program, pairs)
     for i, order in pairs:
@@ -1012,8 +985,8 @@ def necessity_witness_race_record(
     in which `process` resolves that race the other way.
 
     A call runs the strong-causality check once and builds a new
-    `RaceAnalysis` on the check's order rows (`RaceAnalysis._checked`),
-    whose strong write order fixpoint, candidate records and the edge's
+    `RaceAnalysis` behind it (`RaceAnalysis._checked`), whose strong
+    write order fixpoint, candidate records and the edge's
     own cascade `race_witness` then computes.  For many edges of one
     fixture, share one `RaceAnalysis` and call `race_witness` per
     edge."""

@@ -25,7 +25,8 @@ applies the same test to every candidate edge, so membership has one
 definition; a necessity witness needs only its own edge's cascade.
 `minimal_race_record` and the one-shot race witness build their
 analysis with `RaceAnalysis._checked`, behind the strong causality
-check, whose order rows give the data-race orders.
+check.  The data-race orders are the views' order rows
+(`ViewSet.order_rows`) masked by variable.
 
 `RaceAnalysis` works on bitmask rows over the index its `Program`
 interns (see `causalrnr.model`), and everything rests on one fixpoint
@@ -43,9 +44,10 @@ results: `obligation`, `strong_write_order`, `swo_from_others`,
 `flip_cascade`, `indirectly_enforced` and the `Record`s.  Callers that
 work on rows read `swo_rows`, `obligation_rows`, `dro_rows`,
 `cascade_levels` and the one-pair collision test `collides`, as the
-fuzz battery's observations do.  `obligation`, `dro`,
-`indirectly_enforced`, `flip_cascade`, `cascade_levels` and `collides`
-raise ValueError for a process or an operation the program lacks;
+fuzz battery's observations do.  `obligation`, `obligation_rows`,
+`dro`, `dro_rows`, `indirectly_enforced`, `flip_cascade`,
+`cascade_levels` and `collides` raise ValueError for a process or an
+operation the program lacks;
 `in_record` and `candidate_rows`, which record construction and the
 witnesses run per edge, add no such check.
 """
@@ -70,7 +72,6 @@ from causalrnr.model import (
     WRITE,
     check_complete,
     data_race_order,
-    data_race_rows,
     write_read_write_order,
 )
 from causalrnr.records import Record
@@ -154,30 +155,21 @@ class RaceAnalysis:
     def _checked(cls, views: ViewSet, execution: Execution) -> RaceAnalysis:
         """The analysis of views that pass the strong causality check,
         which raises `NotStronglyCausal` otherwise: the constructor of
-        `minimal_race_record` and the one-shot race witness.  Each
-        process's data-race-order rows are the check's order rows masked
-        by variable (what `model.data_race_rows` computes), so no view's
-        order rows are built twice."""
-        bad, orders, _ = _strong_causal_check(views, execution)
+        `minimal_race_record` and the one-shot race witness."""
+        bad, _ = _strong_causal_check(views, execution)
         if bad is not None:
             raise NotStronglyCausal(str(bad))
-        return cls._on_rows(views, execution.program, orders)
-
-    @classmethod
-    def _on_rows(cls, views: ViewSet, program: Program, orders: list[list[int]]) -> RaceAnalysis:
-        """The analysis of views whose order rows, in view order, are
-        `orders`: each process's data-race-order rows are its rows masked
-        by variable.  `_checked` and the fuzz battery hand it the rows of
-        their strong-causality check."""
-        analysis = cls(views, program)
-        masks = program.variable_masks
-        for i, rows in zip(views.processes(), orders):
-            analysis._dro[i] = [row & m for row, m in zip(rows, masks)]
-        return analysis
+        return cls(views, execution.program)
 
     def dro_rows(self, process: int) -> list[int]:
+        """The process's data-race order as rows: its view's order rows
+        masked by variable (`model.data_race_rows`), every process's built
+        on the first call.  Callers must not change the rows."""
         if process not in self._dro:
-            self._dro[process] = data_race_rows(self.views[process], self.program)
+            self._check_process(process)
+            masks = self.program.variable_masks
+            for i, rows in zip(self.views.processes(), self.views.order_rows(self.program)):
+                self._dro[i] = [row & m for row, m in zip(rows, masks)]
         return self._dro[process]
 
     def dro(self, process: int) -> Relation:
@@ -281,6 +273,7 @@ class RaceAnalysis:
         part of forced_(k-1)), so they add nothing to the closure of
         base ∪ foreign part of forced_k."""
         if process not in self._obligation:
+            self._check_process(process)
             self._obligation[process] = [
                 r & ~(1 << k) for k, r in enumerate(self._closed_rows(process))
             ]

@@ -8,18 +8,18 @@ by another writer, and orderings a third process also holds (reversing
 those would force the third process to contradict its own record).
 
 The offline record runs on bitmask rows over the program index: each
-view's order rows and the strong causal order are built once, shared
-with the strong causality check that guards the record, and one
-helper gives, per process, the rows of the three guaranteed parts.
+view's order rows, which the view set keeps (`ViewSet.order_rows`), and
+the strong causal order of the strong causality check that guards the
+record, and one helper gives, per process, the rows of the three
+guaranteed parts.
 `required_edges` reads one view's record edges off those rows:
 `minimal_view_record` maps it over every view, and the one-shot view
 necessity witness applies it to its edge's owner alone, so a required
-edge has one definition.  `guaranteed_rows` builds the order rows and
-the SCO once for a view set and applies the same helper to every
-process; `sco_from_others` and `indirectly_enforced` are `Relation`
-views of one process's part, so membership has one definition.  The
-fuzz battery applies the helper to the rows of its fixture's
-strong-causality check.
+edge has one definition.  `guaranteed_rows` builds the SCO once for a
+view set and applies the same helper to every process, as the fuzz
+battery does; `sco_from_others` and `indirectly_enforced` are
+`Relation` views of one process's part, so membership has one
+definition.
 
 The online recorder sees operations one at a time and cannot decide the
 third-party case, so it keeps those edges: its record per process is the
@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 
 from causalrnr.consistency import _strong_causal_check, sco_rows
 from causalrnr.errors import MalformedStream, NotStronglyCausal
-from causalrnr.model import Execution, Program, View, ViewSet, order_rows, write_read_write_order
+from causalrnr.model import Execution, Program, View, ViewSet, write_read_write_order
 from causalrnr.records import Record
 from causalrnr.relations import Pair, Relation
 
@@ -72,10 +72,10 @@ def guaranteed_rows(
     """The strong causal order of the views, and per process the
     orderings a replay keeps without a record edge (program order,
     foreign SCO and indirectly enforced pairs, `_guaranteed`), all as
-    rows over the program index, from one build of every view's order
-    rows.  `sco_from_others` and `indirectly_enforced` read one process's
+    rows over the program index, from the views' order rows.
+    `sco_from_others` and `indirectly_enforced` read one process's
     part; for every process of one view set, call this once."""
-    orders = {v.process: order_rows(v, program) for v in views.views}
+    orders = dict(zip(views.processes(), views.order_rows(program)))
     sco = sco_rows(program, orders.items())
     return sco, {i: _guaranteed(program, orders, sco, i) for i in orders}
 
@@ -118,11 +118,11 @@ def minimal_view_record(views: ViewSet, execution: Execution) -> Record:
     """The good record with the fewest edges: per process, the view
     reduction minus program order, foreign strong causal order and
     indirectly enforced pairs (`required_edges`)."""
-    bad, rows, sco = _strong_causal_check(views, execution)
+    bad, sco = _strong_causal_check(views, execution)
     if bad is not None:
         raise NotStronglyCausal(str(bad))
     program = execution.program
-    orders = dict(zip(views.processes(), rows))
+    orders = dict(zip(views.processes(), views.order_rows(program)))
     return Record.of(
         {view.process: required_edges(program, orders, sco, view) for view in views.views}
     )
@@ -143,11 +143,9 @@ def naive_causal_view_record(views: ViewSet, execution: Execution) -> Record:
     return Record.of(out)
 
 
-def observation_stream(views: ViewSet, interleaving: str = "round-robin") -> tuple[Event, ...]:
+def observation_stream(views: ViewSet) -> tuple[Event, ...]:
     """A global, timestamp-ordered stream whose per-process subsequences
-    enumerate the views in order."""
-    if interleaving != "round-robin":
-        raise ValueError(f"unknown interleaving {interleaving!r}")
+    enumerate the views in order, interleaved round-robin."""
     cursors = {v.process: 0 for v in views.views}
     events: list[Event] = []
     remaining = sum(len(v.sequence) for v in views.views)
@@ -205,7 +203,7 @@ def online_view_record(
 
 def online_record_from_views(views: ViewSet, execution: Execution) -> Record:
     """Convenience wrapper: record the round-robin stream of the views."""
-    bad, _, sco = _strong_causal_check(views, execution)
+    bad, sco = _strong_causal_check(views, execution)
     if bad is not None:
         raise NotStronglyCausal(str(bad))
     program = execution.program

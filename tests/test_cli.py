@@ -198,27 +198,28 @@ class TestRecordAndVerify:
 
     @pytest.mark.parametrize("command", ["check", "fuzz"])
     def test_negative_max_ops_is_a_usage_error(self, capsys, fixture_file, command):
+        # fuzz has no --max-ops: every query of its battery is a
+        # strong-model one, with no cap
         if command == "check":
             argv = ["check", fixture_file("separation"), "--max-ops", "-1"]
+            expected = "--max-ops"
         else:
             argv = ["fuzz", "--seed", "1", "--iterations", "1", "--max-ops", "-2"]
+            expected = "unrecognized arguments: --max-ops -2"
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "--max-ops" in captured.err
+        assert expected in captured.err
 
     @pytest.mark.parametrize("value", ["abc", "-1", "2.5"])
-    @pytest.mark.parametrize("command", ["check", "fuzz"])
+    @pytest.mark.parametrize("command", ["check"])
     def test_invalid_env_cap_is_a_usage_error(
         self, capsys, fixture_file, monkeypatch, command, value
     ):
         monkeypatch.setenv("CAUSAL_RNR_MAX_OPS", value)
-        if command == "check":
-            argv = ["check", fixture_file("separation"), "--consistency", "causal", "--exists"]
-        else:
-            argv = ["fuzz", "--seed", "1", "--iterations", "1"]
+        argv = [command, fixture_file("separation"), "--consistency", "causal", "--exists"]
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert "failure" not in out and "explanation" not in out

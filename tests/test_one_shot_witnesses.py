@@ -1,9 +1,9 @@
 """The one-shot necessity witnesses against the shared-state witnesses.
 
 `necessity_witness_view_record` decides its edge from the owner's
-required edges and tests the swap on rows derived from the strong
-causality check's, and `necessity_witness_race_record` seeds its
-`RaceAnalysis` with that check's rows.  On the bundled fixtures and the
+required edges and tests the swap on rows derived from the views' kept
+order rows (`ViewSet.order_rows`), and `necessity_witness_race_record`
+builds its `RaceAnalysis` behind the strong causality check.  On the bundled fixtures and the
 generated ones, each must return what `view_witness` on the minimal view
 record, or `race_witness` on a fresh `RaceAnalysis`, returns for the same
 edge, or raise the same exception with the same message; and every
@@ -96,10 +96,11 @@ def test_swap_rows_are_the_built_rows(name):
     """`_swap` derives the swapped view's rows from the original's and
     tests the swap on them: the rows must be those `order_rows` builds,
     and the test must agree with `strongly_causal_rows` on the swapped
-    views, for every consecutive pair, record edge or not."""
+    views, for every consecutive pair, record edge or not.  The
+    originals' kept rows stay those `order_rows` builds."""
     execution, views = CASES[name]
     program = execution.program
-    rows = [order_rows(v, program) for v in views.views]
+    rows = tuple(order_rows(v, program) for v in views.views)
     for view in views.views:
         p = view.process
         for a, b in view.reduction_pairs():
@@ -109,13 +110,14 @@ def test_swap_rows_are_the_built_rows(name):
             swapped = views.replace(View(p, tuple(seq)))
             holds = strongly_causal_rows(swapped, program)[1]
             try:
-                witness, mine = oracle._swap(views, program, p, (a, b), rows)
+                witness, mine = oracle._swap(views, program, p, (a, b))
             except InternalInvariant:
                 assert not holds, (p, (a, b))
                 continue
             assert holds, (p, (a, b))
             assert witness == swapped
             assert mine == order_rows(swapped[p], program)
+    assert views.order_rows(program) == rows
 
 
 def _broken(execution, views):

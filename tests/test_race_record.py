@@ -228,7 +228,9 @@ class TestUnknownInput:
 
     CALLS = {
         "obligation": lambda a, views, program: a.obligation(9),
+        "obligation_rows": lambda a, views, program: a.obligation_rows(9),
         "dro": lambda a, views, program: a.dro(9),
+        "dro_rows": lambda a, views, program: a.dro_rows(9),
         "indirectly_enforced": lambda a, views, program: a.indirectly_enforced(9),
         "flip_cascade process": lambda a, views, program: a.flip_cascade(9, "w1", "w2"),
         "flip_cascade operation": lambda a, views, program: a.flip_cascade(1, "w9", "w1"),

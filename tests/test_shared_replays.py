@@ -6,21 +6,21 @@ whose bases and pairs equal an earlier one's with the earlier result.
 Every answer the battery takes from the oracle must equal, field by
 field, `Verdict.enumerated` included, the answer a fresh `Goodness` or
 `RaceAnalysis` gives with no memo active: each goodness verdict and
-dropped-edge verdict of the view, online and race records, each race
-witness and the completion of program order.  The battery starts its
-state from the rows of its fixture check (`Goodness._checked`,
-`RaceAnalysis._on_rows`, `_view_witness` with rows), so the same
-comparison checks that seeding, and each view witness against one
-built on rows of its own.  The memo's counts land in
-`BatteryStats`, and no entry outlives the call: a second run of one
-fixture places as many replays as the first, and after a run, passed or
-failed, no memo is active.
+dropped-edge verdict of the view, online and race records, each view
+and race witness and the completion of program order.  The battery's
+state reads the order rows its fixture's view set keeps
+(`ViewSet.order_rows`), so each reference runs on a fresh copy of the
+views, which keeps none, and the same comparison checks the kept rows.
+The memo's counts land in `BatteryStats`, and no entry outlives the
+call: a second run of one fixture places as many replays as the first,
+and after a run, passed or failed, no memo is active.
 """
 
 import pytest
 
 from causalrnr import battery, fixtures, oracle
 from causalrnr.consistency import check_strong_causal
+from causalrnr.model import ViewSet
 from causalrnr.race_record import RaceAnalysis
 from causalrnr.records import Record
 
@@ -50,7 +50,7 @@ def spied_battery(monkeypatch, execution, views):
         "without_edge": oracle.Goodness.without_edge,
         "race_witness": oracle.race_witness,
         "extend_to_views": oracle.extend_to_views,
-        "_view_witness": oracle._view_witness,
+        "view_witness": oracle.view_witness,
     }
 
     def spy(name):
@@ -71,24 +71,26 @@ def spied_battery(monkeypatch, execution, views):
         m.setattr(oracle.Goodness, "without_edge", spy("without_edge"))
         m.setattr(oracle, "race_witness", spy("race_witness"))
         m.setattr(oracle, "extend_to_views", spy("extend_to_views"))
-        m.setattr(oracle, "_view_witness", spy("_view_witness"))
+        m.setattr(oracle, "view_witness", spy("view_witness"))
         stats = battery.run_battery(execution, views)
     return stats, calls, originals
 
 
 def unshared(originals, name, args, kwargs):
-    """The same query with fresh per-fixture state and no memo."""
+    """The same query with fresh per-fixture state, on a fresh copy of
+    the views, and no memo."""
     assert oracle._REPLAYS.get() is None
     if name in ("verdict", "without_edge"):
         goodness, *rest = args
-        fresh = oracle.Goodness(goodness.views, goodness.program)
+        fresh = oracle.Goodness(ViewSet.of(goodness.views.views), goodness.program)
         return originals[name](fresh, *rest, **kwargs)
     if name == "race_witness":
         analysis, *rest = args
-        return originals[name](RaceAnalysis(analysis.views, analysis.program), *rest)
-    if name == "_view_witness":
-        *rest, rows = args
-        return originals[name](*rest, None)
+        fresh = RaceAnalysis(ViewSet.of(analysis.views.views), analysis.program)
+        return originals[name](fresh, *rest)
+    if name == "view_witness":
+        views, *rest = args
+        return originals[name](ViewSet.of(views.views), *rest)
     return originals[name](*args, **kwargs)
 
 
