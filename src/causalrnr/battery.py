@@ -32,28 +32,28 @@ edge reversed instead of searching for a difference.  One
 observations, which are mask tests on its rows: the strong write order,
 the obligation graphs and the flip cascades' levels, with the collision
 test asked only for races whose first cascade level lies in the strong
-write order.  The one-shot `oracle.is_good_view_record` and
-`oracle.is_good_race_record` take the same verdict path with a fresh
-state.
+write order.  The one-shot `oracle.is_good_view_record`,
+`oracle.is_good_race_record` and `oracle.race_witness` take the same
+paths with a fresh state.
 
-The stages also share replays.  Every placement the oracle makes for a
-fixture (goodness and dropped-edge verdicts, race witnesses, the
-completion of program order) goes through `oracle._least_replay`, and a
-run keeps its results for the length of the call
-(`oracle._shared_replays`), so each distinct replay is placed once per
-fixture.  A race-record dropped-edge replay equals a view-record one when
-the two reversed records close to the same bases; a race witness equals
-its edge's dropped-edge replay when the candidate race record closes to
-the race record's bases; and the race record's verdict equals an earlier
+The stages also share replays.  The fixture's `Goodness` places every
+goodness and dropped-edge verdict's replay and every race witness
+(`Goodness.race_witness`), and keeps each placement under its bases and
+pairs, so each distinct replay is placed once per fixture.  A
+race-record dropped-edge replay equals a view-record one when the two
+reversed records close to the same bases; a race witness equals its
+edge's dropped-edge replay when the candidate race record closes to the
+race record's bases; and the race record's verdict equals an earlier
 verdict when its bases and adjacent pairs do (with one variable, the
 data-race pairs are the views' pairs).  The memo is exact: a placement
 is a pure function of the program, the closed bases and the pairs, and
 its result, a frozen view set and a count, is handed out unchanged, so
 every verdict, counterexample, witness and `Verdict.enumerated` is the
-one an unshared run computes.  It is scoped to one call, set on entry
-and reset on exit, raising or not, so no result outlives the fixture and
-one-shot calls see none.  `BatteryStats.replays_placed` and
-`replays_shared` count the placements made and those the memo answered.
+one an unshared run computes.  It lives as long as the fixture's
+`Goodness`, so no result outlives the run.  `BatteryStats.replays_placed`
+and `replays_shared` read `Goodness.placed` and `Goodness.shared`; the
+completion of program order (`oracle.extend_to_views`) places outside
+the memo and is not counted.
 """
 
 from __future__ import annotations
@@ -80,8 +80,8 @@ class BatteryStats:
     view_edges_checked: int = 0
     race_edges_checked: int = 0
     certifying_seen: int = 0
-    # `oracle._least_replay` calls that placed a replay, and those that
-    # the run's memo answered with an earlier call's result
+    # the fixture's `Goodness.placed` and `Goodness.shared`: replays
+    # placed, and placements answered with an earlier one's result
     replays_placed: int = 0
     replays_shared: int = 0
     stages: list[str] = field(default_factory=list)
@@ -107,16 +107,15 @@ def run_battery(execution: Execution, views: ViewSet, *, max_ops: int | None = N
         _fail("fixture", "strongly causal fixture fails the causal check")
     stats.stages.append("fixture")
 
-    with oracle._shared_replays(program) as replays:
-        goodness = oracle.Goodness(views, program)
-        sco, guaranteed = guaranteed_rows(views, program)
-        offline = _view_record_stage(execution, views, goodness, sco, guaranteed, stats)
-        _online_record_stage(execution, views, goodness, guaranteed, offline, stats)
-        analysis = RaceAnalysis(views, program)
-        _race_record_stage(analysis, goodness, stats)
-        _observation_stage(execution, views, analysis, sco, stats)
-    stats.replays_placed = replays.placed
-    stats.replays_shared = replays.shared
+    goodness = oracle.Goodness(views, program)
+    sco, guaranteed = guaranteed_rows(views, program)
+    offline = _view_record_stage(execution, views, goodness, sco, guaranteed, stats)
+    _online_record_stage(execution, views, goodness, guaranteed, offline, stats)
+    analysis = RaceAnalysis(views, program)
+    _race_record_stage(analysis, goodness, stats)
+    _observation_stage(execution, views, analysis, sco, stats)
+    stats.replays_placed = goodness.placed
+    stats.replays_shared = goodness.shared
     return stats
 
 
@@ -224,7 +223,7 @@ def _race_record_stage(analysis, goodness, stats):
             _fail("race-record", f"record without {edge} (process {i}) is still good")
         # the witness's data-race order holds (b, a): b, a share a variable
         # and its view places b first
-        pos = oracle.race_witness(analysis, i, edge)[i].positions
+        pos = goodness.race_witness(analysis, i, edge)[i].positions
         a, b = edge
         if not (masks[index[a]] >> index[b] & 1 and pos[b] < pos[a]):
             _fail("race-record", f"witness for {edge} does not reverse the race")

@@ -9,6 +9,7 @@ pasted back into fixture files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from causalrnr import dot as dotmod
@@ -184,13 +185,7 @@ def cmd_fuzz(args) -> int:
         write_ratio=args.write_ratio,
     )
     for n in range(args.iterations):
-        params = GenParams(
-            seed=base.seed * 1_000_003 + n,
-            processes=base.processes,
-            ops_per_process=base.ops_per_process,
-            variables=base.variables,
-            write_ratio=base.write_ratio,
-        )
+        params = dataclasses.replace(base, seed=base.seed * 1_000_003 + n)
         execution, views = gen_strong_causal(params)
         try:
             stats = run_battery(execution, views)

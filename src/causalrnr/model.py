@@ -18,7 +18,8 @@ over the index is an int whose bit j is set when operation j is related
 to the row's operation.  `order_rows` turns a view into such rows,
 checking its universe; `sequence_rows` does the same unchecked for a
 tuple of positions a search placed; `data_race_rows`
-keeps their same-variable part (the DRO), using `Program.variable_masks`;
+keeps their same-variable part (the DRO), using `Program.variable_masks`,
+and `data_race_order` is its id-pair view;
 `write_read_write_rows` builds WO as rows.  `ViewSet.order_rows` keeps
 every view's rows for one program, so the checks, records and witnesses
 on one view set build them once.  `check_complete` checks that
@@ -392,21 +393,17 @@ def check_complete(views: ViewSet, program: Program) -> None:
 
 
 def data_race_order(view: View, program: Program) -> Relation:
-    """Per-variable suborders of the view, unioned: disjoint closed chains."""
-    chains: dict[str, list[str]] = {}
-    for o in view.sequence:
-        chains.setdefault(program.var_of(o), []).append(o)
-    pairs = set()
-    for ids in chains.values():
-        for i, a in enumerate(ids):
-            for b in ids[i + 1 :]:
-                pairs.add((a, b))
-    return Relation(tuple(view.sequence), frozenset(pairs))
+    """Per-variable suborders of the view, unioned: disjoint closed
+    chains over its process's universe, the id pairs of `data_race_rows`.
+    Raises `UniverseMismatch` like `order_rows`."""
+    pairs = program.pairs_of(data_race_rows(view, program))
+    return Relation(program.universe_of(view.process), pairs)
 
 
 def data_race_rows(view: View, program: Program) -> list[int]:
-    """`data_race_order` as rows over the program index.  Raises
-    `UniverseMismatch` like `order_rows`."""
+    """The view's order rows (`order_rows`, which checks its universe)
+    masked by variable: row k holds the operations on k's variable that
+    the view places after k."""
     masks = program.variable_masks
     return [row & masks[k] for k, row in enumerate(order_rows(view, program))]
 

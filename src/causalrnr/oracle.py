@@ -56,39 +56,42 @@ independent half of `certifies` per model, the adjacent pairs per kind,
 and each process's closed base under its record edges, so a record
 with one edge dropped closes one process's base again.  The battery
 shares one per fixture, as it shares one `RaceAnalysis`.
-`is_good_view_record` and `is_good_race_record` are one-shot wrappers
-that build one per verdict, so every verdict takes one path.  The one
-other route is `Goodness.without_edge`, the verdict on a record with
-one edge dropped: when the record is good and the original views
-certify it, the dropped record's differing replays are exactly those
-that reverse the edge, so the least one is placed by `_least_replay`
-with the edge reversed and no pair to reverse (its docstring gives the
-argument); any other record falls back to the verdict.
+`is_good_view_record`, `is_good_race_record` and `race_witness` are
+one-shot wrappers that build one per call, so every query takes one
+path.  The one other route is `Goodness.without_edge`, the verdict on a
+record with one edge dropped: when the record is good and the original
+views certify it, the dropped record's differing replays are exactly
+those that reverse the edge, so the least one is placed by
+`_least_replay` with the edge reversed and no pair to reverse (its
+docstring gives the argument); any other record falls back to the
+verdict.
 
-The fuzz battery asks many of these queries of one fixture, and several
-ask for the same placement: equal bases with equal pairs.  For the
-length of one battery run (`_shared_replays`, a `ContextVar` set on
-entry and reset on exit), `_least_replay` looks each call up under its
-bases and pairs and returns an earlier call's result, fixpoint count
-included, instead of placing again.  The placement is a pure function of
+A `Goodness` also keeps its placements.  The battery asks many queries
+of one fixture, and several ask for the same placement: equal bases
+with equal pairs.  The strong verdicts, the dropped-edge verdicts and
+`Goodness.race_witness` place through `Goodness._replay`, which keeps
+each `_least_replay` result under its bases and pairs and hands it out
+again, fixpoint count included.  The placement is a pure function of
 the program, the closed bases and the pairs, and its result is a frozen
-view set and a count, so the lookup changes no verdict, counterexample,
-witness or `Verdict.enumerated`.  Outside a run no memo is active, and
-every call places.
+view set and a count, so sharing it changes no verdict, counterexample,
+witness or `Verdict.enumerated`.  The memo lives as long as the
+`Goodness`, so a one-shot call shares nothing, and `Goodness.placed`
+and `Goodness.shared` count the replays placed and those answered from
+the memo.
 
 `extend_to_views` and the two necessity witnesses are the constructive
 side: they build, from a record with one edge dropped, a certifying view
 set that provably differs from the original.  `_least_replay` is their
 one totaliser too: without pairs to reverse, it places the least replay
 above closed base rows.  `extend_to_views` hands it the closures of its
-partial orders, and the race witness program order plus each process's
-candidate record, with the witnessed edge reversed; the view witness
-swaps its edge in its owner's view.  Each witness is checked on its
-order rows, built once: for strong causality by the rows test that
-`certifies` runs (`consistency.strongly_causal_rows`; its reads return
-what its views make them return, so none is derived or checked), then
-for extending the reduced record.  The witnesses start from the
-original views' order rows, which the view set keeps
+partial orders, with no memo, and the race witness program order plus
+each process's candidate record, with the witnessed edge reversed; the
+view witness swaps its edge in its owner's view.  Each witness is
+checked on its order rows, built once: for strong causality by the rows
+test that `certifies` runs (`consistency.strongly_causal_rows`; its
+reads return what its views make them return, so none is derived or
+checked), then for extending the reduced record.  The witnesses start
+from the original views' order rows, which the view set keeps
 (`ViewSet.order_rows`), and the view witness derives its two changed
 rows from them (`_swap`).
 The full checker runs only on a witness that fails the rows test, to
@@ -97,9 +100,7 @@ word the error.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from causalrnr import kernels
@@ -370,35 +371,6 @@ def _adjacent_pairs(
     return out
 
 
-@dataclass
-class _SharedReplays:
-    """`_least_replay`'s results on one program, kept while
-    `_shared_replays` is active under their bases and pairs: `placed`
-    counts the replays placed, `shared` those answered from a kept one."""
-
-    program: Program
-    placed: int = 0
-    shared: int = 0
-    results: dict[tuple, tuple[ViewSet | None, int]] = field(default_factory=dict)
-
-
-_REPLAYS: ContextVar[_SharedReplays | None] = ContextVar("causalrnr_replays", default=None)
-
-
-@contextmanager
-def _shared_replays(program: Program) -> Iterator[_SharedReplays]:
-    """Shares `_least_replay`'s results on `program` for the length of the
-    `with` block: the fuzz battery's memo for one fixture.  The memo is
-    reset when the block exits, raising or not, so no result outlives it
-    and a later block starts empty."""
-    memo = _SharedReplays(program)
-    token = _REPLAYS.set(memo)
-    try:
-        yield memo
-    finally:
-        _REPLAYS.reset(token)
-
-
 def _least_replay(
     program: Program,
     base: dict[int, list[int]],
@@ -453,37 +425,10 @@ def _least_replay(
     changed row list is copied first, and a new dict is built only for
     a flip to start from.
 
-    While `_shared_replays(program)` is active, a call whose bases and
-    pairs equal an earlier call's in that block returns the earlier
-    result, fixpoint count included, without placing again.  The
-    placement reads nothing but the program, the bases and the pairs, and
-    changes none of them, so equal inputs give equal results; a result is
-    a frozen `ViewSet` (or None) and a count, so handing one to several
-    callers changes no verdict, counterexample, witness or
-    `Verdict.enumerated`."""
-    memo = _REPLAYS.get()
-    if memo is None or memo.program is not program:
-        return _place_least(program, base, pairs)
-    key = (
-        tuple((i, tuple(rows)) for i, rows in sorted(base.items())),
-        None if pairs is None else tuple(pairs),
-    )
-    result = memo.results.get(key)
-    if result is None:
-        result = memo.results[key] = _place_least(program, base, pairs)
-        memo.placed += 1
-    else:
-        memo.shared += 1
-    return result
-
-
-def _place_least(
-    program: Program,
-    base: dict[int, list[int]],
-    pairs: list[tuple[int, int, int]] | None,
-) -> tuple[ViewSet | None, int]:
-    """`_least_replay`'s placement, which its docstring describes, with no
-    memo."""
+    The placement reads nothing but the program, the bases and the pairs,
+    and changes none of them, so it keeps nothing either: a `Goodness`
+    shares its results among the queries on one view set
+    (`Goodness._replay`)."""
     queries = 0
 
     def fixpoint(rows, edges):
@@ -634,7 +579,10 @@ class Goodness:
     returns the kept `Verdict`; `without_edge`, the verdict on a record
     with one edge dropped, reads the record's own verdict there to pick
     its route, so the battery's verdict on a record and its dropped-edge
-    verdicts place that replay once.
+    verdicts place that replay once.  Every placement, those of
+    `race_witness` included, goes through `_replay`, which keeps each
+    distinct one: `placed` counts them, and `shared` the calls answered
+    from a kept one.
 
     Each verdict checks its limits first (`_check_limits`: ValueError for
     a malformed `max_ops` or `node_budget` under any model), then
@@ -649,6 +597,40 @@ class Goodness:
         self._pairs: dict[str, list[tuple[int, int, int]]] = {}
         self._bases: dict[tuple[int, frozenset[Pair]], list[int] | None] = {}
         self._strong: dict[tuple[Record, str], Verdict] = {}
+        self._replays: dict[tuple, tuple[ViewSet | None, int]] = {}
+        self._shared = 0
+
+    @property
+    def placed(self) -> int:
+        """The replays this state placed (`_least_replay` calls)."""
+        return len(self._replays)
+
+    @property
+    def shared(self) -> int:
+        """The placements this state answered with an earlier result."""
+        return self._shared
+
+    def _replay(
+        self, base: dict[int, list[int]], pairs: list[tuple[int, int, int]] | None
+    ) -> tuple[ViewSet | None, int]:
+        """`_least_replay` on the program, placed once per distinct bases
+        and pairs: a later call with equal ones returns the kept result,
+        fixpoint count included.  The placement is a pure function of the
+        program, the bases and the pairs, and its result a frozen
+        `ViewSet` (or None) and a count, so sharing it changes no
+        verdict, counterexample, witness or `Verdict.enumerated`.  The
+        keys are rows over this program's index, so only its own queries
+        may place here."""
+        key = (
+            tuple(zip(base, map(tuple, base.values()))),
+            None if pairs is None else tuple(pairs),
+        )
+        result = self._replays.get(key)
+        if result is None:
+            result = self._replays[key] = _least_replay(self.program, base, pairs)
+        else:
+            self._shared += 1
+        return result
 
     def verdict(
         self,
@@ -678,7 +660,7 @@ class Goodness:
         if pairs is None:
             pairs = self._pairs[kind] = _adjacent_pairs(self.views, program, kind)
         if strong:
-            counterexample, queries = _least_replay(program, base, pairs)
+            counterexample, queries = self._replay(base, pairs)
             verdict = Verdict(counterexample is None, counterexample, original, queries)
             self._strong[record, kind] = verdict
             return verdict
@@ -756,8 +738,63 @@ class Goodness:
         base = _base_rows(program, reversed_, self._bases)
         if base is None:
             return Verdict(True, None, True, 0)
-        counterexample, queries = _least_replay(program, base, None)
+        counterexample, queries = self._replay(base, None)
         return Verdict(counterexample is None, counterexample, True, queries)
+
+    def race_witness(self, analysis: RaceAnalysis, process: int, edge: Pair) -> ViewSet:
+        """`necessity_witness_race_record` for strongly causal views whose
+        race analysis the caller already holds, an analysis of this
+        state's program (else `PreconditionViolated`: the placements kept
+        here are keyed on rows over its index).
+
+        Only `edge`'s membership in the minimal race record is decided
+        (`RaceAnalysis.in_record`).  Each process's base is program order
+        plus its candidate record (`RaceAnalysis.candidate_rows`), closed,
+        with `edge` reversed for `process`.  Only that owner's base
+        depends on the edge: it is closed onto program order's closed
+        rows here (`kernels.close_onto`), and every other process's base
+        is the one the analysis caches (`RaceAnalysis.witness_base_rows`).
+        The witness is the least replay above these bases (`_replay`).
+        Its order rows are built once, by the rows test for a strongly
+        causal replay (`strongly_causal_rows`), which it must pass.  On
+        the same rows it must then differ from the original data-race
+        order of `process` and extend the candidate record without
+        `edge`, two mask tests: that record holds the minimal record
+        without `edge`, so the test is at least as strict."""
+        program = self.program
+        if analysis.program != program:
+            raise PreconditionViolated("the race analysis is of another program")
+        if not analysis.in_record(process, edge):
+            raise _not_required(process, edge)
+        a, b = (program.index[o] for o in edge)
+        procs = sorted(program.processes)
+        base = {}
+        for j in procs:
+            if j != process:
+                base[j] = analysis.witness_base_rows(j)
+                continue
+            rows = list(analysis.candidate_rows(j))
+            rows[a] &= ~(1 << b)
+            rows[b] |= 1 << a
+            base[j] = kernels.close_onto(program.process_index(j).po_rows, rows)
+        witness, _ = self._replay(base, None)
+        if witness is None:
+            raise InternalInvariant(f"no replay reverses the record edge {edge}")
+        rows, holds = strongly_causal_rows(witness, program)
+        if not holds:
+            raise _not_strongly_causal(witness, program, "completion is not strongly causal")
+        orders = dict(zip(witness.processes(), rows))
+        masks = program.variable_masks
+        if [row & m for row, m in zip(orders[process], masks)] == analysis.dro_rows(process):
+            raise InternalInvariant("witness reproduces the original data-race order")
+        for j in procs:
+            record = analysis.candidate_rows(j)
+            if j == process:
+                record = list(record)
+                record[a] &= ~(1 << b)
+            if any(r & ~o for r, o in zip(record, orders[j])):
+                raise InternalInvariant("witness does not certify the reduced record")
+        return witness
 
     def _certified_good(self, record: Record, kind: str) -> bool:
         """Whether the strong verdict on the record (kept per record and
@@ -896,13 +933,10 @@ def necessity_witness_view_record(
     `NotStronglyCausal`.
 
     A call runs the strong-causality check once and works on the views'
-    order rows: the edge must be one of its owner's required edges
-    (`view_record.required_edges`), and the swap is tested on rows
-    derived from them (`_swap`).  The other views are the originals, and
-    the owner's other required edges are consecutive pairs the swap
-    keeps in order, so only those are tested against the reduced record.
-    For many edges of one fixture, call `view_witness` on one minimal
-    view record."""
+    order rows: it computes its owner's required edges
+    (`view_record.required_edges`) and hands `view_witness` a record of
+    them alone, as the other views are the originals.  For many edges of
+    one fixture, call `view_witness` on one minimal view record."""
     bad, sco = _strong_causal_check(views, execution)
     if bad is not None:
         raise NotStronglyCausal(str(bad))
@@ -911,13 +945,7 @@ def necessity_witness_view_record(
     if process in views.processes():
         orders = dict(zip(views.processes(), views.order_rows(program)))
         required = required_edges(program, orders, sco, views[process])
-    if not is_pair(edge) or edge not in required:
-        raise _not_required(process, edge)
-    witness, mine = _swap(views, program, process, edge)
-    index = program.index
-    if any(not mine[index[a]] >> index[b] & 1 for a, b in required - {edge}):
-        raise InternalInvariant("swapped views do not certify the reduced record")
-    return witness
+    return view_witness(views, execution, Record(((process, required),)), process, edge)
 
 
 def view_witness(
@@ -926,18 +954,27 @@ def view_witness(
     """`necessity_witness_view_record` for strongly causal views whose
     minimal view record the caller already holds.  The swapped views must
     pass the rows test for a strongly causal replay (`_swap`), then
-    extend the record without `edge`: together, what `certifies` tests.
-    An edge of `record` that is not two consecutive operations of the
-    view raises `PreconditionViolated`: no minimal view record holds
-    one, and a view set without a view of each process
-    `UniverseMismatch`."""
+    extend the record without `edge`, tested on the rows `_swap` derived:
+    together, what `certifies` tests.  An edge of `record` that is not
+    two consecutive operations of the view raises `PreconditionViolated`:
+    no minimal view record holds one.  A view set without a view of each
+    process raises `UniverseMismatch`, and a record that names a process
+    the program lacks, or an edge outside its process's view, ValueError,
+    as in `certifies`."""
     program = execution.program
     check_complete(views, program)
     if not is_pair(edge) or edge not in record.edges(process):
         raise _not_required(process, edge)
-    witness, _ = _swap(views, program, process, edge)
-    if not _extends(witness, program, record.drop(process, edge)):
-        raise InternalInvariant("swapped views do not certify the reduced record")
+    _check_record_processes(program, record)
+    witness, orders = _swap(views, program, process, edge)
+    index = program.index
+    for i, edges in record.per_process:
+        pos, rows = views[i].positions, orders[i]
+        for a, b in edges - {edge} if i == process else edges:
+            if a not in pos or b not in pos:
+                raise ValueError(f"record edge ({a}, {b}) escapes process {i}'s view")
+            if rows[index[b]] >> index[a] & 1:
+                raise InternalInvariant("swapped views do not certify the reduced record")
     return witness
 
 
@@ -945,13 +982,15 @@ def _not_required(process: int, edge: object) -> PreconditionViolated:
     return PreconditionViolated(f"edge {edge} is not a required record edge of process {process}")
 
 
-def _swap(views: ViewSet, program: Program, process: int, edge: Pair) -> tuple[ViewSet, list[int]]:
+def _swap(
+    views: ViewSet, program: Program, process: int, edge: Pair
+) -> tuple[ViewSet, dict[int, list[int]]]:
     """The views with `edge`, two consecutive operations a, b of the view
-    of `process`, swapped there (else `PreconditionViolated`), and the
-    swapped view's order rows, which must pass `strongly_causal_rows`'
-    test (else `InternalInvariant`).  They are derived from the original
-    views' order rows: only the owner's rows of a and b change, as b now
-    precedes a and all that followed b, and a exactly what followed b."""
+    of `process`, swapped there (else `PreconditionViolated`), and their
+    order rows per process, which must pass `strongly_causal_rows`' test
+    (else `InternalInvariant`).  They are the original views' kept rows
+    but for the owner's rows of a and b: b now precedes a and all that
+    followed b, and a exactly what followed b."""
     a, b = edge
     view = views[process]
     pos = view.positions
@@ -963,19 +1002,16 @@ def _swap(views: ViewSet, program: Program, process: int, edge: Pair) -> tuple[V
     idx = pos[a]
     seq[idx], seq[idx + 1] = b, a
     witness = views.replace(View(process, tuple(seq)))
-    rows = views.order_rows(program)
-    k = views.processes().index(process)
+    orders = dict(zip(views.processes(), views.order_rows(program)))
     ka, kb = program.index[a], program.index[b]
-    old = rows[k]
-    mine = list(old)
+    old = orders[process]
+    mine = orders[process] = list(old)
     mine[ka], mine[kb] = old[kb], old[kb] | 1 << ka
-    rows = rows[:k] + (mine,) + rows[k + 1 :]
-    pairs = list(zip(views.processes(), rows))
-    sco = sco_rows(program, pairs)
-    for i, order in pairs:
+    sco = sco_rows(program, orders.items())
+    for i, order in orders.items():
         if not respects(order, program.process_index(i).po_rows, sco):
             raise _not_strongly_causal(witness, program, "swapped views are not strongly causal")
-    return witness, rows[k]
+    return witness, orders
 
 
 def necessity_witness_race_record(
@@ -986,60 +1022,14 @@ def necessity_witness_race_record(
 
     A call runs the strong-causality check once and builds a new
     `RaceAnalysis` behind it (`RaceAnalysis._checked`), whose strong
-    write order fixpoint, candidate records and the edge's
-    own cascade `race_witness` then computes.  For many edges of one
-    fixture, share one `RaceAnalysis` and call `race_witness` per
-    edge."""
+    write order fixpoint, candidate records and the edge's own cascade
+    `Goodness.race_witness` then computes.  For many edges of one
+    fixture, share one `RaceAnalysis` and one `Goodness`, and call
+    `Goodness.race_witness` per edge."""
     return race_witness(RaceAnalysis._checked(views, execution), process, edge)
 
 
 def race_witness(analysis: RaceAnalysis, process: int, edge: Pair) -> ViewSet:
-    """`necessity_witness_race_record` for strongly causal views whose
-    race analysis the caller already holds.
-
-    Only `edge`'s membership in the minimal race record is decided
-    (`RaceAnalysis.in_record`).  Each process's base is program order
-    plus its candidate record (`RaceAnalysis.candidate_rows`), closed,
-    with `edge` reversed for `process`.  Only that owner's base depends
-    on the edge: it is closed onto program order's closed rows here
-    (`kernels.close_onto`), and every other process's base is the one
-    the analysis caches (`RaceAnalysis.witness_base_rows`).  The witness
-    is the least replay above these bases (`_least_replay`).  Its order
-    rows are built once, by the rows test for a strongly causal replay
-    (`strongly_causal_rows`), which it must pass.  On the same rows it
-    must then differ from the original data-race order of `process` and
-    extend the candidate record without `edge`, two mask tests: that
-    record holds the minimal record without `edge`, so the test is at
-    least as strict."""
-    program = analysis.program
-    if not analysis.in_record(process, edge):
-        raise _not_required(process, edge)
-    a, b = (program.index[o] for o in edge)
-    procs = sorted(program.processes)
-    base = {}
-    for j in procs:
-        if j != process:
-            base[j] = analysis.witness_base_rows(j)
-            continue
-        rows = list(analysis.candidate_rows(j))
-        rows[a] &= ~(1 << b)
-        rows[b] |= 1 << a
-        base[j] = kernels.close_onto(program.process_index(j).po_rows, rows)
-    witness, _ = _least_replay(program, base, None)
-    if witness is None:
-        raise InternalInvariant(f"no replay reverses the record edge {edge}")
-    rows, holds = strongly_causal_rows(witness, program)
-    if not holds:
-        raise _not_strongly_causal(witness, program, "completion is not strongly causal")
-    orders = dict(zip(witness.processes(), rows))
-    masks = program.variable_masks
-    if [row & m for row, m in zip(orders[process], masks)] == analysis.dro_rows(process):
-        raise InternalInvariant("witness reproduces the original data-race order")
-    for j in procs:
-        record = analysis.candidate_rows(j)
-        if j == process:
-            record = list(record)
-            record[a] &= ~(1 << b)
-        if any(r & ~o for r, o in zip(record, orders[j])):
-            raise InternalInvariant("witness does not certify the reduced record")
-    return witness
+    """`Goodness.race_witness` with a fresh `Goodness`: one-shot, for
+    strongly causal views whose race analysis the caller already holds."""
+    return Goodness(analysis.views, analysis.program).race_witness(analysis, process, edge)

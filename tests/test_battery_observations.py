@@ -176,7 +176,9 @@ def good_dropped_edge(monkeypatch):
 
 
 def witness_keeps_the_race(monkeypatch):
-    monkeypatch.setattr(oracle, "race_witness", lambda analysis, i, edge: analysis.views)
+    monkeypatch.setattr(
+        oracle.Goodness, "race_witness", lambda self, analysis, i, edge: analysis.views
+    )
 
 
 def online_misses_an_offline_edge(monkeypatch):

@@ -73,6 +73,37 @@ class TestDataRaceOrder:
                             assert (a, b) in dro.pairs or (b, a) in dro.pairs
 
 
+def chained_data_race_order(view, program):
+    """The per-variable chains of the view, closed, as first written."""
+    chains = {}
+    for o in view.sequence:
+        chains.setdefault(program.var_of(o), []).append(o)
+    pairs = {(a, b) for ids in chains.values() for k, a in enumerate(ids) for b in ids[k + 1:]}
+    return Relation(tuple(view.sequence), frozenset(pairs))
+
+
+def test_data_race_order_is_the_chained_reference(corpus):
+    compared = 0
+    for parsed in corpus.values():
+        if parsed.views is None:
+            continue
+        for view in parsed.views.views:
+            expected = chained_data_race_order(view, parsed.program)
+            assert data_race_order(view, parsed.program) == expected
+            compared += 1
+    assert compared > 10
+
+
+@pytest.mark.parametrize(
+    "sequence",
+    [("w1", "r1"), ("w2", "w1", "r1", "r1"), ("w2", "w1", "r1", "zz"), ("w2", "w1")],
+    ids=["missing-write", "repeated", "unknown", "missing-own"],
+)
+def test_data_race_order_rejects_a_view_with_the_wrong_universe(sequence):
+    with pytest.raises(UniverseMismatch, match="view of process 1 must order exactly"):
+        data_race_order(View(1, sequence), single_var_program())
+
+
 class TestValidateView:
     def test_bundled_views_are_valid(self, corpus):
         parsed = corpus["separation"]

@@ -110,13 +110,13 @@ def test_swap_rows_are_the_built_rows(name):
             swapped = views.replace(View(p, tuple(seq)))
             holds = strongly_causal_rows(swapped, program)[1]
             try:
-                witness, mine = oracle._swap(views, program, p, (a, b))
+                witness, orders = oracle._swap(views, program, p, (a, b))
             except InternalInvariant:
                 assert not holds, (p, (a, b))
                 continue
             assert holds, (p, (a, b))
             assert witness == swapped
-            assert mine == order_rows(swapped[p], program)
+            assert orders == {v.process: order_rows(v, program) for v in swapped.views}
     assert views.order_rows(program) == rows
 
 

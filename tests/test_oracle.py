@@ -443,6 +443,26 @@ class TestNecessityWitnessView:
             )
 
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({1: {("w1", "zz")}}, "record edge (w1, zz) escapes process 1's view"),
+            ({9: {("w1", "w2")}}, "record names process 9, which the program lacks"),
+        ],
+        ids=["edge-escapes", "unknown-process"],
+    )
+    def test_view_witness_rejects_a_malformed_record(self, corpus, extra, message):
+        parsed = corpus["indirect-order"]
+        record = minimal_view_record(parsed.views, parsed.execution)
+        assert ("w2", "w1") in record.edges(2)
+        edges = {i: record.edges(i) for i in record.processes}
+        for i, more in extra.items():
+            edges[i] = edges.get(i, frozenset()) | more
+        with pytest.raises(ValueError, match=re.escape(message)):
+            oracle.view_witness(
+                parsed.views, parsed.execution, Record.of(edges), 2, ("w2", "w1")
+            )
+
     @pytest.mark.parametrize("edge", [("w3_00", "r1_00"), ("r1_00", "w3_00")])
     def test_view_witness_rejects_an_edge_not_consecutive_in_the_view(self, edge):
         # the view of process 1 is r1_00 r1_01 w3_00: the first edge starts

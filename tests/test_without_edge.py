@@ -54,13 +54,13 @@ def compare(goodness, record, kind, model=STRONG_CAUSAL):
 
 def test_without_edge_equals_the_dropped_record_verdict(corpus, monkeypatch):
     replays = []
-    original = oracle._least_replay
+    original = oracle.Goodness._replay
 
-    def counting(program, base, pairs):
+    def counting(goodness, base, pairs):
         replays.append(pairs is None)
-        return original(program, base, pairs)
+        return original(goodness, base, pairs)
 
-    monkeypatch.setattr(oracle, "_least_replay", counting)
+    monkeypatch.setattr(oracle.Goodness, "_replay", counting)
     compared = shortcuts = 0
     for name, execution, views in fixtures_of(corpus):
         goodness = oracle.Goodness(views, execution.program)
