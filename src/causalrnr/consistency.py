@@ -23,13 +23,16 @@ per variable.
 
 The checkers decide order on the views' order rows, which the view set
 keeps (`ViewSet.order_rows`), and read validity by the one last-write
-scan (`model.read_violation`).  `strongly_causal_rows` is the one rows
-test for a strongly causal replay, whose reads return what its views
-make them return; the oracle's certification test and its witnesses
-run it.  `read_validity` turns given reads into successor
-rows and the rules that `close_reads` derives orderings from, and
-`sco_summary` gives the writes that each own write of a process must
-precede, the edges the descent folds into its strong-model searches.
+scan (`model.read_violation`).  `strongly_causal_orders` is the one
+rows test for a strongly causal replay, whose reads return what its
+views make them return, on (process, order rows) pairs.  The oracle's
+certification test, its completions and its race witnesses run it on a
+view set's rows (`strongly_causal_rows`), and its view witness on the
+swapped rows it derives.  `read_validity` turns given reads into
+successor rows and the rules that `close_reads` derives orderings from,
+and `sco_summary` gives the writes that each own write of a process
+must precede, the edges the descent folds into its strong-model
+searches.
 
 `saturate` is the package's one fixpoint of monotone replay constraints.
 It closes each process's rows under the strong causal order the owners'
@@ -132,19 +135,27 @@ def respects(order: list[int], po, base) -> bool:
 def strongly_causal_rows(views: ViewSet, program: Program) -> tuple[tuple[list[int], ...], bool]:
     """The order rows of a replay's views, in view order, and whether each
     holds its process's program order plus the SCO that the rows define
-    (`sco_rows`): whether the replay is strongly causal.  Each read of a
-    replay returns what its owner's view makes it return, so read
-    validity holds by construction, and this is `check_strong_causal` on
-    the execution the views derive, with no execution built.  Every
-    view's rows are built, and so checked (`ViewSet.order_rows`), before
-    any is tested; the caller checks that the set is complete."""
+    (`strongly_causal_orders`): whether the replay is strongly causal.
+    Each read of a replay returns what its owner's view makes it return,
+    so read validity holds by construction, and this is
+    `check_strong_causal` on the execution the views derive, with no
+    execution built.  Every view's rows are built, and so checked
+    (`ViewSet.order_rows`), before any is tested; the caller checks that
+    the set is complete."""
     orders = views.order_rows(program)
-    pairs = list(zip(views.processes(), orders))
-    sco = sco_rows(program, pairs)
-    for i, order in pairs:
+    return orders, strongly_causal_orders(program, list(zip(views.processes(), orders)))
+
+
+def strongly_causal_orders(program: Program, orders) -> bool:
+    """Whether each of the (process, order rows) pairs `orders`, of a
+    replay's views, holds its process's program order plus the SCO that
+    the pairs define (`sco_rows`).  `orders` is read twice, so it must
+    be a collection."""
+    sco = sco_rows(program, orders)
+    for i, order in orders:
         if not respects(order, program.process_index(i).po_rows, sco):
-            return orders, False
-    return orders, True
+            return False
+    return True
 
 
 def strong_causal_order(views: ViewSet, program: Program) -> Relation:
@@ -261,7 +272,7 @@ def close_reads(rows: list[int], rules: Sequence[Rule]) -> list[int] | None:
         for r, s, competing in rules:
             gain = rows[s] & competing & ~rows[r]
             if gain:
-                rows = kernels.close_with(rows, r, gain)
+                rows = kernels.close_onto(rows, ((r, gain),))
                 if rows[r] >> r & 1:
                     return None
                 changed = True
@@ -272,7 +283,7 @@ def close_reads(rows: list[int], rules: Sequence[Rule]) -> list[int] | None:
                 rest ^= low
                 w = low.bit_length() - 1
                 if rows[w] & bit and not rows[w] >> s & 1:
-                    rows = kernels.close_with(rows, w, 1 << s)
+                    rows = kernels.close_onto(rows, ((w, 1 << s),))
                     if rows[w] >> w & 1:
                         return None
                     changed = True
@@ -337,7 +348,7 @@ def saturate(
     for i, new in edges.items():
         closed = out[i]
         for a, targets in new:
-            closed = kernels.close_with(closed, a, targets)
+            closed = kernels.close_onto(closed, ((a, targets),))
             if closed[a] >> a & 1:
                 return None
         out[i] = closed
@@ -362,7 +373,7 @@ def saturate(
             for a, targets in lifted:
                 gain = targets & ~grown[a]
                 if gain:
-                    grown = kernels.close_with(grown, a, gain)
+                    grown = kernels.close_onto(grown, ((a, gain),))
                     if grown[a] >> a & 1:
                         return None
             if grown is not closed:
@@ -439,9 +450,9 @@ def iter_view_sets(
 
     The views are placed process by process with `search.iter_extensions`,
     each on its process's base closed with the orderings that the views
-    placed before it force (`kernels.close_onto(base[i], forced)`); a
-    closure with a cycle has no extension and is not searched.  Each yielded
-    set is a replay by construction, so no caller checks it again
+    placed before it force (`kernels.close_onto`); a closure with a
+    cycle has no extension and is not searched.  Each yielded set is a
+    replay by construction, so no caller checks it again
     (`oracle.certifies` and the checkers test exactly these conditions):
 
     * base: every view is placed under it, so it respects program order
@@ -550,7 +561,7 @@ def iter_view_sets(
         missed = listed is None
         if missed:
             found: list[Entry] = []
-            closed = kernels.close_onto(base[i], rows)
+            closed = kernels.close_onto(base[i], enumerate(rows))
             universe = program.process_index(i).universe_mask
             listed = () if cyclic(closed) else iter_extensions(universe, closed, budget)
         # a miss iterates the search's sequences, a hit the stored entries

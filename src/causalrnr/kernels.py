@@ -3,15 +3,15 @@
 A relation on n elements is encoded as a list of n integers; bit j of
 row i is set iff the edge (i, j) is present.  These routines are the hot
 inner loops of every closure, cycle and reduction query in the package:
-Warshall closure, cycle detection, transitive reduction, and two
-incremental closures that add edges to rows already closed (`close_with`
-for the edges out of one element, `close_onto` for a whole set of rows).
-They are plain Python; `BACKEND` names them.
+Warshall closure, cycle detection, transitive reduction, and the one
+incremental closure, `close_onto`, which adds (source, targets mask)
+edges to rows already closed.  They are plain Python; `BACKEND` names
+them.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 BACKEND = "python"
 
@@ -63,28 +63,16 @@ def reduction_rows(closed: list[int]) -> list[int]:
     return out
 
 
-def close_with(closed: Sequence[int], a: int, targets: int) -> list[int]:
-    """The closure of closed rows plus an edge from `a` to every element
-    of the mask `targets`: every row that is a or reaches a gains the
-    targets and everything they reach.  Cycles show as self bits, as in
-    `closure_rows`."""
-    gain = targets
-    rest = targets
-    while rest:
-        low = rest & -rest
-        gain |= closed[low.bit_length() - 1]
-        rest ^= low
-    bit = 1 << a
-    return [r | gain if k == a or r & bit else r for k, r in enumerate(closed)]
-
-
-def close_onto(closed: Sequence[int], extra: Sequence[int]) -> list[int]:
-    """`closure_rows` of closed rows plus the edges of `extra`, added one
-    source row at a time as `close_with` adds them, on one copy of the
-    rows widened in place."""
+def close_onto(closed: Sequence[int], edges: Iterable[tuple[int, int]]) -> list[int]:
+    """`closure_rows` of closed rows plus edges given as (source, targets
+    mask) pairs, on one copy of the rows widened in place.  An edge from
+    a to the targets not yet in row a gains them and everything they
+    reach, and so does every row that is a or reaches a (Italiano, TCS
+    48, 1986).  A cycle shows as self bits, as in `closure_rows`: at the
+    source of the edge that closes it, and at every row on it."""
     out = list(closed)
-    for a, row in enumerate(extra):
-        gain = rest = row & ~out[a]
+    for a, targets in edges:
+        gain = rest = targets & ~out[a]
         while rest:
             low = rest & -rest
             gain |= out[low.bit_length() - 1]

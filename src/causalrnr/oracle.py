@@ -85,15 +85,16 @@ set that provably differs from the original.  `_least_replay` is their
 one totaliser too: without pairs to reverse, it places the least replay
 above closed base rows.  `extend_to_views` hands it the closures of its
 partial orders, with no memo, and the race witness program order plus
-each process's candidate record, with the witnessed edge reversed; the
-view witness swaps its edge in its owner's view.  Each witness is
-checked on its order rows, built once: for strong causality by the rows
-test that `certifies` runs (`consistency.strongly_causal_rows`; its
-reads return what its views make them return, so none is derived or
+each process's candidate record, with the witnessed edge reversed,
+closed onto program order (`kernels.close_onto`); the view witness
+swaps its edge in its owner's view.  Each witness is checked on its
+order rows, built once: for strong causality by the rows test that
+`certifies` runs (`consistency.strongly_causal_orders`; its reads
+return what its views make them return, so none is derived or
 checked), then for extending the reduced record.  The witnesses start
 from the original views' order rows, which the view set keeps
 (`ViewSet.order_rows`), and the view witness derives its two changed
-rows from them (`_swap`).
+rows from them (`_swap`) and tests them as they stand.
 The full checker runs only on a witness that fails the rows test, to
 word the error.
 """
@@ -118,6 +119,7 @@ from causalrnr.consistency import (
     respects,
     saturate,
     sco_rows,
+    strongly_causal_orders,
     strongly_causal_rows,
 )
 from causalrnr.errors import (
@@ -188,10 +190,10 @@ def _holds(candidate: ViewSet, program: Program, model: str) -> bool:
     whether each view's order rows hold its program order plus the
     model's order.  That order is the SCO the owners' views place on
     their own writes under the strong model, tested by
-    `consistency.strongly_causal_rows`, the rows test that also checks
-    every witness, and the WO of the reads the views derive under the
-    causal model.  Every view's rows are built, and so checked
-    (`ViewSet.order_rows`), before any is tested."""
+    `consistency.strongly_causal_rows` (`strongly_causal_orders`, the
+    rows test that also checks every witness), and the WO of the reads
+    the views derive under the causal model.  Every view's rows are
+    built, and so checked (`ViewSet.order_rows`), before any is tested."""
     if model == STRONG_CAUSAL:
         return strongly_causal_rows(candidate, program)[1]
     views = candidate.views
@@ -211,11 +213,19 @@ def _extends(candidate: ViewSet, program: Program, record: Record) -> bool:
         view = candidate[i]
         for a, b in record.edges(i):
             pos = view.positions
-            if a not in pos or b not in pos:
-                raise ValueError(f"record edge ({a}, {b}) escapes process {i}'s view")
+            _check_edge(i, a, b, pos)
             if pos[a] > pos[b]:
                 return False
     return True
+
+
+def _check_edge(process: int, a: str, b: str, pos: Mapping[str, int]) -> None:
+    """ValueError for a record edge of `process` that escapes its view,
+    whose positions are `pos`, or that is a self-loop."""
+    if a not in pos or b not in pos:
+        raise ValueError(f"record edge ({a}, {b}) escapes process {process}'s view")
+    if a == b:
+        raise _self_loop(process, a)
 
 
 def _base_rows(
@@ -248,30 +258,31 @@ def _base_rows(
 
 def _process_base(program: Program, process: int, edges: frozenset[Pair]) -> list[int] | None:
     """Program order of `process` plus its record `edges`, closed, or None
-    when they hold a cycle; every edge is validated in sorted order.
-
-    Program order's rows are closed already, so each record edge that
-    they do not imply yet is added with `kernels.close_with`.  The rows
-    are acyclic until an edge closes a cycle, which then shows as a self
-    bit at that edge's source."""
+    when they hold a cycle.  Every edge is validated first, in sorted
+    order; program order's rows are closed already, so the edges are
+    then added onto them in one incremental closure (`kernels.close_onto`),
+    where a cycle shows as a self bit."""
     index = program.index
     pi = program.process_index(process)
     mask = pi.universe_mask
-    rows = pi.po_rows
-    looped = False
+    pairs = []
     for a, b in sorted(edges):
         ka, kb = index.get(a, -1), index.get(b, -1)
         if a == b:
-            problem = f"self-loop ({a}, {b}) is not representable"
-        elif min(ka, kb) < 0 or not mask >> ka & mask >> kb & 1:
-            problem = f"pair ({a}, {b}) escapes the universe"
-        else:
-            if not looped and not rows[ka] >> kb & 1:
-                rows = kernels.close_with(rows, ka, 1 << kb)
-                looped = bool(rows[ka] >> ka & 1)
-            continue
-        raise ValueError(f"record for process {process} is malformed: {problem}")
-    return None if looped else list(rows)
+            raise _self_loop(process, a)
+        if min(ka, kb) < 0 or not mask >> ka & mask >> kb & 1:
+            raise ValueError(
+                f"record for process {process} is malformed: pair ({a}, {b}) escapes the universe"
+            )
+        pairs.append((ka, 1 << kb))
+    rows = kernels.close_onto(pi.po_rows, pairs)
+    return None if cyclic(rows) else rows
+
+
+def _self_loop(process: int, op: str) -> ValueError:
+    return ValueError(
+        f"record for process {process} is malformed: self-loop ({op}, {op}) is not representable"
+    )
 
 
 def _check_limits(
@@ -748,13 +759,11 @@ class Goodness:
         here are keyed on rows over its index).
 
         Only `edge`'s membership in the minimal race record is decided
-        (`RaceAnalysis.in_record`).  Each process's base is program order
-        plus its candidate record (`RaceAnalysis.candidate_rows`), closed,
-        with `edge` reversed for `process`.  Only that owner's base
-        depends on the edge: it is closed onto program order's closed
-        rows here (`kernels.close_onto`), and every other process's base
-        is the one the analysis caches (`RaceAnalysis.witness_base_rows`).
-        The witness is the least replay above these bases (`_replay`).
+        (`RaceAnalysis.in_record`).  Each process's base is its candidate
+        record (`RaceAnalysis.candidate_rows`), with `edge` reversed for
+        `process`, closed onto program order's closed rows
+        (`kernels.close_onto`).  The witness is the least replay above
+        these bases (`_replay`).
         Its order rows are built once, by the rows test for a strongly
         causal replay (`strongly_causal_rows`), which it must pass.  On
         the same rows it must then differ from the original data-race
@@ -770,13 +779,13 @@ class Goodness:
         procs = sorted(program.processes)
         base = {}
         for j in procs:
-            if j != process:
-                base[j] = analysis.witness_base_rows(j)
-                continue
-            rows = list(analysis.candidate_rows(j))
-            rows[a] &= ~(1 << b)
-            rows[b] |= 1 << a
-            base[j] = kernels.close_onto(program.process_index(j).po_rows, rows)
+            rows = analysis.candidate_rows(j)
+            edges = enumerate(rows)
+            if j == process:
+                reduced = list(rows)
+                reduced[a] &= ~(1 << b)
+                edges = [*enumerate(reduced), (b, 1 << a)]
+            base[j] = kernels.close_onto(program.process_index(j).po_rows, edges)
         witness, _ = self._replay(base, None)
         if witness is None:
             raise InternalInvariant(f"no replay reverses the record edge {edge}")
@@ -788,10 +797,7 @@ class Goodness:
         if [row & m for row, m in zip(orders[process], masks)] == analysis.dro_rows(process):
             raise InternalInvariant("witness reproduces the original data-race order")
         for j in procs:
-            record = analysis.candidate_rows(j)
-            if j == process:
-                record = list(record)
-                record[a] &= ~(1 << b)
+            record = reduced if j == process else analysis.candidate_rows(j)
             if any(r & ~o for r, o in zip(record, orders[j])):
                 raise InternalInvariant("witness does not certify the reduced record")
         return witness
@@ -861,7 +867,7 @@ def _rows_of(rel: Relation, program: Program) -> list[int]:
 
 def _not_strongly_causal(views: ViewSet, program: Program, what: str) -> InternalInvariant:
     """The error `what` for a witness that failed the rows test
-    (`strongly_causal_rows`), with the violation that the full check
+    (`strongly_causal_orders`), with the violation that the full check
     finds on the execution its views derive, which fails exactly when
     that test does."""
     bad = check_strong_causal(views, derive_writes_to(views, program))
@@ -971,8 +977,7 @@ def view_witness(
     for i, edges in record.per_process:
         pos, rows = views[i].positions, orders[i]
         for a, b in edges - {edge} if i == process else edges:
-            if a not in pos or b not in pos:
-                raise ValueError(f"record edge ({a}, {b}) escapes process {i}'s view")
+            _check_edge(i, a, b, pos)
             if rows[index[b]] >> index[a] & 1:
                 raise InternalInvariant("swapped views do not certify the reduced record")
     return witness
@@ -987,10 +992,11 @@ def _swap(
 ) -> tuple[ViewSet, dict[int, list[int]]]:
     """The views with `edge`, two consecutive operations a, b of the view
     of `process`, swapped there (else `PreconditionViolated`), and their
-    order rows per process, which must pass `strongly_causal_rows`' test
-    (else `InternalInvariant`).  They are the original views' kept rows
-    but for the owner's rows of a and b: b now precedes a and all that
-    followed b, and a exactly what followed b."""
+    order rows per process, which must pass the rows test for a strongly
+    causal replay (`strongly_causal_orders`, else `InternalInvariant`).
+    They are the original views' kept rows but for the owner's rows of a
+    and b: b now precedes a and all that followed b, and a exactly what
+    followed b."""
     a, b = edge
     view = views[process]
     pos = view.positions
@@ -1007,10 +1013,8 @@ def _swap(
     old = orders[process]
     mine = orders[process] = list(old)
     mine[ka], mine[kb] = old[kb], old[kb] | 1 << ka
-    sco = sco_rows(program, orders.items())
-    for i, order in orders.items():
-        if not respects(order, program.process_index(i).po_rows, sco):
-            raise _not_strongly_causal(witness, program, "swapped views are not strongly causal")
+    if not strongly_causal_orders(program, orders.items()):
+        raise _not_strongly_causal(witness, program, "swapped views are not strongly causal")
     return witness, orders
 
 

@@ -32,15 +32,15 @@ check.  The data-race orders are the views' order rows
 interns (see `causalrnr.model`), and everything rests on one fixpoint
 over closed rows: each process's DRO and program-order base is closed
 once, and each strong write order level only adds its new rows onto the
-closed rows (`kernels.close_onto`).  The rows it ends with are the
-closed obligation graphs, since a process's own-write part of SWO adds
-nothing to its own closure; a cycle shows as a self bit in them, so no
-separate cycle check runs, and a witness base closes in one pass over
-them (`_close_in_order`).  Cascade levels and collision tests add the
-cascade onto those closed rows too; only the owner's collision test,
-whose graph loses the flipped pair and is no longer closed, closes from
-scratch.  Id pairs and `Relation`s are built only for its public
-results: `obligation`, `strong_write_order`, `swo_from_others`,
+closed rows (`kernels.close_onto`, the package's one incremental
+closure).  The rows it ends with are the closed obligation graphs,
+since a process's own-write part of SWO adds nothing to its own
+closure; a cycle shows as a self bit in them, so no separate cycle
+check runs.  Cascade levels and collision tests add the cascade onto
+those closed rows too; only the owner's collision test, whose graph
+loses the flipped pair and is no longer closed, closes from scratch.
+Id pairs and `Relation`s are built only for its public results:
+`obligation`, `strong_write_order`, `swo_from_others`,
 `flip_cascade`, `indirectly_enforced` and the `Record`s.  Callers that
 work on rows read `swo_rows`, `obligation_rows`, `dro_rows`,
 `cascade_levels` and the one-pair collision test `collides`, as the
@@ -127,10 +127,6 @@ class RaceAnalysis:
     further closure).  Everything is computed and cached as rows over
     the program index; `Relation`s and id pairs, `strong_write_order`'s
     `WriteOrderLevels` included, are built only for the public results.
-    Next to each process's candidate record it caches that record closed
-    with program order (`witness_base_rows`), the process's base in every
-    race witness of another process's edge, so an analysis shared by all
-    witnesses of a fixture closes each such base once (`_close_in_order`).
     A view set without a view of each process raises `UniverseMismatch`.
     """
 
@@ -143,7 +139,6 @@ class RaceAnalysis:
         self._targets: dict[int, list[int]] = {}
         self._cascades: dict[tuple[int, str, str], tuple[list[int], ...]] = {}
         self._candidates: dict[int, list[int]] = {}
-        self._witness_bases: dict[int, list[int]] = {}
         self._collisions: dict[tuple[int, int, int], bool] = {}
         self._indirect: dict[int, frozenset[Pair]] = {}
         self._swo: WriteOrderLevels | None = None
@@ -224,7 +219,7 @@ class RaceAnalysis:
                 break
             self._levels.append(new)
             forced = [f | n for f, n in zip(forced, new)]
-            closed = {i: kernels.close_onto(rows, new) for i, rows in closed.items()}
+            closed = {i: kernels.close_onto(rows, enumerate(new)) for i, rows in closed.items()}
         self._swo_rows = forced
         self._closed = closed
 
@@ -343,7 +338,7 @@ class RaceAnalysis:
         while True:
             grown = list(current)
             for j in procs:
-                mixed = kernels.close_onto(self._closed_rows(j), current)
+                mixed = kernels.close_onto(self._closed_rows(j), enumerate(current))
                 targets_j = self._target_rows(j)
                 for w5 in positions:
                     ends = current[w5]
@@ -376,7 +371,7 @@ class RaceAnalysis:
         if any(cascade):
             for m in sorted(self.program.processes):
                 if m != i:
-                    found = cyclic(kernels.close_onto(self._closed_rows(m), cascade))
+                    found = cyclic(kernels.close_onto(self._closed_rows(m), enumerate(cascade)))
                 else:
                     # the flipped pair leaves the owner's graph, which is
                     # then no longer closed: close it from scratch
@@ -443,17 +438,6 @@ class RaceAnalysis:
             self._candidates[process] = kept
         return self._candidates[process]
 
-    def witness_base_rows(self, process: int) -> list[int]:
-        """Program order plus the candidate record, closed: the process's
-        base in every race witness of another process's edge
-        (`oracle.race_witness`).  Callers must not change the rows."""
-        if process not in self._witness_bases:
-            po = self.program.process_index(process).po_rows
-            self._witness_bases[process] = _close_in_order(
-                self._closed_rows(process), po, self.candidate_rows(process)
-            )
-        return self._witness_bases[process]
-
     def in_record(self, process: int, edge: Pair) -> bool:
         """Whether `edge` is in the minimal race record of `process`: an
         edge of the obligation graph's reduction that is neither program
@@ -483,22 +467,6 @@ class RaceAnalysis:
 
 def strong_write_order(views: ViewSet, program: Program) -> WriteOrderLevels:
     return RaceAnalysis(views, program).strong_write_order()
-
-
-def _close_in_order(closed: list[int], po: tuple[int, ...], extra: list[int]) -> list[int]:
-    """`kernels.close_onto(po, extra)` inside closed acyclic rows `closed`, in
-    one pass in ascending successor count: a successor's row lies inside its
-    predecessor's and lacks itself, so each row comes after its successors."""
-    out = [0] * len(closed)
-    for _, k in sorted((row.bit_count(), k) for k, row in enumerate(closed) if row):
-        reach = rest = po[k] | extra[k]
-        while rest:
-            low = rest & -rest
-            below = out[low.bit_length() - 1]
-            reach |= below
-            rest &= ~(below | low)
-        out[k] = reach
-    return out
 
 
 def flip_cascade(

@@ -83,6 +83,22 @@ def reference_certifies(candidate, program, record, model):
     return check(candidate, derived) is None
 
 
+def close_with(closed, a, targets):
+    """The closure of closed rows plus an edge from `a` to every element
+    of the mask `targets`: every row that is a or reaches a gains the
+    targets and everything they reach.  Cycles show as self bits, as in
+    `closure_rows`.  The references' own incremental closure, so that
+    none of them runs on `kernels.close_onto`, which they check."""
+    gain = targets
+    rest = targets
+    while rest:
+        low = rest & -rest
+        gain |= closed[low.bit_length() - 1]
+        rest ^= low
+    bit = 1 << a
+    return [r | gain if k == a or r & bit else r for k, r in enumerate(closed)]
+
+
 def reference_saturate(program, rows, edges, *, rules=None, lift=True):
     """`consistency.saturate` as first written: each popped process lifts
     all of its SCO rows (`sco_rows`) onto every other process."""
@@ -92,7 +108,7 @@ def reference_saturate(program, rows, edges, *, rules=None, lift=True):
     for i, new in edges.items():
         closed = out[i]
         for a, targets in new:
-            closed = kernels.close_with(closed, a, targets)
+            closed = close_with(closed, a, targets)
             if closed[a] >> a & 1:
                 return None
         out[i] = closed
@@ -114,7 +130,7 @@ def reference_saturate(program, rows, edges, *, rules=None, lift=True):
             for a in positions:
                 gain = lifted[a] & ~grown[a]
                 if gain:
-                    grown = kernels.close_with(grown, a, gain)
+                    grown = close_with(grown, a, gain)
                     if grown[a] >> a & 1:
                         return None
             if grown is not closed:
@@ -131,7 +147,7 @@ def _reference_related(rows, a, b):
 def reference_least_replay(program, base, pairs):
     """`oracle._least_replay` as first written: each placement that adds no
     SCO edge closes the new edges over every row of its process
-    (`kernels.close_with`)."""
+    (`close_with`)."""
     queries = 0
 
     def fixpoint(rows, edges):
@@ -203,7 +219,7 @@ def reference_least_replay(program, base, pairs):
                     state = rows
                     if gain:
                         state = dict(rows)
-                        state[i] = kernels.close_with(rows[i], c, gain)
+                        state[i] = close_with(rows[i], c, gain)
                     reversal = bool(gain & into.get((i, c), 0))
                 if reversal:
                     differs = True
@@ -232,14 +248,17 @@ def mask_positions(mask):
 def predecessors(rows, onto=None):
     """Predecessor masks for `reference_extensions` from successor rows
     over the index (bit j of row k: k goes before j), closed first, or
-    added onto `onto`, rows already closed; None when the result holds a
-    cycle, which shows as a self bit of the closure.  The transposition
-    keeps the reference on predecessor masks, a formulation independent
-    of the package's successor-row search."""
+    added onto `onto`, rows already closed, one source row at a time
+    (`close_with`); None when the result holds a cycle, which shows as a
+    self bit of the closure.  The transposition keeps the reference on
+    predecessor masks, a formulation independent of the package's
+    successor-row search."""
     if onto is None:
         closed = kernels.closure_rows(list(rows))
     else:
-        closed = kernels.close_onto(onto, rows)
+        closed = list(onto)
+        for a, row in enumerate(rows):
+            closed = close_with(closed, a, row)
     preds = [0] * len(closed)
     for j, row in enumerate(closed):
         if row >> j & 1:

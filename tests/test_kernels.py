@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from causalrnr import kernels
 
 
@@ -97,7 +99,7 @@ def test_close_onto_matches_closure_with_several_new_sources():
             extra[a] = rng.getrandbits(n) & ~(1 << a)
         union = [c | e for c, e in zip(closed, extra)]
         expected = kernels.closure_rows(union)
-        assert kernels.close_onto(closed, extra) == expected
+        assert kernels.close_onto(closed, enumerate(extra)) == expected
         # the input rows are copied, not widened
         assert closed == before
         sources += sum(1 for a in range(n) if extra[a] & ~closed[a]) > 1
@@ -105,3 +107,82 @@ def test_close_onto_matches_closure_with_several_new_sources():
     # most inputs add edges from several sources, and some close a cycle,
     # which shows as self bits as in `closure_rows`
     assert sources > 150 and 0 < cyclic < 300
+
+
+def random_dag_closure(rng, n):
+    """Closed acyclic rows on n positions: the closure of random edges
+    along a random topological order."""
+    order = rng.sample(range(n), n)
+    rows = [0] * n
+    for x, a in enumerate(order):
+        for b in order[x + 1:]:
+            if rng.random() < 0.25:
+                rows[a] |= 1 << b
+    return kernels.closure_rows(rows)
+
+
+def union_closure(closed, edges):
+    union = list(closed)
+    for a, targets in edges:
+        union[a] |= targets
+    return kernels.closure_rows(union)
+
+
+def one_edge(rng, closed):
+    n = len(closed)
+    return [(rng.randrange(n), 1 << rng.randrange(n))]
+
+
+def shared_source(rng, closed):
+    n = len(closed)
+    a = rng.randrange(n)
+    return [(a, rng.getrandbits(n) & ~(1 << a)) for _ in range(rng.randint(2, 4))]
+
+
+def implied(rng, closed):
+    a = rng.randrange(len(closed))
+    return [(a, closed[a] & rng.getrandbits(len(closed)))]
+
+
+def closing_a_cycle(rng, closed):
+    """An edge (a, b) with b already reaching a, or None if no row of
+    `closed` reaches another."""
+    pairs = [(a, b) for b, row in enumerate(closed) for a in range(len(closed)) if row >> a & 1]
+    if not pairs:
+        return None
+    a, b = rng.choice(pairs)
+    return [(a, 1 << b)]
+
+
+EDGES = {
+    "no edges": lambda rng, closed: [],
+    "one edge": one_edge,
+    "shared source": shared_source,
+    "implied": implied,
+    "cycle": closing_a_cycle,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(EDGES))
+def test_close_onto_matches_closure_of_the_union(shape):
+    rng = random.Random(sorted(EDGES).index(shape))
+    seen = 0
+    for _ in range(200):
+        closed = random_dag_closure(rng, rng.randint(1, 12))
+        edges = EDGES[shape](rng, closed)
+        if edges is None:
+            continue
+        before = list(closed)
+        got = kernels.close_onto(closed, edges)
+        assert got == union_closure(closed, edges)
+        # the input rows are copied, not widened
+        assert closed == before and got is not closed
+        if shape in ("no edges", "implied"):
+            assert got == closed
+        if shape == "cycle":
+            # the edge closes a cycle: a self bit at its source
+            a = edges[0][0]
+            assert got[a] >> a & 1
+        seen += 1
+    assert seen > 150
+

@@ -243,23 +243,19 @@ def test_race_witness_bases_are_closures_from_scratch():
 def test_shared_analysis_witnesses_leave_its_rows_unchanged():
     """Every race witness built through one shared analysis equals the
     one-shot witness, and leaves the analysis's cached candidate records
-    and witness bases as they were."""
+    as they were."""
     seen = 0
     for _, execution, views in GENERATED:
         program = execution.program
         analysis = RaceAnalysis(views, program)
         record = analysis.record()
         procs = sorted(program.processes)
-        cached = {i: analysis.witness_base_rows(i) for i in procs}
         candidates = {i: list(analysis.candidate_rows(i)) for i in procs}
-        bases = snapshot(cached)
         for i, edge in record.all_edges():
             seen += 1
             assert oracle.race_witness(analysis, i, edge) == (
                 oracle.necessity_witness_race_record(views, execution, i, edge)
             )
         for i in procs:
-            assert analysis.witness_base_rows(i) is cached[i]
             assert analysis.candidate_rows(i) == candidates[i]
-        assert snapshot(cached) == bases
     assert seen > 50

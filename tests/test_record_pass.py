@@ -1,18 +1,16 @@
-"""The race analysis's candidate records and witness bases against a
-plain two-pass construction.
+"""The race analysis's candidate records against a plain two-pass
+construction.
 
 `RaceAnalysis.candidate_rows` reduces a process's closed obligation rows
 with `kernels.reduction_rows`, which skips a successor already in the
-cover, and `RaceAnalysis.witness_base_rows` closes the candidate record
-onto program order in one pass in ascending successor count
-(`race_record._close_in_order`).  The reference reduces with the plain
-cover of every successor's row, drops program order and foreign strong
-write order, then closes onto program order with `kernels.close_onto`.
-Both must agree on the bundled fixtures, the generated ones and the
-perturbed view sets, which need not be strongly causal.  Where an
-obligation graph is cyclic, both rows must raise the `CyclicInput` that
-`transitive_reduction` raises.  Property tests run the reduction and the
-pass on random closed rows.
+cover, then drops program order and foreign strong write order.  The
+reference reduces with the plain cover of every successor's row, then
+drops the same edges: two passes over the rows.  Both must agree on the
+bundled fixtures, the generated ones and the perturbed view sets, which
+need not be strongly causal.  Where an obligation graph is cyclic, the
+candidate rows must raise the `CyclicInput` that `transitive_reduction`
+raises.  Property tests run the reduction and the masking on random
+closed rows.
 """
 
 import random
@@ -23,7 +21,7 @@ from hypothesis import strategies as st
 
 from causalrnr import kernels
 from causalrnr.errors import CyclicInput, InternalInvariant
-from causalrnr.race_record import RaceAnalysis, _close_in_order
+from causalrnr.race_record import RaceAnalysis
 from causalrnr.relations import transitive_reduction
 
 from conftest import record_generated, small_generated
@@ -45,19 +43,15 @@ def plain_reduction(closed):
 
 
 def reference_pass(closed, po, swo, own):
-    """Reduce, drop program order and foreign strong write order, then
-    close onto program order: two passes over the rows."""
-    candidate = [r & ~p & ~(s & ~own) for r, p, s in zip(plain_reduction(closed), po, swo)]
-    return candidate, kernels.close_onto(po, candidate)
+    """Reduce with the plain cover, then drop program order and foreign
+    strong write order: two passes over the rows."""
+    return [r & ~p & ~(s & ~own) for r, p, s in zip(plain_reduction(closed), po, swo)]
 
 
 def analysis_pass(closed, po, swo, own):
     """The analysis's construction on bare rows: the kernel's reduction,
-    masked as `candidate_rows` masks it, then `_close_in_order`."""
-    candidate = [
-        r & ~p & ~(s & ~own) for r, p, s in zip(kernels.reduction_rows(closed), po, swo)
-    ]
-    return candidate, _close_in_order(closed, po, candidate)
+    masked as `candidate_rows` masks it."""
+    return [r & ~p & ~(s & ~own) for r, p, s in zip(kernels.reduction_rows(closed), po, swo)]
 
 
 def reference_rows(analysis, process):
@@ -71,23 +65,17 @@ def reference_rows(analysis, process):
 
 
 def check_process(views, program, process):
-    """Compares both rows with the reference, each asked first of a fresh
-    analysis; returns whether the obligation graph is cyclic."""
+    """Compares the candidate rows with the reference; returns whether
+    the obligation graph is cyclic."""
     try:
         transitive_reduction(RaceAnalysis(views, program).obligation(process))
     except CyclicInput as error:
-        for rows in ("candidate_rows", "witness_base_rows"):
-            with pytest.raises(CyclicInput) as raised:
-                getattr(RaceAnalysis(views, program), rows)(process)
-            assert str(raised.value) == str(error)
+        with pytest.raises(CyclicInput) as raised:
+            RaceAnalysis(views, program).candidate_rows(process)
+        assert str(raised.value) == str(error)
         return True
-    candidate_first = RaceAnalysis(views, program)
-    base_first = RaceAnalysis(views, program)
-    expected = reference_rows(candidate_first, process)
-    assert candidate_first.candidate_rows(process) == expected[0]
-    assert candidate_first.witness_base_rows(process) == expected[1]
-    assert base_first.witness_base_rows(process) == expected[1]
-    assert base_first.candidate_rows(process) == expected[0]
+    analysis = RaceAnalysis(views, program)
+    assert analysis.candidate_rows(process) == reference_rows(analysis, process)
     return False
 
 
@@ -139,7 +127,7 @@ def test_stray_edges_keep_their_message():
     program = execution.program
     for i in program.processes:
         analysis = RaceAnalysis(views, program)
-        candidate = reference_rows(analysis, i)[0]
+        candidate = reference_rows(analysis, i)
         if any(candidate):
             break
     a = next(k for k, row in enumerate(candidate) if row)
@@ -148,13 +136,12 @@ def test_stray_edges_keep_their_message():
     analysis.dro_rows(i)[a] &= ~(1 << b)
     ids = program.all_ops
     message = f"record for process {i} holds non-race edges {[(ids[a], ids[b])]}"
-    for rows in (analysis.witness_base_rows, analysis.candidate_rows):
-        with pytest.raises(InternalInvariant) as raised:
-            rows(i)
-        assert str(raised.value) == message
+    with pytest.raises(InternalInvariant) as raised:
+        analysis.candidate_rows(i)
+    assert str(raised.value) == message
 
 
-# -- the reduction and the pass on random closed rows --------------------------
+# -- the reduction and the masking on random closed rows ----------------------
 
 
 def sub_order(rng, closed):
@@ -184,11 +171,6 @@ def random_rows(rng, n, density):
 
 
 def check_pass(closed, po, swo, own):
-    # ascending successor count puts every successor first
-    for row in closed:
-        for j in range(len(closed)):
-            if row >> j & 1:
-                assert closed[j].bit_count() < row.bit_count()
     assert analysis_pass(closed, po, swo, own) == reference_pass(closed, po, swo, own)
 
 
@@ -228,7 +210,7 @@ def test_reduction_skip_matches_plain_cover_on_cyclic_rows(n, seed):
 def test_pass_on_empty_rows_chains_and_antichains(shape, n):
     closed = SHAPES[shape](n)
     assert kernels.reduction_rows(closed) == EXPECTED[shape](n)
-    assert _close_in_order(closed, [0] * n, EXPECTED[shape](n)) == closed
+    assert kernels.closure_rows(EXPECTED[shape](n)) == closed
     rng = random.Random(n)
     for _ in range(10):
         swo = [rng.getrandbits(n) if n else 0 for _ in range(n)]

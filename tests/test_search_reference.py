@@ -355,7 +355,7 @@ CLOSURES = [_random_closure_instance(random.Random(seed)) for seed in range(300)
 def test_close_onto_matches_closure_of_the_union(k):
     closed, extra = CLOSURES[k]
     union = [c | e for c, e in zip(closed, extra)]
-    assert kernels.close_onto(closed, extra) == kernels.closure_rows(union)
+    assert kernels.close_onto(closed, enumerate(extra)) == kernels.closure_rows(union)
     assert predecessors(extra, onto=closed) == predecessors(union)
 
 
