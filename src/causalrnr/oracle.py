@@ -2,7 +2,11 @@
 
 A view set certifies a replay of a record when it extends the record
 and respects the model; `certifies` is the one test of that, read off
-the views' order rows (its docstring gives the argument).
+the views' order rows (its docstring gives the argument).  Every query
+checks its whole record before it answers, in one place (`_edge_rows`),
+which returns the edges as rows; a view extends them iff no record-row
+bit lies outside its order row (`_extends_rows`), the one containment
+test of certification and both witnesses.
 `enumerate_certifying` walks every certifying set with the view-set
 descent (`consistency.iter_view_sets`), which the causal verdicts walk
 too: program order and the record edges, closed once per process, are
@@ -53,18 +57,18 @@ a usage error.
 The verdicts on one view set share what depends on the views alone: a
 `Goodness`, built from the views and the program, caches the record-
 independent half of `certifies` per model, the adjacent pairs per kind,
-and each process's closed base under its record edges, so a record
-with one edge dropped closes one process's base again.  The battery
-shares one per fixture, as it shares one `RaceAnalysis`.
-`is_good_view_record`, `is_good_race_record` and `race_witness` are
-one-shot wrappers that build one per call, so every query takes one
-path.  The one other route is `Goodness.without_edge`, the verdict on a
-record with one edge dropped: when the record is good and the original
-views certify it, the dropped record's differing replays are exactly
-those that reverse the edge, so the least one is placed by
-`_least_replay` with the edge reversed and no pair to reverse (its
-docstring gives the argument); any other record falls back to the
-verdict.
+and each process's checked edge rows beside its closed base under its
+record edges, so a record with one edge dropped checks and closes one
+process's base again.  The battery shares one per fixture, as it
+shares one `RaceAnalysis`.  `certifies`, `is_good_view_record`,
+`is_good_race_record` and `race_witness` are one-shot wrappers that
+build one per call, so every query takes one path.  The one other
+route is `Goodness.without_edge`, the verdict on a record with one
+edge dropped: when the record is good and the original views certify
+it, the dropped record's differing replays are exactly those that
+reverse the edge, so the least one is placed by `_least_replay` with
+the edge reversed and no pair to reverse (its docstring gives the
+argument); any other record falls back to the verdict.
 
 A `Goodness` also keeps its placements.  The battery asks many queries
 of one fixture, and several ask for the same placement: equal bases
@@ -91,7 +95,8 @@ swaps its edge in its owner's view.  Each witness is checked on its
 order rows, built once: for strong causality by the rows test that
 `certifies` runs (`consistency.strongly_causal_orders`; its reads
 return what its views make them return, so none is derived or
-checked), then for extending the reduced record.  The witnesses start
+checked), then for extending the reduced record, by the containment
+test that `certifies` runs (`_extends_rows`).  The witnesses start
 from the original views' order rows, which the view set keeps
 (`ViewSet.order_rows`), and the view witness derives its two changed
 rows from them (`_swap`) and tests them as they stand.
@@ -145,6 +150,10 @@ from causalrnr.view_record import required_edges
 
 DEFAULT_NODE_BUDGET = 20_000_000
 
+# per (process, its record edges): the checked edge rows (`_edge_rows`)
+# and their closure onto program order, None when cyclic (`_base_rows`)
+_Bases = dict[tuple[int, frozenset[Pair]], tuple[dict[int, int], list[int] | None]]
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -158,8 +167,9 @@ class Verdict:
 def certifies(candidate: ViewSet, program: Program, record: Record, model: str) -> bool:
     """Whether `candidate` certifies a replay of the record under the
     model: it holds one view per process over its universe, each view
-    extends its process's record edges (`_extends`), and each view's
-    order rows hold its program order and the model's order (`_holds`).
+    orders its process's record edges as recorded (`_extends_rows`), and
+    each view's order rows hold its program order and the model's order
+    (`_holds`).  One-shot: `Goodness._certifies` on a fresh state.
 
     Nothing else needs checking.  The execution a view set explains is
     the one its views derive (`derive_writes_to`): each read returns the
@@ -169,15 +179,11 @@ def certifies(candidate: ViewSet, program: Program, record: Record, model: str) 
     model's order is tested as it stands.  A cyclic record never
     certifies, since no total order extends a cycle.
 
-    Raises `UniverseMismatch` for a set without a view of each process
-    over its universe, and ValueError for a view of an unknown process,
-    a record that names a process the program lacks, or a record edge
-    that escapes its process's universe."""
-    _check_model(model)
-    check_complete(candidate, program)
-    _check_record_processes(program, record)
-    holds = _holds(candidate, program, model)
-    return _extends(candidate, program, record) and holds
+    The record is checked first, as by every verdict (`_edge_rows`:
+    ValueError), then the model (ValueError), then the views
+    (`UniverseMismatch` for a set without a view of each process over
+    its universe, ValueError for a view of an unknown process)."""
+    return Goodness(candidate, program)._certifies(record, model)
 
 
 def _check_model(model: str) -> None:
@@ -206,83 +212,93 @@ def _holds(candidate: ViewSet, program: Program, model: str) -> bool:
     )
 
 
-def _extends(candidate: ViewSet, program: Program, record: Record) -> bool:
-    """Whether every view of `candidate` orders its process's record
-    edges as recorded."""
-    for i in sorted(program.processes):
-        view = candidate[i]
-        for a, b in record.edges(i):
-            pos = view.positions
-            _check_edge(i, a, b, pos)
-            if pos[a] > pos[b]:
+def _extends_rows(
+    orders: Mapping[int, list[int]], edges: Mapping[int, Mapping[int, int]]
+) -> bool:
+    """Whether each process's view, whose order rows `orders` holds,
+    orders the record edges `edges` holds for it as rows (`_edge_rows`)
+    as recorded: whether no record-row bit lies outside the view's order
+    row.  The one containment test of certification and both witnesses."""
+    for i, rows in edges.items():
+        order = orders[i]
+        for k, r in rows.items():
+            if r & ~order[k]:
                 return False
     return True
 
 
-def _check_edge(process: int, a: str, b: str, pos: Mapping[str, int]) -> None:
-    """ValueError for a record edge of `process` that escapes its view,
-    whose positions are `pos`, or that is a self-loop."""
-    if a not in pos or b not in pos:
-        raise ValueError(f"record edge ({a}, {b}) escapes process {process}'s view")
-    if a == b:
-        raise _self_loop(process, a)
+def _edge_rows(
+    program: Program, record: Record, kept: _Bases | None = None
+) -> dict[int, dict[int, int]]:
+    """The one record check: per process that has record edges, in
+    process order, its edges as rows over the program index, each
+    nonzero row under its index (their items are the (source, targets
+    mask) pairs that `kernels.close_onto` takes).  Raises ValueError,
+    before anything is returned, for a record that names a process the
+    program lacks; then, per process in process order and its edges in
+    sorted order, for a self-loop or for a pair outside the process's
+    universe.  A process whose edges `kept` holds (as `_base_rows` keeps
+    them) takes its rows from there, checked already."""
+    for i, _ in record.per_process:
+        if i not in program.processes:
+            raise ValueError(f"record names process {i}, which the program lacks")
+    index = program.index
+    out = {}
+    for i, edges in sorted(record.per_process):
+        if not edges:
+            continue
+        hit = kept and kept.get((i, edges))
+        if hit:
+            out[i] = hit[0]
+            continue
+        mask = program.process_index(i).universe_mask
+        rows = out[i] = {}
+        for a, b in sorted(edges):
+            if a == b:
+                raise ValueError(
+                    f"record for process {i} is malformed: "
+                    f"self-loop ({a}, {a}) is not representable"
+                )
+            ka, kb = index.get(a, -1), index.get(b, -1)
+            if ka < 0 or kb < 0 or not mask >> ka & mask >> kb & 1:
+                raise ValueError(
+                    f"record for process {i} is malformed: pair ({a}, {b}) escapes the universe"
+                )
+            rows[ka] = rows.get(ka, 0) | 1 << kb
+    return out
 
 
 def _base_rows(
-    program: Program,
-    record: Record,
-    bases: dict[tuple[int, frozenset[Pair]], list[int] | None] | None = None,
+    program: Program, record: Record, bases: _Bases | None = None
 ) -> dict[int, list[int]] | None:
-    """Per process, program order plus its record edges, validated and
-    closed (`_process_base`), as rows over the program index; None when
-    some process's record is cyclic, so that no replay extends it.  Every
-    process is validated, in process order, before a cycle is reported.
-    `bases`, when given, keeps each process's result under (process, its
-    record edges), so a record that shares a process's edges with an
-    earlier one reuses that process's rows; callers must not change them."""
-    _check_record_processes(program, record)
+    """Per process, program order plus its record edges, checked
+    (`_edge_rows`) and closed (`_process_base`), as rows over the program
+    index; None when some process's record is cyclic, so that no replay
+    extends it.  Every process is checked before a cycle is reported.
+    `bases`, when given, keeps each process's edge rows beside its closed
+    rows (None when cyclic) under (process, its record edges), so a
+    record that shares a process's edges with an earlier one is neither
+    checked nor closed again; callers must not change the rows."""
     if bases is None:
         bases = {}
+    edges = _edge_rows(program, record, bases)
     base = {}
-    looped = False
     for i in sorted(program.processes):
-        edges = record.edges(i)
-        key = (i, edges)
+        key = (i, record.edges(i))
         if key not in bases:
-            bases[key] = _process_base(program, i, edges)
-        rows = bases[key]
-        looped = looped or rows is None
-        base[i] = rows
-    return None if looped else base
+            rows = edges.get(i, {})
+            bases[key] = rows, _process_base(program, i, rows)
+        base[i] = bases[key][1]
+    return None if None in base.values() else base
 
 
-def _process_base(program: Program, process: int, edges: frozenset[Pair]) -> list[int] | None:
-    """Program order of `process` plus its record `edges`, closed, or None
-    when they hold a cycle.  Every edge is validated first, in sorted
-    order; program order's rows are closed already, so the edges are
-    then added onto them in one incremental closure (`kernels.close_onto`),
-    where a cycle shows as a self bit."""
-    index = program.index
-    pi = program.process_index(process)
-    mask = pi.universe_mask
-    pairs = []
-    for a, b in sorted(edges):
-        ka, kb = index.get(a, -1), index.get(b, -1)
-        if a == b:
-            raise _self_loop(process, a)
-        if min(ka, kb) < 0 or not mask >> ka & mask >> kb & 1:
-            raise ValueError(
-                f"record for process {process} is malformed: pair ({a}, {b}) escapes the universe"
-            )
-        pairs.append((ka, 1 << kb))
-    rows = kernels.close_onto(pi.po_rows, pairs)
-    return None if cyclic(rows) else rows
-
-
-def _self_loop(process: int, op: str) -> ValueError:
-    return ValueError(
-        f"record for process {process} is malformed: self-loop ({op}, {op}) is not representable"
-    )
+def _process_base(program: Program, process: int, rows: Mapping[int, int]) -> list[int] | None:
+    """Program order of `process` plus its checked record edge `rows`,
+    closed, or None when they hold a cycle.  Program order's rows are
+    closed already, so the edges are added onto them in one incremental
+    closure (`kernels.close_onto`), where a cycle shows as a self bit."""
+    closed = kernels.close_onto(program.process_index(process).po_rows, rows.items())
+    return None if cyclic(closed) else closed
 
 
 def _check_limits(
@@ -304,28 +320,19 @@ def _check_limits(
     return NodeBudget(node_budget)
 
 
-def _check_record_processes(program: Program, record: Record) -> None:
-    """Raises ValueError for a record that names a process the program
-    lacks, whose edges no view could order."""
-    for i, _ in record.per_process:
-        if i not in program.processes:
-            raise ValueError(f"record names process {i}, which the program lacks")
-
-
 def _relation_base_rows(program: Program, record: Record) -> dict[int, list[int]] | None:
     """`_base_rows` built through the `Relation` toolkit instead of the
     kernels, for `enumerate_certifying`: the enumeration the goodness
     verdicts are tested against shares no base construction with them.
     perfbench's tracer self-test also relies on this by-name call of
-    `transitive_closure` from an oracle query."""
+    `transitive_closure` from an oracle query.  The record must be
+    checked already (`_edge_rows`), so that every pair is in its
+    process's universe."""
     base = {}
     looped = False
     for i in sorted(program.processes):
         pairs = program.process_index(i).po_pairs | record.edges(i)
-        try:
-            closed = transitive_closure(Relation(program.universe_of(i), pairs))
-        except ValueError as exc:
-            raise ValueError(f"record for process {i} is malformed: {exc}") from exc
+        closed = transitive_closure(Relation(program.universe_of(i), pairs))
         looped = looped or any((b, a) in closed.pairs for a, b in closed.pairs)
         base[i] = _rows_of(closed, program)
     return None if looped else base
@@ -340,13 +347,13 @@ def enumerate_certifying(
     node_budget: int | None = DEFAULT_NODE_BUDGET,
 ) -> Iterator[ViewSet]:
     """Every view set certifying a replay of the record, in lexicographic
-    order of the per-process sequences.  A record that names a process
-    the program lacks, or holds an edge outside its process's universe,
-    raises ValueError before anything is yielded."""
+    order of the per-process sequences.  The record is checked first, as
+    by every verdict (`_edge_rows`: ValueError), then the model and the
+    limits, all before anything is yielded."""
+    _edge_rows(program, record)
     _check_model(model)
     _check_cap(program, max_ops)
     budget = NodeBudget(node_budget)
-    _check_record_processes(program, record)
     base = _relation_base_rows(program, record)
     if base is None:
         return
@@ -552,8 +559,8 @@ def certifying_replays(
     in lexicographic order of the per-process sequences: the sets, and
     their order, of `enumerate_certifying(program, record,
     STRONG_CAUSAL)`, with no enumeration cap.  A malformed record raises
-    ValueError before anything is yielded, and each placement spends one
-    unit of the `NodeBudget`.
+    ValueError (`_edge_rows`) before anything is yielded, and each
+    placement spends one unit of the `NodeBudget`.
 
     The sets are the leaves of the fixpoint walk (`consistency._walk`,
     which gives the arguments) above the closed bases (`_base_rows`),
@@ -578,14 +585,15 @@ class Goodness:
     alone, and `Goodness` does it once, on first use: the record-
     independent half of `certifies` per model (`_holds`), the pairs a
     replay must reverse to differ per kind (`_adjacent_pairs`), and each
-    process's closed base, kept under (process, its record edges)
-    (`_base_rows`), so a record with one edge dropped closes one
-    process's base again, not all of them.  The fuzz battery builds one
-    per fixture, in the way it shares one `RaceAnalysis`;
-    `is_good_view_record` and `is_good_race_record` are one-shot
-    wrappers that build one per verdict.  The cached rows and pairs are
-    read-only: `_least_replay` and `saturate` copy a row list before
-    they change it.  Each strong verdict that places a replay (on an
+    process's checked record edge rows (`_edge_rows`) beside its closed
+    base, kept under (process, its record edges) (`_base_rows`), so a
+    record with one edge dropped checks and closes one process's base
+    again, not all of them.  The fuzz battery builds one per fixture, in
+    the way it shares one `RaceAnalysis`; `is_good_view_record`,
+    `is_good_race_record` and `certifies` are one-shot wrappers that
+    build one per call.  The cached rows and pairs are read-only:
+    `_least_replay` and `saturate` copy a row list before they change
+    it.  Each strong verdict that places a replay (on an
     acyclic record) is kept per record and kind, and asking it again
     returns the kept `Verdict`; `without_edge`, the verdict on a record
     with one edge dropped, reads the record's own verdict there to pick
@@ -596,9 +604,10 @@ class Goodness:
     from a kept one.
 
     Each verdict checks its limits first (`_check_limits`: ValueError for
-    a malformed `max_ops` or `node_budget` under any model), then
-    validates its record (ValueError) and the views, on the first verdict
-    under each model (`UniverseMismatch`), as the one-shot wrappers do,
+    a malformed `max_ops` or `node_budget` under any model), then its
+    record, every process of it (`_edge_rows`: ValueError), then the
+    model and the views, on the first verdict under each model
+    (`UniverseMismatch`), as the one-shot wrappers and `certifies` do,
     before the kept verdicts are read."""
 
     def __init__(self, views: ViewSet, program: Program):
@@ -606,7 +615,7 @@ class Goodness:
         self.program = program
         self._holds: dict[str, bool] = {}
         self._pairs: dict[str, list[tuple[int, int, int]]] = {}
-        self._bases: dict[tuple[int, frozenset[Pair]], list[int] | None] = {}
+        self._bases: _Bases = {}
         self._strong: dict[tuple[Record, str], Verdict] = {}
         self._replays: dict[tuple, tuple[ViewSet | None, int]] = {}
         self._shared = 0
@@ -767,24 +776,23 @@ class Goodness:
         Its order rows are built once, by the rows test for a strongly
         causal replay (`strongly_causal_rows`), which it must pass.  On
         the same rows it must then differ from the original data-race
-        order of `process` and extend the candidate record without
-        `edge`, two mask tests: that record holds the minimal record
-        without `edge`, so the test is at least as strict."""
+        order of `process`, a mask test, and extend the candidate record
+        without `edge`, the containment test of `certifies`
+        (`_extends_rows`): that record holds the minimal record without
+        `edge`, so the test is at least as strict."""
         program = self.program
         if analysis.program != program:
             raise PreconditionViolated("the race analysis is of another program")
         if not analysis.in_record(process, edge):
             raise _not_required(process, edge)
         a, b = (program.index[o] for o in edge)
-        procs = sorted(program.processes)
+        records = {
+            j: dict(enumerate(analysis.candidate_rows(j))) for j in sorted(program.processes)
+        }
+        records[process][a] &= ~(1 << b)
         base = {}
-        for j in procs:
-            rows = analysis.candidate_rows(j)
-            edges = enumerate(rows)
-            if j == process:
-                reduced = list(rows)
-                reduced[a] &= ~(1 << b)
-                edges = [*enumerate(reduced), (b, 1 << a)]
+        for j, rows in records.items():
+            edges = [*rows.items(), (b, 1 << a)] if j == process else rows.items()
             base[j] = kernels.close_onto(program.process_index(j).po_rows, edges)
         witness, _ = self._replay(base, None)
         if witness is None:
@@ -796,10 +804,8 @@ class Goodness:
         masks = program.variable_masks
         if [row & m for row, m in zip(orders[process], masks)] == analysis.dro_rows(process):
             raise InternalInvariant("witness reproduces the original data-race order")
-        for j in procs:
-            record = reduced if j == process else analysis.candidate_rows(j)
-            if any(r & ~o for r, o in zip(record, orders[j])):
-                raise InternalInvariant("witness does not certify the reduced record")
+        if not _extends_rows(orders, records):
+            raise InternalInvariant("witness does not certify the reduced record")
         return witness
 
     def _certified_good(self, record: Record, kind: str) -> bool:
@@ -809,13 +815,19 @@ class Goodness:
         return verdict.good and verdict.original_certifies
 
     def _certifies(self, record: Record, model: str) -> bool:
-        """`certifies` of the original views, for a validated record."""
+        """`certifies` of the original views: the record is checked first
+        (`_edge_rows`, reading the rows kept beside the closed bases), then
+        the model, then the views on the first call under each model."""
+        program = self.program
+        edges = _edge_rows(program, record, self._bases)
         _check_model(model)
         holds = self._holds.get(model)
         if holds is None:
-            check_complete(self.views, self.program)
-            holds = self._holds[model] = _holds(self.views, self.program, model)
-        return _extends(self.views, self.program, record) and holds
+            check_complete(self.views, program)
+            holds = self._holds[model] = _holds(self.views, program, model)
+        views = self.views
+        orders = dict(zip(views.processes(), views.order_rows(program)))
+        return holds and _extends_rows(orders, edges)
 
 
 def is_good_view_record(
@@ -960,26 +972,23 @@ def view_witness(
     """`necessity_witness_view_record` for strongly causal views whose
     minimal view record the caller already holds.  The swapped views must
     pass the rows test for a strongly causal replay (`_swap`), then
-    extend the record without `edge`, tested on the rows `_swap` derived:
-    together, what `certifies` tests.  An edge of `record` that is not
-    two consecutive operations of the view raises `PreconditionViolated`:
-    no minimal view record holds one.  A view set without a view of each
-    process raises `UniverseMismatch`, and a record that names a process
-    the program lacks, or an edge outside its process's view, ValueError,
-    as in `certifies`."""
+    extend the record without `edge`, tested on the rows `_swap` derived
+    (`_extends_rows`): together, what `certifies` tests.  The record is
+    checked first, as in `certifies` (`_edge_rows`: ValueError), then
+    the views (`UniverseMismatch` for a set without a view of each
+    process).  An edge of `record` that is not two consecutive
+    operations of the view raises `PreconditionViolated`: no minimal
+    view record holds one."""
     program = execution.program
+    edges = _edge_rows(program, record)
     check_complete(views, program)
     if not is_pair(edge) or edge not in record.edges(process):
         raise _not_required(process, edge)
-    _check_record_processes(program, record)
     witness, orders = _swap(views, program, process, edge)
     index = program.index
-    for i, edges in record.per_process:
-        pos, rows = views[i].positions, orders[i]
-        for a, b in edges - {edge} if i == process else edges:
-            _check_edge(i, a, b, pos)
-            if rows[index[b]] >> index[a] & 1:
-                raise InternalInvariant("swapped views do not certify the reduced record")
+    edges[process][index[edge[0]]] &= ~(1 << index[edge[1]])
+    if not _extends_rows(orders, edges):
+        raise InternalInvariant("swapped views do not certify the reduced record")
     return witness
 
 

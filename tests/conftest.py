@@ -68,16 +68,31 @@ def reference_certifies(candidate, program, record, model):
     """Certification as first defined, sharing no code with
     `oracle.certifies`: every view orders its process's record edges as
     recorded, and the model's checker accepts the views together with
-    the execution they derive."""
+    the execution they derive.  The whole record is checked first, with
+    the oracle's messages: a process the program lacks, then per process
+    in order and its edges in sorted order, a self-loop or a pair outside
+    the process's universe; then the model."""
+    for i in record.processes:
+        if i not in program.processes:
+            raise ValueError(f"record names process {i}, which the program lacks")
+    for i in sorted(program.processes):
+        universe = program.universe_of(i)
+        for a, b in sorted(record.edges(i)):
+            if a == b:
+                raise ValueError(
+                    f"record for process {i} is malformed: "
+                    f"self-loop ({a}, {a}) is not representable"
+                )
+            if a not in universe or b not in universe:
+                raise ValueError(
+                    f"record for process {i} is malformed: pair ({a}, {b}) escapes the universe"
+                )
     if model not in (CAUSAL, STRONG_CAUSAL):
         raise ValueError(f"unsupported replay model {model!r}")
     for i in sorted(program.processes):
         pos = candidate[i].positions
-        for a, b in record.edges(i):
-            if a not in pos or b not in pos:
-                raise ValueError(f"record edge ({a}, {b}) escapes process {i}'s view")
-            if pos[a] > pos[b]:
-                return False
+        if any(pos[a] > pos[b] for a, b in record.edges(i)):
+            return False
     derived = derive_writes_to(candidate, program)
     check = check_causal if model == CAUSAL else check_strong_causal
     return check(candidate, derived) is None

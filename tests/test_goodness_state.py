@@ -87,8 +87,10 @@ def test_cached_rows_are_not_changed_by_the_verdicts(asked):
     for name, execution, views, goodness, _ in asked:
         program = execution.program
         assert goodness._bases and set(goodness._pairs) == {"views", "dro"}
-        for (i, edges), rows in goodness._bases.items():
-            assert rows == oracle._process_base(program, i, edges), (name, i, edges)
+        for (i, edges), (rows, base) in goodness._bases.items():
+            checked = oracle._edge_rows(program, Record(((i, edges),)))
+            assert rows == checked.get(i, {}), (name, i, edges)
+            assert base == oracle._process_base(program, i, rows), (name, i, edges)
         for kind, pairs in goodness._pairs.items():
             assert pairs == oracle._adjacent_pairs(views, program, kind), (name, kind)
 
@@ -100,9 +102,9 @@ def test_a_dropped_edge_closes_one_process_base_again(monkeypatch):
     closed = []
     original = oracle._process_base
 
-    def counting(program, process, edges):
+    def counting(program, process, rows):
         closed.append(process)
-        return original(program, process, edges)
+        return original(program, process, rows)
 
     monkeypatch.setattr(oracle, "_process_base", counting)
     goodness = oracle.Goodness(views, program)
@@ -163,7 +165,7 @@ SELF_LOOP = (
 )
 
 # (view set, record, model, exception type, message); the record is
-# checked before the views, so a malformed record wins
+# checked before the model and the views, so a malformed record wins
 MALFORMED = [
     ("partial", "minimal", STRONG_CAUSAL, *PARTIAL),
     ("partial", "minimal", CAUSAL, *PARTIAL),
@@ -186,19 +188,28 @@ def test_malformed_input_raises_as_before(corpus, views_name, record_name, model
     parsed = corpus["indirect-order"]
     views = view_sets(parsed)[views_name]
     record = records(parsed)[record_name]
-    goodness = oracle.Goodness(views, parsed.program)
-    for kind, one_shot in ONE_SHOT.items():
-        calls = [
-            lambda: one_shot(views, parsed.program, record, model, max_ops=MAX_OPS),
-            # twice on one object: a failed check leaves nothing cached
-            lambda: goodness.verdict(record, kind, model, max_ops=MAX_OPS),
-            lambda: goodness.verdict(record, kind, model, max_ops=MAX_OPS),
+    program = parsed.program
+    goodness = oracle.Goodness(views, program)
+    # certification raises as the verdicts do, and so, on a malformed
+    # record, do the enumerations, which take no views
+    calls = [lambda: oracle.certifies(views, program, record, model)]
+    if record_name != "minimal":
+        calls += [
+            lambda: list(oracle.enumerate_certifying(program, record, model, max_ops=MAX_OPS)),
+            lambda: list(oracle.certifying_replays(program, record)),
         ]
-        for call in calls:
-            with pytest.raises(error) as raised:
-                call()
-            assert type(raised.value) is error
-            assert str(raised.value) == message
+    for kind, one_shot in ONE_SHOT.items():
+        calls += [
+            lambda one_shot=one_shot: one_shot(views, program, record, model, max_ops=MAX_OPS),
+            # twice on one object: a failed check leaves nothing cached
+            lambda kind=kind: goodness.verdict(record, kind, model, max_ops=MAX_OPS),
+            lambda kind=kind: goodness.verdict(record, kind, model, max_ops=MAX_OPS),
+        ]
+    for call in calls:
+        with pytest.raises(error) as raised:
+            call()
+        assert type(raised.value) is error
+        assert str(raised.value) == message
 
 
 def test_views_are_checked_on_the_first_verdict_under_each_model(corpus):

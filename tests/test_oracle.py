@@ -168,17 +168,9 @@ class TestMalformedRecord:
         with pytest.raises(ValueError, match="record for process 1 is malformed"):
             self.QUERIES[query](program, views, record)
 
-    @pytest.mark.parametrize("query", sorted(QUERIES))
-    def test_raised_even_when_an_earlier_process_has_no_extension(self, query):
-        program, views = _two_readers()
-        # process 1's record reverses its program order, so it has no view
-        record = Record.of({1: {("r1", "w1")}, 2: {("r2", "r1")}})
-        with pytest.raises(ValueError, match="record for process 2 is malformed"):
-            self.QUERIES[query](program, views, record)
-
-    # a self-loop is malformed for the certification test and the view
-    # witness too, which order record edges on positions and rows
-    SELF_LOOP_QUERIES = {
+    # the certification test and the view witness check the whole record
+    # too, before they test any edge on the views' order rows
+    EVERY_QUERY = {
         **QUERIES,
         "certifies": lambda program, views, record: oracle.certifies(
             views, program, record, STRONG_CAUSAL
@@ -197,30 +189,32 @@ class TestMalformedRecord:
         ),
     }
 
-    @pytest.mark.parametrize("query", sorted(SELF_LOOP_QUERIES))
+    @pytest.mark.parametrize("query", sorted(EVERY_QUERY))
+    def test_raised_even_when_an_earlier_process_has_no_extension(self, query):
+        program, views = _two_readers()
+        # process 1's record reverses its program order, so it has no view
+        record = Record.of({1: {("r1", "w1")}, 2: {("r2", "r1")}})
+        with pytest.raises(ValueError, match="record for process 2 is malformed"):
+            self.EVERY_QUERY[query](program, views, record)
+
+    @pytest.mark.parametrize("query", sorted(EVERY_QUERY))
     def test_self_loop(self, query):
         program, views = _two_readers()
-        record = Record.of({1: set(), 2: {("w2", "w2")}})
+        # process 1's view orders w1 before w2, so its edge is violated
+        # before process 2's self-loop is reached
+        record = Record.of({1: {("w2", "w1")}, 2: {("w2", "w2")}})
         message = "record for process 2 is malformed: self-loop (w2, w2) is not representable"
         with pytest.raises(ValueError, match=re.escape(message)):
-            self.SELF_LOOP_QUERIES[query](program, views, record)
+            self.EVERY_QUERY[query](program, views, record)
 
-    @pytest.mark.parametrize("query", sorted(QUERIES) + ["certifies", "certifies-causal"])
+    # the view witness query is built for `_two_readers`
+    @pytest.mark.parametrize("query", sorted(set(EVERY_QUERY) - {"view_witness"}))
     def test_unknown_process(self, query, corpus):
         parsed = corpus["indirect-order"]
         minimal = minimal_view_record(parsed.views, parsed.execution)
         record = Record.of({**dict(minimal.per_process), 99: {("zz", "yy")}})
-        queries = {
-            **self.QUERIES,
-            "certifies": lambda program, views, record: oracle.certifies(
-                views, program, record, STRONG_CAUSAL
-            ),
-            "certifies-causal": lambda program, views, record: oracle.certifies(
-                views, program, record, CAUSAL
-            ),
-        }
         with pytest.raises(ValueError, match="record names process 99"):
-            queries[query](parsed.program, parsed.views, record)
+            self.EVERY_QUERY[query](parsed.program, parsed.views, record)
 
     def test_cyclic_record_admits_no_replay(self):
         program, views = _two_readers()
@@ -468,7 +462,10 @@ class TestNecessityWitnessView:
     @pytest.mark.parametrize(
         "extra, message",
         [
-            ({1: {("w1", "zz")}}, "record edge (w1, zz) escapes process 1's view"),
+            (
+                {1: {("w1", "zz")}},
+                "record for process 1 is malformed: pair (w1, zz) escapes the universe",
+            ),
             ({9: {("w1", "w2")}}, "record names process 9, which the program lacks"),
         ],
         ids=["edge-escapes", "unknown-process"],
